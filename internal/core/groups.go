@@ -5,20 +5,18 @@ import (
 	"fmt"
 )
 
-// ErrGroupsExhausted is returned by Allocate when every GID is occupied
-// and the caller did not ask to queue.
+// ErrGroupsExhausted is returned by Allocate when every GID is occupied.
 var ErrGroupsExhausted = errors.New("core: all group IDs occupied")
 
 // GroupTable is the OS-visible allocator of group IDs (§5.2). Once a GID is
 // selected for a program, the corresponding entry is marked occupied on
 // every processor — including non-members — so untrusting applications can
-// never share a GID. The table also implements the paper's waiting queue
-// for GID exhaustion.
+// never share a GID. The paper's OS waiting queue for GID exhaustion is not
+// modelled: Allocate fails instead, and callers refuse the request.
 type GroupTable struct {
 	occupied [MaxGroups]bool
 	members  [MaxGroups]uint32
 	free     int
-	queue    []chan int // waiters for a reclaimed GID, FIFO
 }
 
 // NewGroupTable returns a table with every GID free.
@@ -43,45 +41,14 @@ func (g *GroupTable) Allocate(members uint32) (int, error) {
 	return 0, ErrGroupsExhausted
 }
 
-// AllocateOrWait reserves a GID, or registers a waiter that receives the
-// next reclaimed GID. The second return is non-nil only when queued.
-func (g *GroupTable) AllocateOrWait(members uint32) (int, <-chan int, error) {
-	gid, err := g.Allocate(members)
-	if err == nil {
-		return gid, nil, nil
-	}
-	if !errors.Is(err, ErrGroupsExhausted) {
-		return 0, nil, err
-	}
-	ch := make(chan int, 1)
-	g.queue = append(g.queue, ch)
-	return 0, ch, nil
-}
-
-// Release reclaims a GID on program completion. If applications are queued
-// waiting, the GID is handed directly to the oldest waiter (staying
-// occupied); the waiter's member set must be set via SetMembers.
+// Release reclaims a GID on program completion.
 func (g *GroupTable) Release(gid int) {
 	if gid < 0 || gid >= MaxGroups || !g.occupied[gid] {
 		panic(fmt.Sprintf("core: release of unoccupied GID %d", gid))
 	}
 	g.members[gid] = 0
-	if len(g.queue) > 0 {
-		ch := g.queue[0]
-		g.queue = g.queue[1:]
-		ch <- gid
-		return
-	}
 	g.occupied[gid] = false
 	g.free++
-}
-
-// SetMembers records the member set of a GID handed over via the queue.
-func (g *GroupTable) SetMembers(gid int, members uint32) {
-	if !g.occupied[gid] {
-		panic(fmt.Sprintf("core: SetMembers on free GID %d", gid))
-	}
-	g.members[gid] = members
 }
 
 // Occupied reports whether gid is allocated.

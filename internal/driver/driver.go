@@ -35,7 +35,7 @@ const DefaultSlice = 100_000
 // workload that validates it, advanced by bounded cycle slices. A
 // Session is not safe for concurrent use; the host serializes access
 // (internal/serve holds a per-session mutex). Abandoned sessions must be
-// Closed, or their simulated processors' goroutines leak.
+// Closed, or their simulated processors' suspended coroutines leak.
 type Session struct {
 	name string
 	size workload.Size
@@ -170,9 +170,11 @@ func (s *Session) OracleReport() *oracle.Report {
 }
 
 // Close tears the session down: a still-running simulation is aborted
-// (its processor goroutines unwound, SENSS group sessions reclaimed and
-// zeroized). Safe to call at any point, including after completion, and
-// idempotent. The last Snapshot remains readable.
+// (each processor's coroutine stopped and its body unwound, SENSS group
+// sessions reclaimed and zeroized). Close never blocks: stopping a
+// coroutine is a direct switch into it. Safe to call at any point,
+// including after completion, and idempotent. The last Snapshot remains
+// readable.
 func (s *Session) Close() {
 	if s.closed {
 		return

@@ -5,10 +5,10 @@
 // The simulator depends on two properties the Go compiler cannot check:
 //
 //   - Determinism. DESIGN.md §6 requires bit-reproducible runs for a fixed
-//     seed: the sim engine hands out a single run token, so the only ways
+//     seed: the sim engine runs one proc at a time, so the only ways
 //     nondeterminism can creep in are map iteration order reaching
 //     scheduling/stats/trace output, host time, global math/rand, sync.Map,
-//     or goroutines created outside the engine.
+//     or goroutines.
 //   - Secret hygiene. Group session keys, bus masks, and memory pads (§4 of
 //     the paper) must never flow into logs, traces, or error strings — the
 //     classic implementation pitfall of pad-based schemes.

@@ -48,15 +48,13 @@ package lint
 //     lock set: guarded accesses there need their own locking.
 //     Holding an annotated mutex across a blocking operation — channel
 //     send/receive/select without default, or a call whose transitive
-//     body performs one (Pool.Do submission, driver.Session.Step down
-//     to the engine's token handoff), or a listed external such as
+//     body performs one (Pool.Do submission), or a listed external such as
 //     (net/http.ResponseWriter).Write — is reported: it turns a
 //     private critical section into a system-wide stall point.
 //
 // Deliberate exceptions use the audited-waiver protocol
-// (//senss-lint:ignore lockguard <reason>): the per-session mutex that
-// intentionally serializes simulation slices, and constructor writes
-// before the value escapes, are written decisions in the tree.
+// (//senss-lint:ignore lockguard <reason>): constructor writes before the
+// value escapes are written decisions in the tree.
 
 import (
 	"fmt"

@@ -573,9 +573,10 @@ func (lw *lockWalker) walkBranch(t *ast.BranchStmt) {
 }
 
 // walkDefer handles defer statements: mutex unlocks register as
-// scheduled releases; literal bodies are scanned for direct unlocks and
-// then walked (state changes discarded) so guarded accesses inside
-// cleanup closures are still checked.
+// scheduled releases; literal bodies are walked (state changes
+// discarded) so guarded accesses inside cleanup closures are still
+// checked, then scanned for direct unlocks. The walk comes first: the
+// closure's own Unlock is the deferred release, not a second one.
 func (lw *lockWalker) walkDefer(t *ast.DeferStmt) {
 	if op, ok := lw.w.asMutexOp(lw.info, t.Call); ok {
 		if op.method == "Unlock" || op.method == "RUnlock" {
@@ -590,6 +591,9 @@ func (lw *lockWalker) walkDefer(t *ast.DeferStmt) {
 		return
 	}
 	if lit, ok := ast.Unparen(t.Call.Fun).(*ast.FuncLit); ok {
+		sub := lw.subWalker(cloneStates(lw.states), lw.capture)
+		sub.frames = nil
+		sub.walkStmt(lit.Body)
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			if _, isLit := n.(*ast.FuncLit); isLit {
 				return false
@@ -609,9 +613,6 @@ func (lw *lockWalker) walkDefer(t *ast.DeferStmt) {
 			}
 			return true
 		})
-		sub := lw.subWalker(cloneStates(lw.states), lw.capture)
-		sub.frames = nil
-		sub.walkStmt(lit.Body)
 		return
 	}
 	// Deferred plain call: arguments are evaluated now; the call itself

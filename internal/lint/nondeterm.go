@@ -46,18 +46,16 @@ var orchestrationPkgs = map[string]bool{
 // AnalyzerNondeterm bans host-nondeterminism primitives from the simulator
 // proper (internal/...): wall-clock time, the global math/rand stream,
 // sync.Map (whose range order is nondeterministic even under a single
-// goroutine), and goroutine creation anywhere but the sim engine — the
-// engine's single run token is the sole legitimate source of concurrency,
-// and every simulated actor must receive it through Engine.Spawn.
+// goroutine), and go statements. Simulated concurrency is the sim
+// engine's coroutine procs (Engine.Spawn), which never run in parallel.
 //
-// Two kinds of package are exempt from parts of the rule: the sim engine
-// itself (goroutines), and the orchestration packages listed in
-// orchestrationPkgs (goroutines and wall-clock reads). Host-side drivers
-// under cmd/ may measure wall time; they are out of scope.
+// Only the orchestration packages listed in orchestrationPkgs are exempt
+// from parts of the rule (goroutines and wall-clock reads). Host-side
+// drivers under cmd/ may measure wall time; they are out of scope.
 func AnalyzerNondeterm() *Analyzer {
 	a := &Analyzer{
 		Name:  "nondeterm",
-		Doc:   "no wall-clock, global math/rand, sync.Map, or goroutines outside the sim engine and orchestration packages",
+		Doc:   "no wall-clock, global math/rand, sync.Map, or goroutines outside orchestration packages",
 		Scope: []string{"internal"},
 	}
 	// bannedTime are time package functions that read host state; pure
@@ -68,7 +66,6 @@ func AnalyzerNondeterm() *Analyzer {
 		"Sleep": true,
 	}
 	a.Run = func(pass *Pass) {
-		inSim := pass.Pkg.RelPath == "internal/sim"
 		orch := orchestrationPkgs[pass.Pkg.RelPath]
 		for _, f := range pass.Pkg.Files {
 			for _, imp := range f.Imports {
@@ -80,8 +77,8 @@ func AnalyzerNondeterm() *Analyzer {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.GoStmt:
-					if !inSim && !orch {
-						pass.Reportf(n.Pos(), "goroutine outside the sim engine: concurrency must flow through Engine.Spawn's run token to stay deterministic (orchestration packages are allowlisted in nondeterm.go)")
+					if !orch {
+						pass.Reportf(n.Pos(), "go statement in simulator code: simulated concurrency must be an Engine.Spawn proc to stay deterministic (orchestration packages are allowlisted in nondeterm.go)")
 					}
 				case *ast.SelectorExpr:
 					id, ok := n.X.(*ast.Ident)

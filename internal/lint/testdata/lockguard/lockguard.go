@@ -119,6 +119,23 @@ func doubleUnlock(c *Counter) {
 	c.mu.Unlock() // want "deferred release is already scheduled"
 }
 
+// deferredClosureUnlockClean releases through a deferred closure: its
+// Unlock is the one scheduled release.
+func deferredClosureUnlockClean(c *Counter) {
+	c.mu.Lock()
+	defer func() { c.mu.Unlock() }()
+	c.n = 1
+}
+
+// deferredClosureDoubleUnlock also releases explicitly while the deferred
+// closure's release is pending.
+func deferredClosureDoubleUnlock(c *Counter) {
+	c.mu.Lock()
+	defer func() { c.mu.Unlock() }()
+	c.n = 1
+	c.mu.Unlock() // want "deferred release is already scheduled"
+}
+
 // Stats is the RWMutex shape.
 type Stats struct {
 	mu sync.RWMutex

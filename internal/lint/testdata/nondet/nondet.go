@@ -1,5 +1,5 @@
 // Package nondet seeds nondeterm-analyzer fixtures: host time, global
-// math/rand, sync.Map, and goroutine creation outside the sim engine.
+// math/rand, sync.Map, and goroutine creation in simulator code.
 package nondet
 
 import (
@@ -26,9 +26,9 @@ func Draw() int {
 // Shared iterates nondeterministically even single-threaded.
 var Shared sync.Map // want "sync.Map iteration order is nondeterministic"
 
-// Race spawns a goroutine outside the engine's run-token loop.
+// Race spawns a goroutine instead of an engine proc.
 func Race(fn func()) {
-	go fn() // want "goroutine outside the sim engine"
+	go fn() // want "go statement in simulator code"
 }
 
 // Dur is a pure conversion: accepted.

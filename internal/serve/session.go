@@ -87,9 +87,8 @@ func newHosted(id string, spec SessionSpec, drv *driver.Session, now time.Time) 
 }
 
 // step advances the simulation one bounded slice and folds the outcome
-// into the session state.
-//
-//senss-lint:ignore lockguard holding h.mu across drv.Step is the design: the per-session mutex serializes simulation slices so the sim core stays single-goroutine deterministic; blocking is bounded by the step cycle budget
+// into the session state. Holding h.mu across drv.Step serializes the
+// slices, so the simulation stays single-goroutine deterministic.
 func (h *Hosted) step(cycles uint64, now time.Time) (StepResponse, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -213,9 +212,8 @@ func (h *Hosted) stateNow() State {
 
 // close tears the session down (abort + zeroize via driver.Close) and
 // reports whether this call performed the teardown — the caller that
-// wins releases the quota.
-//
-//senss-lint:ignore lockguard holding h.mu across drv.Close is the design: teardown must exclude concurrent steps so zeroize-once is guaranteed, and the abort handshake it blocks on is bounded by one engine dispatch
+// wins releases the quota. Holding h.mu across drv.Close excludes
+// concurrent steps, so the session is zeroized exactly once.
 func (h *Hosted) close() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()

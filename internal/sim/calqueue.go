@@ -116,8 +116,8 @@ func (q *calQueue) peekAt() (uint64, bool) {
 }
 
 // popAt removes and returns the next event, whose cycle the caller obtained
-// from peekAt with no intervening push (peek and pop run under the single
-// run token, so nothing can interleave).
+// from peekAt with no intervening push (peek and pop run in one dispatch
+// step of a single-threaded engine, so nothing can interleave).
 //
 //senss-lint:hotpath
 func (q *calQueue) popAt(at uint64) event {

@@ -1,29 +1,34 @@
+//go:build go1.23
+
 // Package sim is a deterministic discrete-event simulation engine with
 // cooperative green threads ("procs").
 //
 // The SMP model is written in blocking style: each simulated processor runs
 // its program inside a proc; memory-hierarchy layers charge simulated cycles
 // by calling Sleep, and contention points (the bus arbiter, spinlocks) are
-// expressed with wait queues.  Exactly one proc executes at a time — a single
-// run token moves to whichever event is next in (cycle, sequence) order — so
-// the whole simulation is single-threaded in effect and bit-reproducible for
-// a fixed seed, which DESIGN.md §6 requires.
+// expressed with wait queues.  Exactly one proc executes at a time — the
+// next event in (cycle, sequence) order decides which — so the whole
+// simulation is single-threaded in effect and bit-reproducible for a fixed
+// seed, which DESIGN.md §6 requires.
 //
-// Scheduling is direct-handoff: the goroutine that holds the run token
-// (a proc inside Sleep/Park, or the engine inside RunUntil) pops the next
-// event itself and hands the token straight to its target. When a proc's own
-// resumption is the next event it simply keeps running — zero channel
-// operations — and otherwise a handoff costs one channel send, instead of
-// the two sends plus two receives of a central dispatcher loop. The profile
-// that motivated this (see DESIGN.md §16) showed ~70% of simulation time in
-// exactly that dispatcher round trip. Events live in a calendar queue
-// (calqueue.go) rather than a binary heap for the same reason: O(1)
-// value-typed push/pop with no comparison sorting on the hot path.
+// Each proc body runs inside an iter.Pull coroutine: Sleep and Park yield
+// back to RunUntil, which resumes the proc whose event comes up next. A
+// coroutine switch is a direct transfer of control, and iter.Pull's race
+// annotations order every access across it, so the engine needs no
+// channels. The proc that is running dispatches events itself: when its
+// own resumption is the next event it simply keeps running with no switch
+// at all, and only a cross-proc handoff costs a yield plus a resume. Events
+// live in a calendar queue (calqueue.go) rather than a binary heap: O(1)
+// value-typed push/pop with no comparison sorting on the hot path
+// (DESIGN.md §16).
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Engine owns simulated time and the run token.
+// Engine owns simulated time and the event queue.
 type Engine struct {
 	now uint64
 	seq uint64
@@ -31,21 +36,21 @@ type Engine struct {
 	// deadline is the active run slice's bound; dispatch stops before
 	// popping any event beyond it. Run uses MaxUint64.
 	deadline uint64
-	// stop records why the token came back to the engine.
+	// stop records why dispatch stopped with no proc to resume.
 	stop stopReason
-	// ctl hands the run token from a stopping proc back to RunUntil.
-	ctl  chan struct{}
-	live int // procs spawned and not yet finished
+	// handoff is the proc whose event dispatch popped for RunUntil to
+	// resume next, or nil when dispatch stopped.
+	handoff *Proc
+	live    int // procs spawned and not yet finished
 	// procs registers every spawned proc so Abort can reach the ones
 	// parked outside the event queue (wait queues hold them privately).
-	procs    []*Proc
-	limit    uint64
-	halted   bool
-	haltMsg  string
-	aborting bool
+	procs   []*Proc
+	limit   uint64
+	halted  bool
+	haltMsg string
 }
 
-// stopReason says why dispatch returned the token to the engine.
+// stopReason says why dispatch ran out of events to process.
 type stopReason uint8
 
 const (
@@ -56,9 +61,7 @@ const (
 )
 
 // NewEngine returns an empty engine at cycle 0.
-func NewEngine() *Engine {
-	return &Engine{ctl: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated cycle.
 //
@@ -92,11 +95,15 @@ func (e *Engine) Halted() (bool, string) { return e.halted, e.haltMsg }
 
 // Proc is a cooperative simulated thread of execution.
 type Proc struct {
-	e      *Engine
-	wake   chan struct{}
-	name   string
-	parked bool
-	done   bool
+	e *Engine
+	// next resumes the proc's coroutine until it yields (ok) or its body
+	// returns (!ok); stop unwinds a suspended or unstarted coroutine;
+	// yield, set once the body starts, suspends it from inside.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	name  string
+	done  bool
 }
 
 // Name returns the proc's diagnostic name.
@@ -110,8 +117,8 @@ func (p *Proc) Engine() *Engine { return p.e }
 //senss-lint:hotpath
 func (p *Proc) Now() uint64 { return p.e.now }
 
-// procAborted is the sentinel Sleep/Park panic with when the engine is
-// tearing down; the Spawn wrapper recovers it and retires the proc.
+// procAborted is the sentinel Sleep/Park panic with when Abort stops a
+// suspended proc; the coroutine body recovers it and returns.
 type abortSentinel struct{}
 
 var procAborted = abortSentinel{}
@@ -119,57 +126,52 @@ var procAborted = abortSentinel{}
 // Spawn creates a proc running fn, started at the current cycle (after
 // already-queued events at this cycle).
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, wake: make(chan struct{}), name: name}
-	e.live++
-	e.procs = append(e.procs, p)
-	go func() {
+	p := &Proc{e: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, aborted := r.(abortSentinel); !aborted {
-					panic(r) // a genuine simulation bug keeps crashing loudly
+					panic(r) // iter.Pull re-raises it in RunUntil's caller
 				}
 			}
-			p.done = true
-			e.live--
-			e.retire(p)
 		}()
-		<-p.wake // wait for the start event to hand us the token
-		if e.aborting {
-			return // unwound before the program ever ran
-		}
 		fn(p)
-	}()
+	})
+	e.live++
+	e.procs = append(e.procs, p)
 	e.seq++
 	e.q.push(event{at: e.now, seq: e.seq, p: p}) // the start event
 	return p
 }
 
-// dispatch pops and runs events while the caller holds the run token,
-// until the token must leave it. self is the proc giving up the token (it
-// has already scheduled its own resumption, or parked), or nil when the
-// engine dispatches from RunUntil.
+// dispatch pops and runs events until one belongs to a proc or dispatch
+// must stop. self is the running proc (it has already scheduled its own
+// resumption, or parked), or nil when RunUntil dispatches.
 //
 // It returns true only when self's own resumption event came up — the
-// caller keeps the token and simply continues, with no channel traffic at
-// all (the common case whenever other procs are blocked or idle this
-// cycle). On false the token has moved: to another proc (one channel
-// send), or back to the engine with e.stop recording why.
+// caller simply continues, with no coroutine switch at all (the common
+// case whenever other procs are blocked or idle this cycle). On false
+// either e.handoff names the proc RunUntil must resume next, or it is nil
+// and e.stop records why dispatch stopped; a running proc then yields.
 //
-// fn events run inline under the caller's goroutine; they are engine
+// fn events run inline in whichever context dispatches; they are engine
 // context either way because their code never blocks or sleeps.
 //
 //senss-lint:hotpath
 func (e *Engine) dispatch(self *Proc) bool {
 	for {
 		at, ok := e.q.peekAt()
-		if !ok {
-			return e.handback(self, stopEmpty)
-		}
-		if e.halted {
-			return e.handback(self, stopHalt)
-		}
-		if at > e.deadline {
-			return e.handback(self, stopDeadline)
+		switch {
+		case !ok:
+			e.stop = stopEmpty
+			return false
+		case e.halted:
+			e.stop = stopHalt
+			return false
+		case at > e.deadline:
+			e.stop = stopDeadline
+			return false
 		}
 		ev := e.q.popAt(at)
 		if ev.at < e.now {
@@ -177,7 +179,8 @@ func (e *Engine) dispatch(self *Proc) bool {
 		}
 		e.now = ev.at
 		if e.limit != 0 && e.now > e.limit {
-			return e.handback(self, stopLimit)
+			e.stop = stopLimit
+			return false
 		}
 		if ev.p == nil {
 			ev.fn()
@@ -189,40 +192,8 @@ func (e *Engine) dispatch(self *Proc) bool {
 		if ev.p.done {
 			panic(fmt.Sprintf("sim: resuming finished proc %q", ev.p.name))
 		}
-		ev.p.parked = false
-		ev.p.wake <- struct{}{}
-		if self == nil {
-			// The engine keeps waiting here until a proc stops the
-			// slice and hands the token back through ctl.
-			<-e.ctl
-		}
+		e.handoff = ev.p
 		return false
-	}
-}
-
-// handback routes the run token to the engine with the given stop reason.
-// A proc does it over ctl (RunUntil's dispatch is blocked receiving); the
-// engine's own dispatch just returns.
-//
-//senss-lint:hotpath
-func (e *Engine) handback(self *Proc, why stopReason) bool {
-	e.stop = why
-	if self != nil {
-		e.ctl <- struct{}{}
-	}
-	return false
-}
-
-// retire runs as the final act of a proc's goroutine, which still holds
-// the run token: during teardown it returns the token to Abort, otherwise
-// it dispatches onward like a Sleep that never wakes.
-func (e *Engine) retire(p *Proc) {
-	if e.aborting {
-		e.ctl <- struct{}{}
-		return
-	}
-	if e.dispatch(p) {
-		panic(fmt.Sprintf("sim: event scheduled for finished proc %q", p.name))
 	}
 }
 
@@ -234,29 +205,18 @@ func (p *Proc) Sleep(d uint64) {
 	e := p.e
 	e.seq++
 	e.q.push(event{at: e.now + d, seq: e.seq, p: p})
-	if e.dispatch(p) {
-		return // own resumption was next: keep the token
-	}
-	<-p.wake
-	if e.aborting {
-		panic(procAborted)
+	if !e.dispatch(p) && !p.yield(struct{}{}) {
+		panic(procAborted) // Abort stopped the coroutine: unwind the body
 	}
 }
 
 // Park suspends the proc indefinitely; another party must wake it via a
-// Queue or Engine.Unpark.
+// Queue or Engine.Unpark. If an Unpark at this cycle was already queued,
+// dispatch reaches it and the proc keeps running.
 //
 //senss-lint:hotpath
 func (p *Proc) Park() {
-	e := p.e
-	p.parked = true
-	if e.dispatch(p) {
-		// An Unpark at this cycle was already queued before we parked.
-		p.parked = false
-		return
-	}
-	<-p.wake
-	if e.aborting {
+	if !p.e.dispatch(p) && !p.yield(struct{}{}) {
 		panic(procAborted)
 	}
 }
@@ -311,10 +271,25 @@ func (e *Engine) Run() error {
 // cycles and produces bit-identical state — the property the serving
 // layer's incremental sessions (internal/driver.Session) rely on.
 //
+// A panic in a proc body (other than Abort's unwinding) propagates to
+// RunUntil's caller with its original value.
+//
 //senss-lint:hotpath
 func (e *Engine) RunUntil(deadline uint64) (done bool, err error) {
 	e.deadline = deadline
+	e.handoff = nil
 	e.dispatch(nil)
+	for e.handoff != nil {
+		p := e.handoff
+		e.handoff = nil
+		if _, running := p.next(); !running {
+			// The body returned: retire the proc and dispatch onward
+			// like a Sleep that never wakes.
+			p.done = true
+			e.live--
+			e.dispatch(nil)
+		}
+	}
 	switch e.stop {
 	case stopDeadline:
 		// The slice is exhausted: advance the clock so the next
@@ -333,37 +308,42 @@ func (e *Engine) RunUntil(deadline uint64) (done bool, err error) {
 	default: // stopEmpty
 		if e.live > 0 {
 			//senss-lint:ignore hotpath failure path: the run is over, one error record is fine
-			return true, &DeadlockError{Cycle: e.now, Parked: e.parkedNames()}
+			return true, &DeadlockError{Cycle: e.now, Parked: e.liveNames()}
 		}
 		return true, nil
 	}
 }
 
 // Abort tears the simulation down mid-run: every live proc — parked,
-// sleeping, or not yet started — is resumed once into a sentinel panic
-// that unwinds its goroutine, and the event queue is dropped. Must be
-// called from engine-caller context (never from inside a proc or event
-// callback). The engine is unusable afterwards; counters and the clock
-// remain readable. Idempotent.
+// sleeping, or not yet started — is stopped, which resumes a suspended
+// body into a sentinel panic that unwinds it (running its defers), and the
+// event queue is dropped. Must be called from engine-caller context (never
+// from inside a proc or event callback). The engine is unusable
+// afterwards; counters and the clock remain readable. Idempotent.
 func (e *Engine) Abort() {
-	e.aborting = true
+	e.q.reset()
+	e.handoff = nil
 	for _, p := range e.procs {
 		if !p.done {
-			p.wake <- struct{}{} // wakes into the sentinel panic…
-			<-e.ctl              // …whose retire hands the token back
+			p.done = true
+			e.live--
+			p.stop()
 		}
 	}
 	e.procs = nil
-	e.q.reset()
 }
 
-// parkedNames describes the still-live procs for the deadlock report.
+// liveNames names the still-live procs for the deadlock report.
 //
 //senss-lint:coldpath deadlock diagnostics: runs once, after the simulation is already dead
-func (e *Engine) parkedNames() []string {
-	// The engine does not keep a registry of procs; deadlock is rare and
-	// diagnostic-only, so report the count when names are unavailable.
-	return []string{fmt.Sprintf("%d live procs", e.live)}
+func (e *Engine) liveNames() []string {
+	var names []string
+	for _, p := range e.procs {
+		if !p.done {
+			names = append(names, p.name)
+		}
+	}
+	return names
 }
 
 // Queue is a FIFO wait queue for procs — the building block for the bus

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -148,12 +150,17 @@ func TestMutexMutualExclusion(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
 	var q Queue
+	e.Spawn("done", func(p *Proc) { p.Sleep(1) })
 	e.Spawn("stuck", func(p *Proc) { q.Wait(p) })
 	err := e.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("want DeadlockError, got %v", err)
 	}
+	if len(dl.Parked) != 1 || dl.Parked[0] != "stuck" {
+		t.Errorf("Parked = %v, want [stuck]", dl.Parked)
+	}
+	e.Abort()
 }
 
 func TestCycleLimit(t *testing.T) {
@@ -374,4 +381,40 @@ func TestAbortTerminatesLiveProcs(t *testing.T) {
 		t.Errorf("cleanups = %d, want 2", cleanups)
 	}
 	e.Abort() // idempotent
+}
+
+// TestProcPanicReachesCaller pins that a genuine panic in a proc body
+// surfaces in RunUntil's caller with its original value, and that Abort
+// afterwards still returns every other proc's coroutine.
+func TestProcPanicReachesCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	var q Queue
+	e.Spawn("parked", func(p *Proc) { q.Wait(p) })
+	e.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(3)
+		}
+	})
+	e.Spawn("buggy", func(p *Proc) {
+		p.Sleep(10)
+		panic("planted bug")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_ = e.Run()
+		return nil
+	}()
+	if got != "planted bug" {
+		t.Fatalf("recovered %v, want the proc's panic value", got)
+	}
+	e.Spawn("unstarted", func(p *Proc) {})
+	e.Abort()
+	// Exited goroutines are reaped asynchronously; allow them a moment.
+	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Abort, baseline %d", n, base)
+	}
 }
