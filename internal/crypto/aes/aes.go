@@ -98,30 +98,13 @@ func init() {
 	}
 }
 
-// xtime multiplies by x (i.e., {02}) in GF(2^8) with the AES polynomial.
+// xtime multiplies by x (i.e., {02}) in GF(2^8) with the AES polynomial,
+// without branching: the reduction constant is masked in when the high bit
+// shifts out.
 //
 //senss-lint:hotpath
-//senss-lint:ignore taintflow reference AES is table- and branch-based by design; a constant-time (bitsliced) implementation is out of scope, and the simulator never runs against live adversaries (DESIGN §12)
 func xtime(b byte) byte {
-	if b&0x80 != 0 {
-		return b<<1 ^ 0x1b
-	}
-	return b << 1
-}
-
-// gmul multiplies a by b in GF(2^8).
-//
-//senss-lint:hotpath
-func gmul(a, b byte) byte {
-	var p byte
-	for b != 0 {
-		if b&1 != 0 {
-			p ^= a
-		}
-		a = xtime(a)
-		b >>= 1
-	}
-	return p
+	return b<<1 ^ 0x1b&-(b>>7)
 }
 
 // rcon holds the round constants for key expansion.
@@ -199,23 +182,29 @@ func invMixColumnWord(w uint32) uint32 {
 	return binary.BigEndian.Uint32(out[:])
 }
 
+// mixColumn multiplies one state column by the MixColumns matrix in the
+// FIPS-197 §4.2.1 form: with t = a0⊕a1⊕a2⊕a3, each output byte is
+// b_i = a_i ⊕ t ⊕ xtime(a_i ⊕ a_{i+1}).
+//
 //senss-lint:hotpath
 func mixColumn(col [4]byte) [4]byte {
+	a0, a1, a2, a3 := col[0], col[1], col[2], col[3]
+	t := a0 ^ a1 ^ a2 ^ a3
 	return [4]byte{
-		gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3],
-		col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3],
-		col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3),
-		gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2),
+		a0 ^ t ^ xtime(a0^a1),
+		a1 ^ t ^ xtime(a1^a2),
+		a2 ^ t ^ xtime(a2^a3),
+		a3 ^ t ^ xtime(a3^a0),
 	}
 }
 
+// invMixColumn multiplies one column by the InvMixColumns matrix. That
+// matrix factors as the MixColumns matrix times {05 00 04 00} (The Design
+// of Rijndael §4.1.3), so a two-xtime pre-step reuses mixColumn.
 func invMixColumn(col [4]byte) [4]byte {
-	return [4]byte{
-		gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9),
-		gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13),
-		gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11),
-		gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14),
-	}
+	u := xtime(xtime(col[0] ^ col[2]))
+	v := xtime(xtime(col[1] ^ col[3]))
+	return mixColumn([4]byte{col[0] ^ u, col[1] ^ v, col[2] ^ u, col[3] ^ v})
 }
 
 // state is the AES state as a 4x4 column-major byte matrix, kept as 16 bytes

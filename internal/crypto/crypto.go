@@ -7,7 +7,8 @@
 // Two backends are registered:
 //
 //   - "ref": the from-scratch FIPS-197 implementation in
-//     internal/crypto/aes. Table- and loop-based, slow, but fully
+//     internal/crypto/aes: byte-wise rounds with an S-box table and a
+//     branch-free xtime MixColumns. Slower than stdlib but fully
 //     inspectable — it is the fidelity oracle the differential checker
 //     replays, and its key schedule can be genuinely zeroized.
 //   - "stdlib": crypto/aes from the Go standard library, which uses

@@ -93,6 +93,13 @@ type Tree struct {
 	// lazy-mode read/write multiset accumulators (XOR of tag material).
 	lazyAcc Tag
 
+	// Scratch buffers for the lazy path: the parent line read by
+	// lazyVerify and the line-plus-address record hashed by lazyLog. A
+	// machine's tree runs on one simulation goroutine, so one of each
+	// serves every fill and writeback.
+	parentBuf [mem.LineSize]byte
+	logBuf    [mem.LineSize + 8]byte
+
 	// ReadCoherent, set by the machine, reads the current coherent value
 	// of any line (dirty cache copies included) without timing — the view
 	// the lazy background verifier uses.
@@ -257,9 +264,8 @@ func (t *Tree) lazyVerify(addr uint64, data []byte) {
 		}
 		want = t.root
 	} else {
-		buf := make([]byte, mem.LineSize)
-		t.ReadCoherent(parent, buf)
-		copy(want[:], buf[slot*TagBytes:])
+		t.ReadCoherent(parent, t.parentBuf[:])
+		copy(want[:], t.parentBuf[slot*TagBytes:])
 	}
 	if !ct.Equal(tag[:], want[:]) {
 		if t.pending[addr] > 0 {
@@ -350,7 +356,7 @@ func (t *Tree) AfterWriteBack(p *sim.Proc, n *coherence.Node, addr uint64, data 
 // lazyLog folds an access into the lazy-mode multiset accumulator.
 func (t *Tree) lazyLog(addr uint64, data []byte) {
 	t.Stats.LazyLogged++
-	buf := make([]byte, len(data)+8)
+	buf := t.logBuf[:len(data)+8]
 	copy(buf, data)
 	for i := 0; i < 8; i++ {
 		buf[len(data)+i] = byte(addr >> (8 * i))

@@ -19,15 +19,22 @@ const WordSize = 8
 // Line is one memory line.
 type Line [LineSize]byte
 
-// Paging geometry: the store is a two-level flat array — a page table
-// indexed by the high bits of the line number, each entry holding a
-// fixed 512-line (32 KiB) page. Simulated addresses come from the
-// machine's bump allocator, so the space is dense from zero and the
-// table stays tiny; lookup is two shifts and two loads instead of a
-// map probe on every fetch and write-back.
+// Paging geometry: lines live in fixed 512-line (32 KiB) pages, reached
+// through a sparse two-level directory. The top slice is indexed by
+// page number >> leafPageBits; each entry is a fixed leaf of 4096 page
+// pointers (32 KiB of pointers covering 128 MiB of simulated space).
+// Program data sits low, from the machine's bump allocator, but the
+// integrity tree lives at 1<<40 and above, so a flat page table would
+// span 2^25 entries; the directory only ever holds the top slice up to
+// the highest leaf plus the leaves actually touched. Lookup is three
+// shifts and three loads instead of a map probe on every fetch and
+// write-back.
 const (
 	pageLineBits = 9
 	pageLines    = 1 << pageLineBits
+
+	leafPageBits = 12
+	leafPages    = 1 << leafPageBits
 )
 
 // page is one 32 KiB slab of lines plus the touched bitmap that keeps
@@ -37,10 +44,13 @@ type page struct {
 	touched [pageLines / 64]uint64
 }
 
+// leaf is one second-level directory node; nil entries are untouched pages.
+type leaf [leafPages]*page
+
 // Store is a sparse line-addressed memory. The zero value is empty and
 // ready to use via New.
 type Store struct {
-	pages []*page // indexed by line number >> pageLineBits; nil = untouched
+	dir []*leaf // indexed by page number >> leafPageBits; nil = untouched
 
 	// Reads and Writes count line-granular accesses (for stats).
 	Reads  uint64
@@ -64,15 +74,23 @@ func LineAddr(addr uint64) uint64 { return addr &^ (LineSize - 1) }
 func (s *Store) line(addr uint64) *Line {
 	li := addr / LineSize
 	pi := li >> pageLineBits
-	if pi >= uint64(len(s.pages)) {
-		//senss-lint:ignore hotpath first-touch growth: the page table reaches its final size once the workload's footprint is allocated
-		s.pages = append(s.pages, make([]*page, pi+1-uint64(len(s.pages)))...)
+	di := pi >> leafPageBits
+	if di >= uint64(len(s.dir)) {
+		//senss-lint:ignore hotpath first-touch growth: the directory reaches its final size once the workload's footprint and its integrity tree are written
+		s.dir = append(s.dir, make([]*leaf, di+1-uint64(len(s.dir)))...)
 	}
-	p := s.pages[pi]
+	l := s.dir[di]
+	if l == nil {
+		//senss-lint:ignore hotpath first-touch growth: each leaf is allocated once, then reused for the run
+		l = new(leaf)
+		s.dir[di] = l
+	}
+	lp := pi & (leafPages - 1)
+	p := l[lp]
 	if p == nil {
 		//senss-lint:ignore hotpath first-touch growth: each 32 KiB page is allocated once, then reused for the run
 		p = new(page)
-		s.pages[pi] = p
+		l[lp] = p
 	}
 	off := li & (pageLines - 1)
 	p.touched[off>>6] |= 1 << (off & 63)
@@ -137,17 +155,23 @@ func (s *Store) Tamper(addr uint64, mask byte) {
 // integrity tree construction) stay bit-reproducible.
 func (s *Store) Touched() []uint64 {
 	var out []uint64
-	for pi, p := range s.pages {
-		if p == nil {
+	for di, l := range s.dir {
+		if l == nil {
 			continue
 		}
-		for w, bits := range p.touched {
-			for b := 0; bits != 0; b++ {
-				if bits&1 != 0 {
-					li := uint64(pi)<<pageLineBits | uint64(w<<6|b)
-					out = append(out, li*LineSize)
+		for lpi, p := range l {
+			if p == nil {
+				continue
+			}
+			pi := uint64(di)<<leafPageBits | uint64(lpi)
+			for w, bits := range p.touched {
+				for b := 0; bits != 0; b++ {
+					if bits&1 != 0 {
+						li := pi<<pageLineBits | uint64(w<<6|b)
+						out = append(out, li*LineSize)
+					}
+					bits >>= 1
 				}
-				bits >>= 1
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,5 +114,48 @@ func TestWordIsLittleEndian(t *testing.T) {
 	s.ReadLine(0, buf)
 	if buf[0] != 0x08 || buf[7] != 0x01 {
 		t.Errorf("byte layout %x not little-endian", buf[:8])
+	}
+}
+
+// TestSparseHighAddresses pins the page directory's cost for the
+// integrity tree's address layout: one line per tree level at
+// 1<<40 + k<<34 plus a few low data lines. A flat page table indexed from
+// zero allocates hundreds of MB here; the directory holds only the top
+// slice and the leaves and pages touched. Touched() must stay exact and ascending across page,
+// leaf and directory boundaries.
+func TestSparseHighAddresses(t *testing.T) {
+	leafSpan := uint64(LineSize) << (pageLineBits + leafPageBits) // 128 MiB
+	want := []uint64{
+		0,
+		pageLines*LineSize - LineSize, // last line of page 0
+		pageLines * LineSize,          // first line of page 1
+		leafSpan - LineSize,           // last line of leaf 0
+		leafSpan,                      // first line of leaf 1
+	}
+	for k := uint64(0); k <= 5; k++ {
+		want = append(want, 1<<40+k<<34)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New()
+	line := make([]byte, LineSize)
+	for i := len(want) - 1; i >= 0; i-- { // descending: exercises directory growth
+		line[0] = byte(i + 1)
+		s.WriteLine(want[i], line)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 2<<20 {
+		t.Errorf("writing %d lines allocated %d bytes, want < 2 MiB", len(want), d)
+	}
+
+	if got := s.Touched(); !slices.Equal(got, want) {
+		t.Errorf("Touched = %#x, want %#x", got, want)
+	}
+	for i, a := range want {
+		s.ReadLine(a, line)
+		if line[0] != byte(i+1) {
+			t.Errorf("line %#x reads %d, want %d", a, line[0], i+1)
+		}
 	}
 }
