@@ -192,6 +192,13 @@ type SHU struct {
 	// member bitmask, all-zero for groups this processor is not in.
 	matrix [MaxGroups]uint32
 
+	// memos maps a GID to the AES memo the group's members share
+	// (System.Establish allocates one per group). An entry outlives
+	// Suspend so Resume can rejoin the table; Leave drops it. Only the
+	// join, swap and leave paths read it, so a lazily made map spares
+	// every SHU a flat 8 KB per-GID array.
+	memos map[int]*crypto.Memo
+
 	// sessions is the group information table, indexed directly by GID —
 	// a flat array like the hardware's, so the per-transfer lookups on the
 	// bus datapath are one bounds check and one load instead of map probes.
@@ -219,8 +226,16 @@ func (s *SHU) session(gid int) *session {
 // Join installs a group session: the symmetric key, the member set, and
 // the two initial vectors (encryption mask IV and authentication IV, which
 // must differ — §4.3, Type 2 defense). Every member must call Join with
-// identical arguments (the dispatcher arranges this).
+// identical arguments (the dispatcher arranges this). A standalone Join
+// shares no AES memo with the other members.
 func (s *SHU) Join(gid int, key aes.Block, members uint32, encIV, authIV aes.Block) error {
+	return s.join(gid, key, members, encIV, authIV, nil)
+}
+
+// join is Join with the group's shared AES memo (nil for none): the
+// session cipher is this SHU's own key schedule wrapped around memo, so a
+// mask refresh or MAC step another member already computed is a lookup.
+func (s *SHU) join(gid int, key aes.Block, members uint32, encIV, authIV aes.Block, memo *crypto.Memo) error {
 	if gid < 0 || gid >= MaxGroups {
 		return fmt.Errorf("core: GID %d out of range", gid)
 	}
@@ -230,10 +245,11 @@ func (s *SHU) Join(gid int, key aes.Block, members uint32, encIV, authIV aes.Blo
 	if encIV == authIV {
 		return fmt.Errorf("core: encryption and authentication IVs must differ")
 	}
-	cipher, err := crypto.NewBackend(s.params.Backend, key)
+	backend, err := crypto.NewBackend(s.params.Backend, key)
 	if err != nil {
 		return err
 	}
+	cipher := crypto.Memoize(backend, memo)
 	ss := &session{
 		gid:    gid,
 		cipher: cipher,
@@ -265,15 +281,24 @@ func (s *SHU) Join(gid int, key aes.Block, members uint32, encIV, authIV aes.Blo
 		}
 	}
 	s.matrix[gid] = members
+	if memo != nil {
+		if s.memos == nil {
+			s.memos = make(map[int]*crypto.Memo)
+		}
+		s.memos[gid] = memo
+	} else {
+		delete(s.memos, gid)
+	}
 	s.sessions[gid] = ss
 	return nil
 }
 
 // zeroize overwrites every piece of key-derived material the session
 // holds — mask banks, counter base, chain states, and the expanded key
-// schedule — before the session becomes unreachable. Deleting the map
-// entry alone would leave the secrets legible in freed memory (paper
-// §5.2: session state must not outlive the group).
+// schedule, and with it the group's shared AES memo — before the session
+// becomes unreachable. Deleting the map entry alone would leave the
+// secrets legible in freed memory (paper §5.2: session state must not
+// outlive the group).
 func (ss *session) zeroize() {
 	for _, bank := range ss.banks {
 		for j := range bank {
@@ -305,6 +330,7 @@ func (s *SHU) Leave(gid int) {
 	}
 	ss.zeroize()
 	s.matrix[gid] = 0
+	delete(s.memos, gid)
 	s.sessions[gid] = nil
 }
 

@@ -65,6 +65,9 @@ func (s *SHU) Resume(saved *SavedContext, key aes.Block) error {
 	if saved.PID != s.PID {
 		return fmt.Errorf("core: context for processor %d resumed on %d", saved.PID, s.PID)
 	}
+	if saved.GID < 0 || saved.GID >= MaxGroups {
+		return fmt.Errorf("core: context GID %d outside group space", saved.GID)
+	}
 	cipher, err := crypto.NewBackend(s.params.Backend, key)
 	if err != nil {
 		return err
@@ -75,14 +78,13 @@ func (s *SHU) Resume(saved *SavedContext, key aes.Block) error {
 		return fmt.Errorf("core: suspended context for GID %d failed authentication", saved.GID)
 	}
 	plain := cbcDecrypt(cipher, saved.IV, saved.Ciphertext)
-	ss, err := s.deserializeSession(plain, cipher)
+	// Rejoin the group's AES memo only after authentication: the blob
+	// proves the key, and the GID sealed inside it proves the group, so
+	// the table the other members read never receives a wrong-key result.
+	ss, err := s.deserializeSession(plain, saved.GID, crypto.Memoize(cipher, s.memos[saved.GID]))
 	if err != nil {
 		return err
 	}
-	if saved.GID < 0 || saved.GID >= MaxGroups {
-		return fmt.Errorf("core: context GID %d outside group space", saved.GID)
-	}
-	ss.gid = saved.GID
 	s.sessions[saved.GID] = ss
 	return nil
 }
@@ -105,6 +107,7 @@ func (s *SHU) serializeSession(ss *session) []byte {
 		out = append(out, b[:]...)
 	}
 	u64(uint64(s.params.AuthMode))
+	u64(uint64(ss.gid))
 	u64(ss.seq)
 	u64(ss.ctr)
 	u64(uint64(len(ss.banks)))
@@ -126,8 +129,10 @@ func (s *SHU) serializeSession(ss *session) []byte {
 	return out
 }
 
-// deserializeSession rebuilds a session from serialized state.
-func (s *SHU) deserializeSession(plain []byte, cipher crypto.BlockCipher) (*session, error) {
+// deserializeSession rebuilds group gid's session from serialized state.
+// The sealed GID must match: SavedContext.GID travels in the clear, and a
+// context retagged to another group must not join that group's session.
+func (s *SHU) deserializeSession(plain []byte, gid int, cipher crypto.BlockCipher) (*session, error) {
 	rd := func() (uint64, error) {
 		if len(plain) < 8 {
 			return 0, fmt.Errorf("core: truncated context")
@@ -142,6 +147,13 @@ func (s *SHU) deserializeSession(plain []byte, cipher crypto.BlockCipher) (*sess
 	}
 	if AuthMode(mode) != s.params.AuthMode {
 		return nil, fmt.Errorf("core: context auth mode %d does not match SHU", mode)
+	}
+	sealed, err := rd()
+	if err != nil {
+		return nil, err
+	}
+	if sealed != uint64(gid) {
+		return nil, fmt.Errorf("core: context sealed for GID %d resumed as GID %d", sealed, gid)
 	}
 	seq, err := rd()
 	if err != nil {
@@ -158,7 +170,7 @@ func (s *SHU) deserializeSession(plain []byte, cipher crypto.BlockCipher) (*sess
 	if int(nbanks) != s.params.Masks {
 		return nil, fmt.Errorf("core: context has %d banks, SHU expects %d", nbanks, s.params.Masks)
 	}
-	ss := &session{cipher: cipher, seq: seq, ctr: ctr}
+	ss := &session{gid: gid, cipher: cipher, seq: seq, ctr: ctr}
 	ss.banks = make([][]aes.Block, nbanks)
 	for i := range ss.banks {
 		ss.banks[i] = make([]aes.Block, BlocksPerLine)

@@ -68,6 +68,115 @@ func keyFor(t *testing.T, s *System, gid int, seed uint64) [16]byte {
 	return key
 }
 
+// TestSuspendResumeRejoinsSharedMemo: Suspend wipes the group's shared
+// AES memo, Resume puts every member back on that same table, and the
+// chains continue across the swap.
+func TestSuspendResumeRejoinsSharedMemo(t *testing.T) {
+	for _, mode := range []AuthMode{AuthCBC, AuthGF} {
+		t.Run(mode.String(), func(t *testing.T) {
+			params := DefaultParams()
+			params.AuthMode = mode
+			params.AuthInterval = 5
+			seed := 320 + uint64(mode)
+			s, gid := newTestSystem(t, 4, params, seed)
+			memo := s.SHU(0).memos[gid]
+			r := rng.New(seed + 1)
+			for i := 0; i < 9; i++ {
+				c2c(s, gid, i%4, (i+1)%4, randomLine(r))
+			}
+			contexts := suspendAll(t, s, gid, 43)
+			if !memo.IsZero() {
+				t.Fatal("shared memo survived Suspend")
+			}
+			key := keyFor(t, s, gid, seed)
+			for pid, ctx := range contexts {
+				if err := s.SHU(pid).Resume(ctx, key); err != nil {
+					t.Fatal(err)
+				}
+				if s.SHU(pid).memos[gid] != memo {
+					t.Fatalf("processor %d lost the group's memo across the swap", pid)
+				}
+			}
+			for i := 0; i < 11; i++ {
+				line := randomLine(r)
+				if txn := c2c(s, gid, i%4, (i+3)%4, line); !bytes.Equal(txn.Data, line) {
+					t.Fatalf("post-resume transfer %d corrupted", i)
+				}
+			}
+			s.ForceAuthentication(gid)
+			if s.Detected() {
+				t.Fatalf("false alarm after swap: %v", s.Stats.Detections)
+			}
+
+			// Each resumed member's cipher wraps the shared table: its own
+			// Suspend wipes the table the others just filled.
+			for pid := 0; pid < 4; pid++ {
+				c2c(s, gid, (pid+1)%4, (pid+2)%4, randomLine(r))
+				if memo.IsZero() {
+					t.Fatal("post-resume traffic left the shared memo empty")
+				}
+				saved, err := s.SHU(pid).Suspend(gid, 44+uint64(pid))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !memo.IsZero() {
+					t.Fatalf("processor %d's resumed session is not on the shared memo", pid)
+				}
+				if err := s.SHU(pid).Resume(saved, key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.ForceAuthentication(gid)
+			if s.Detected() {
+				t.Fatalf("false alarm after per-member swaps: %v", s.Stats.Detections)
+			}
+		})
+	}
+}
+
+// TestResumeRejectsRetaggedContext: SavedContext.GID travels in the clear,
+// so the OS could retag a context for another group the processor is in.
+// The GID sealed inside the blob must refuse it, keeping a wrong-key
+// session (and its results) off the other group's state and AES memo.
+func TestResumeRejectsRetaggedContext(t *testing.T) {
+	params := DefaultParams()
+	s, gid := newTestSystem(t, 4, params, 316)
+	other := gid + 1
+	otherKey, encIV, authIV := testIVs(317)
+	if err := s.Establish(other, otherKey, MemberMask(0, 1, 2, 3), encIV, authIV); err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(318)
+	for i := 0; i < 4; i++ {
+		c2c(s, other, i%4, (i+1)%4, randomLine(r))
+	}
+	memo := s.SHU(1).memos[other]
+	if memo.IsZero() {
+		t.Fatal("other group's memo empty; test is vacuous")
+	}
+	saved, err := s.SHU(1).Suspend(gid, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved.GID = other
+	if err := s.SHU(1).Resume(saved, keyFor(t, s, gid, 316)); err == nil {
+		t.Fatal("context resumed into another group")
+	}
+	if s.SHU(1).sessions[other] == nil || memo.IsZero() {
+		t.Fatal("rejected resume disturbed the other group")
+	}
+	for i := 0; i < 4; i++ {
+		line := randomLine(r)
+		if txn := c2c(s, other, i%4, (i+1)%4, line); !bytes.Equal(txn.Data, line) {
+			t.Fatalf("other group's transfer %d corrupted", i)
+		}
+	}
+	s.ForceAuthentication(other)
+	if s.Detected() {
+		t.Fatalf("false alarm on the other group: %v", s.Stats.Detections)
+	}
+}
+
 func TestResumeRejectsTamperedContext(t *testing.T) {
 	params := DefaultParams()
 	s, gid := newTestSystem(t, 4, params, 310)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"senss/internal/bus"
+	"senss/internal/crypto"
 	"senss/internal/crypto/aes"
 	"senss/internal/crypto/ct"
 	"senss/internal/sim"
@@ -146,11 +147,15 @@ func (s *System) Establish(gid int, key aes.Block, members uint32, encIV, authIV
 	if gid < 0 || gid >= MaxGroups {
 		return fmt.Errorf("core: GID %d outside group space [0,%d)", gid, MaxGroups)
 	}
+	// One AES memo per group: the members hold the same key and compute
+	// the same mask refreshes and MAC steps, so only the first member to
+	// see a broadcast pays for its AES work on the host.
+	memo := new(crypto.Memo)
 	for _, pid := range MemberList(members) {
 		if pid >= len(s.shus) {
 			return fmt.Errorf("core: member %d beyond system size %d", pid, len(s.shus))
 		}
-		if err := s.shus[pid].Join(gid, key, members, encIV, authIV); err != nil {
+		if err := s.shus[pid].join(gid, key, members, encIV, authIV, memo); err != nil {
 			return err
 		}
 	}

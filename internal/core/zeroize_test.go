@@ -7,40 +7,54 @@ import (
 	"senss/internal/crypto/aes"
 )
 
-// zeroizeHarness joins PID 0 and PID 1 into group 0, exchanges one line so
-// every chain component has advanced past its initial state, and returns
-// the live session pieces of PID 0 so a test can assert on them after the
-// session object itself becomes unreachable.
-func zeroizeHarness(t *testing.T, mode AuthMode) (*SHU, *session) {
+// zeroizeHarness joins PID 0 and PID 1 into group 0 around one shared AES
+// memo, as System.Establish does, exchanges one line so every chain
+// component has advanced past its initial state, and returns the live
+// session pieces of PID 0 so a test can assert on them after the session
+// object itself becomes unreachable.
+func zeroizeHarness(t *testing.T, mode AuthMode) (shu, peer *SHU, ss *session, memo *crypto.Memo) {
 	t.Helper()
 	params := DefaultParams()
 	params.AuthMode = mode
-	shu := NewSHU(0, params)
-	peer := NewSHU(1, params)
+	shu = NewSHU(0, params)
+	peer = NewSHU(1, params)
+	memo = new(crypto.Memo)
 	key := aes.Block{0xaa, 1, 2, 3}
 	encIV := aes.Block{4, 5, 6}
 	authIV := aes.Block{7, 8, 9}
 	for _, s := range []*SHU{shu, peer} {
-		if err := s.Join(0, key, MemberMask(0, 1), encIV, authIV); err != nil {
+		if err := s.join(0, key, MemberMask(0, 1), encIV, authIV, memo); err != nil {
 			t.Fatal(err)
 		}
 	}
+	exchangeLine(t, shu, peer)
+	ss = shu.sessions[0]
+	if ss == nil || ss.seq == 0 {
+		t.Fatal("session did not advance; harness is vacuous")
+	}
+	if memo.IsZero() {
+		t.Fatal("shared memo still empty; harness is vacuous")
+	}
+	return shu, peer, ss, memo
+}
+
+// exchangeLine sends one line from sender to receiver on group 0.
+func exchangeLine(t *testing.T, sender, receiver *SHU) {
+	t.Helper()
 	line := make([]aes.Block, BlocksPerLine)
 	for i := range line {
 		line[i] = aes.BlockFromUint64(uint64(i), 0xdead)
 	}
-	ct, err := shu.Encrypt(0, line)
+	ct, err := sender.Encrypt(0, line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := peer.Observe(0, ct, 0); err != nil {
+	if receiver == nil {
+		return
+	}
+	if _, err := receiver.Observe(0, ct, sender.PID); err != nil {
 		t.Fatal(err)
 	}
-	ss := shu.sessions[0]
-	if ss == nil || ss.seq == 0 {
-		t.Fatal("session did not advance; harness is vacuous")
-	}
-	return shu, ss
 }
 
 // assertSessionWiped checks every secret the session held reads back as
@@ -83,21 +97,35 @@ func assertSessionWiped(t *testing.T, ss *session, banks [][]aes.Block, cipher c
 var zeroizeProbe = aes.Block{0x42}
 
 // TestLeaveZeroizesSession: Leave must wipe the group's key-derived
-// material in both authentication modes, not merely unlink the map entry.
+// material in both authentication modes, not merely unlink the map entry,
+// and every member's Leave wipes the group's shared AES memo.
 func TestLeaveZeroizesSession(t *testing.T) {
 	for _, mode := range []AuthMode{AuthCBC, AuthGF} {
 		t.Run(mode.String(), func(t *testing.T) {
-			shu, ss := zeroizeHarness(t, mode)
+			shu, peer, ss, memo := zeroizeHarness(t, mode)
 			banks, cipher := ss.banks, ss.cipher
 			before := cipher.Encrypt(zeroizeProbe)
 			if banks[0][0].IsZero() {
 				t.Fatal("mask bank starts zero; test is vacuous")
 			}
 			shu.Leave(0)
-			if shu.sessions[0] != nil || shu.Members(0) != 0 {
+			if shu.sessions[0] != nil || shu.Members(0) != 0 || shu.memos[0] != nil {
 				t.Fatal("Leave did not clear the session entry")
 			}
 			assertSessionWiped(t, ss, banks, cipher, before)
+			if !memo.IsZero() {
+				t.Error("shared memo survived the first member's Leave")
+			}
+
+			// The remaining member refills the table; its Leave wipes it.
+			exchangeLine(t, peer, nil)
+			if memo.IsZero() {
+				t.Fatal("remaining member no longer uses the shared memo; test is vacuous")
+			}
+			peer.Leave(0)
+			if !memo.IsZero() {
+				t.Error("shared memo survived the last member's Leave")
+			}
 		})
 	}
 }
@@ -108,7 +136,7 @@ func TestLeaveZeroizesSession(t *testing.T) {
 func TestSuspendZeroizesSession(t *testing.T) {
 	for _, mode := range []AuthMode{AuthCBC, AuthGF} {
 		t.Run(mode.String(), func(t *testing.T) {
-			shu, ss := zeroizeHarness(t, mode)
+			shu, _, ss, memo := zeroizeHarness(t, mode)
 			banks, cipher := ss.banks, ss.cipher
 			before := cipher.Encrypt(zeroizeProbe)
 			if _, err := shu.Suspend(0, 42); err != nil {
@@ -117,10 +145,13 @@ func TestSuspendZeroizesSession(t *testing.T) {
 			if shu.sessions[0] != nil {
 				t.Fatal("Suspend did not remove the session entry")
 			}
-			if shu.Members(0) == 0 {
-				t.Fatal("Suspend must preserve group membership")
+			if shu.Members(0) == 0 || shu.memos[0] != memo {
+				t.Fatal("Suspend must preserve group membership and the memo to rejoin")
 			}
 			assertSessionWiped(t, ss, banks, cipher, before)
+			if !memo.IsZero() {
+				t.Error("shared memo survived Suspend")
+			}
 		})
 	}
 }

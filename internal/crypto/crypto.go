@@ -21,6 +21,16 @@
 // counts are byte-identical across backends. Both backends compute
 // AES-128, so mask schedules, MACs, and memory images are bit-identical
 // too; the cross-backend differential test in crypto_test.go pins that.
+//
+// Memoize puts a Memo, a small direct-mapped table of (input,
+// AES_K(input)) pairs, in front of any backend. core.System.Establish
+// gives each group one table shared by its members' ciphers: every member
+// holds the same key and computes the same mask refresh and MAC step for
+// each broadcast, so only the first member to see it pays for the AES on
+// the host. AES_K is a pure function, so a memoized cipher returns
+// exactly what its backend would; a member whose view diverged under
+// attack simply misses. Zeroize on any member's cipher wipes the whole
+// table (DESIGN.md §14).
 package crypto
 
 import (

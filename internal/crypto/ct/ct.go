@@ -11,7 +11,7 @@
 package ct
 
 import (
-	"crypto/subtle"
+	"encoding/binary"
 	"encoding/hex"
 
 	"senss/internal/crypto/sha256"
@@ -20,12 +20,25 @@ import (
 // Equal reports whether a and b have identical contents, in time that
 // depends only on their lengths. Unequal lengths compare unequal without
 // touching the contents — length is public metadata for every tag and key
-// format in this tree.
+// format in this tree. The loops accumulate every difference, a word and
+// then a byte at a time, with no early exit and no data-dependent branch;
+// they allocate nothing, so the bus datapath may call Equal (the AES memo
+// compares its stored inputs here).
+//
+//senss-lint:hotpath
 func Equal(a, b []byte) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	return subtle.ConstantTimeCompare(a, b) == 1
+	var diff uint64
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		diff |= binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
+	}
+	for ; i < len(a); i++ {
+		diff |= uint64(a[i] ^ b[i])
+	}
+	return diff == 0
 }
 
 // Zero erases b. The loop is kept trivial so the compiler lowers it to a

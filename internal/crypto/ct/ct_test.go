@@ -28,6 +28,34 @@ func TestEqual(t *testing.T) {
 	if !ct.Equal(nil, []byte{}) {
 		t.Error("nil and empty must compare equal: length is the only signal")
 	}
+	// A difference in any byte, in the word loop or the byte tail, counts.
+	for _, n := range []int{7, 8, 9, 16, 17} {
+		a := make([]byte, n)
+		for i := range a {
+			a[i] = byte(3*i + 1)
+		}
+		if !ct.Equal(a, append([]byte(nil), a...)) {
+			t.Errorf("len %d: equal contents compared unequal", n)
+		}
+		for i := 0; i < n; i++ {
+			b := append([]byte(nil), a...)
+			b[i] ^= 0x80
+			if ct.Equal(a, b) {
+				t.Errorf("len %d: difference at byte %d missed", n, i)
+			}
+		}
+	}
+}
+
+// TestEqualZeroAlloc: Equal is a hot-path function (the AES memo calls it
+// on every lookup), so it must not allocate.
+func TestEqualZeroAlloc(t *testing.T) {
+	a := make([]byte, 16)
+	b := make([]byte, 16)
+	b[15] = 1
+	if n := testing.AllocsPerRun(100, func() { ct.Equal(a, b) }); n != 0 {
+		t.Fatalf("Equal allocates %.1f times per call, want 0", n)
+	}
 }
 
 func TestZero(t *testing.T) {
