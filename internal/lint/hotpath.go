@@ -49,7 +49,6 @@ package lint
 // rewrite).
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -64,7 +63,8 @@ func AnalyzerHotpath() *Analyzer {
 		Doc:  "functions marked //senss-lint:hotpath must not allocate and may only call hot, coldpath, or allowlisted callees",
 	}
 	a.RunModule = func(mp *ModulePass) {
-		newHotWorld(mp).run()
+		w := &hotWorld{ModulePass: mp, hot: make(map[*types.Func]bool), cold: make(map[*types.Func]bool)}
+		w.run()
 	}
 	return a
 }
@@ -78,92 +78,32 @@ var hotAllowedPkgs = map[string]bool{
 	"math/bits":       true,
 }
 
-// hotFunc is one module function with a body, plus its annotation state.
-type hotFunc struct {
-	obj  *types.Func
-	decl *ast.FuncDecl
-	pkg  *Package
-	hot  bool
-	cold bool
-}
-
-// hotWorld is the whole-module analysis state.
+// hotWorld is the whole-module analysis state: the shared index plus
+// each function's annotation.
 type hotWorld struct {
-	mp    *ModulePass
-	fset  *token.FileSet
-	funcs map[*types.Func]*hotFunc
-	order []*hotFunc
-	// named lists every module named type, for interface resolution.
-	named     []types.Type
-	implCache map[*types.Func][]*types.Func
-	diags     []Diagnostic
-	// loaded is the set of import paths in this pass, and modulePath the
-	// module they belong to: on a scoped run (senss-lint ./internal/bus)
-	// module packages outside the scope are type-checked without their
-	// comments, so their annotations are invisible and calls into them
-	// must not be judged. The ./... run remains the authority.
-	loaded     map[string]bool
-	modulePath string
-}
-
-func newHotWorld(mp *ModulePass) *hotWorld {
-	w := &hotWorld{
-		mp:        mp,
-		fset:      mp.Fset,
-		funcs:     make(map[*types.Func]*hotFunc),
-		implCache: make(map[*types.Func][]*types.Func),
-		loaded:    make(map[string]bool),
-	}
-	for _, pkg := range mp.Pkgs {
-		w.loaded[pkg.ImportPath] = true
-		if w.modulePath == "" {
-			w.modulePath = strings.TrimSuffix(strings.TrimSuffix(pkg.ImportPath, pkg.RelPath), "/")
-		}
-	}
-	return w
-}
-
-// unloadedModulePkg reports whether pkgPath is a module package outside
-// this pass's scope — annotated or not, we cannot tell.
-func (w *hotWorld) unloadedModulePkg(pkgPath string) bool {
-	if w.loaded[pkgPath] || w.modulePath == "" {
-		return false
-	}
-	return pkgPath == w.modulePath || strings.HasPrefix(pkgPath, w.modulePath+"/")
+	*ModulePass
+	hot, cold map[*types.Func]bool
 }
 
 func (w *hotWorld) run() {
-	w.build()
 	for _, fn := range w.order {
-		if fn.hot {
+		hot, cold := hotDirective(fn.Decl.Doc)
+		if hot && cold {
+			w.Reportf(fn.Decl.Pos(), "%s is marked both hotpath and coldpath; pick one", fn.Obj.Name())
+			cold = false
+		}
+		w.hot[fn.Obj], w.cold[fn.Obj] = hot, cold
+	}
+	for _, fn := range w.order {
+		if w.hot[fn.Obj] {
 			(&hotChecker{w: w, fn: fn}).check()
 		}
 	}
-	sort.Slice(w.diags, func(i, j int) bool {
-		a, b := w.diags[i], w.diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Message < b.Message
-	})
-	for _, d := range w.diags {
-		w.mp.report(d)
-	}
 }
 
-func (w *hotWorld) reportf(pos token.Pos, format string, args ...any) {
-	w.diags = append(w.diags, Diagnostic{
-		Analyzer: w.mp.Analyzer.Name,
-		Pos:      w.fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
+// annotated reports whether a module function may be called from hot
+// code: it is itself hot, or a sanctioned coldpath exit.
+func (w *hotWorld) annotated(fn *types.Func) bool { return w.hot[fn] || w.cold[fn] }
 
 // hotDirective classifies a doc comment: hot, cold, or neither.
 func hotDirective(doc *ast.CommentGroup) (hot, cold bool) {
@@ -182,91 +122,17 @@ func hotDirective(doc *ast.CommentGroup) (hot, cold bool) {
 	return hot, cold
 }
 
-// build indexes every function body and named type of the module.
-func (w *hotWorld) build() {
-	for _, pkg := range w.mp.Pkgs {
-		if pkg.Info == nil || pkg.Types == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				hf := &hotFunc{obj: obj, decl: fd, pkg: pkg}
-				hf.hot, hf.cold = hotDirective(fd.Doc)
-				if hf.hot && hf.cold {
-					w.reportf(fd.Pos(), "%s is marked both hotpath and coldpath; pick one", obj.Name())
-					hf.cold = false
-				}
-				w.funcs[obj] = hf
-				w.order = append(w.order, hf)
-			}
-		}
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() { // already sorted
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				w.named = append(w.named, tn.Type())
-			}
-		}
-	}
-	sort.Slice(w.order, func(i, j int) bool {
-		return w.order[i].decl.Pos() < w.order[j].decl.Pos()
-	})
-}
-
-// implementations resolves an interface method to every concrete module
-// method that can stand behind it (mirrors taintflow's resolution).
-func (w *hotWorld) implementations(callee *types.Func) []*types.Func {
-	if impls, ok := w.implCache[callee]; ok {
-		return impls
-	}
-	var out []*types.Func
-	sig, _ := callee.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		w.implCache[callee] = nil
-		return nil
-	}
-	iface, _ := sig.Recv().Type().Underlying().(*types.Interface)
-	if iface == nil {
-		w.implCache[callee] = nil
-		return nil
-	}
-	for _, t := range w.named {
-		if _, isIface := t.Underlying().(*types.Interface); isIface {
-			continue
-		}
-		pt := types.NewPointer(t)
-		if !types.Implements(t, iface) && !types.Implements(pt, iface) {
-			continue
-		}
-		obj, _, _ := types.LookupFieldOrMethod(pt, true, callee.Pkg(), callee.Name())
-		if m, ok := obj.(*types.Func); ok {
-			if _, known := w.funcs[m]; known {
-				out = append(out, m)
-			}
-		}
-	}
-	w.implCache[callee] = out
-	return out
-}
-
 // hotChecker walks one hot function body.
 type hotChecker struct {
 	w         *hotWorld
-	fn        *hotFunc
+	fn        *Func
 	loopDepth int
 }
 
-func (c *hotChecker) info() *types.Info { return c.fn.pkg.Info }
+func (c *hotChecker) info() *types.Info { return c.fn.Pkg.Info }
 
 func (c *hotChecker) check() {
-	c.stmts(c.fn.decl.Body.List)
+	c.stmts(c.fn.Decl.Body.List)
 }
 
 func (c *hotChecker) stmts(list []ast.Stmt) {
@@ -290,7 +156,7 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 		if len(t.Lhs) == len(t.Rhs) {
 			for i := range t.Lhs {
 				if boxes(c.info().TypeOf(t.Lhs[i]), c.info().TypeOf(t.Rhs[i])) {
-					c.w.reportf(t.Rhs[i].Pos(), "interface conversion boxes %s in hot code",
+					c.w.Reportf(t.Rhs[i].Pos(), "interface conversion boxes %s in hot code",
 						typeName(c.info().TypeOf(t.Rhs[i])))
 				}
 			}
@@ -307,7 +173,7 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 					if i < len(vs.Names) {
 						if obj := c.info().Defs[vs.Names[i]]; obj != nil {
 							if boxes(obj.Type(), c.info().TypeOf(v)) {
-								c.w.reportf(v.Pos(), "interface conversion boxes %s in hot code",
+								c.w.Reportf(v.Pos(), "interface conversion boxes %s in hot code",
 									typeName(c.info().TypeOf(v)))
 							}
 						}
@@ -334,7 +200,7 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 	case *ast.RangeStmt:
 		if tx := c.info().TypeOf(t.X); tx != nil {
 			if _, isMap := tx.Underlying().(*types.Map); isMap {
-				c.w.reportf(t.For, "map iteration in hot code; use a slice or flat array")
+				c.w.Reportf(t.For, "map iteration in hot code; use a slice or flat array")
 			}
 		}
 		c.expr(t.X)
@@ -342,12 +208,12 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 		c.stmts(t.Body.List)
 		c.loopDepth--
 	case *ast.ReturnStmt:
-		sig, _ := c.fn.obj.Type().(*types.Signature)
+		sig, _ := c.fn.Obj.Type().(*types.Signature)
 		for i, r := range t.Results {
 			c.expr(r)
 			if sig != nil && len(t.Results) == sig.Results().Len() && i < sig.Results().Len() {
 				if boxes(sig.Results().At(i).Type(), c.info().TypeOf(r)) {
-					c.w.reportf(r.Pos(), "interface conversion boxes %s in hot code",
+					c.w.Reportf(r.Pos(), "interface conversion boxes %s in hot code",
 						typeName(c.info().TypeOf(r)))
 				}
 			}
@@ -380,18 +246,18 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 		}
 	case *ast.DeferStmt:
 		if c.loopDepth > 0 {
-			c.w.reportf(t.Defer, "defer inside a loop allocates per iteration in hot code")
+			c.w.Reportf(t.Defer, "defer inside a loop allocates per iteration in hot code")
 		}
 		c.call(t.Call)
 	case *ast.GoStmt:
-		c.w.reportf(t.Go, "go statement in hot code; the sim engine owns all concurrency")
+		c.w.Reportf(t.Go, "go statement in hot code; the sim engine owns all concurrency")
 		c.call(t.Call)
 	case *ast.SendStmt:
 		c.expr(t.Chan)
 		c.expr(t.Value)
 		if ch, ok := c.info().TypeOf(t.Chan).Underlying().(*types.Chan); ok {
 			if boxes(ch.Elem(), c.info().TypeOf(t.Value)) {
-				c.w.reportf(t.Value.Pos(), "interface conversion boxes %s in hot code",
+				c.w.Reportf(t.Value.Pos(), "interface conversion boxes %s in hot code",
 					typeName(c.info().TypeOf(t.Value)))
 			}
 		}
@@ -410,7 +276,7 @@ func (c *hotChecker) expr(e ast.Expr) {
 	case *ast.UnaryExpr:
 		if t.Op == token.AND {
 			if cl, ok := t.X.(*ast.CompositeLit); ok {
-				c.w.reportf(t.Pos(), "heap allocation in hot code: &%s composite literal escapes",
+				c.w.Reportf(t.Pos(), "heap allocation in hot code: &%s composite literal escapes",
 					typeName(c.info().TypeOf(cl)))
 				c.compositeElts(cl)
 				return
@@ -421,14 +287,14 @@ func (c *hotChecker) expr(e ast.Expr) {
 		if ct := c.info().TypeOf(t); ct != nil {
 			switch ct.Underlying().(type) {
 			case *types.Slice:
-				c.w.reportf(t.Pos(), "heap allocation in hot code: slice literal")
+				c.w.Reportf(t.Pos(), "heap allocation in hot code: slice literal")
 			case *types.Map:
-				c.w.reportf(t.Pos(), "heap allocation in hot code: map literal")
+				c.w.Reportf(t.Pos(), "heap allocation in hot code: map literal")
 			}
 		}
 		c.compositeElts(t)
 	case *ast.FuncLit:
-		c.w.reportf(t.Pos(), "closure (func literal) allocates in hot code; hoist it or restructure")
+		c.w.Reportf(t.Pos(), "closure (func literal) allocates in hot code; hoist it or restructure")
 		// The closure runs from hot code: its body is held to the same
 		// discipline.
 		inner := &hotChecker{w: c.w, fn: c.fn}
@@ -439,7 +305,7 @@ func (c *hotChecker) expr(e ast.Expr) {
 		if t.Op == token.ADD {
 			if bt := c.info().TypeOf(t); bt != nil {
 				if b, ok := bt.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-					c.w.reportf(t.OpPos, "string concatenation allocates in hot code")
+					c.w.Reportf(t.OpPos, "string concatenation allocates in hot code")
 				}
 			}
 		}
@@ -489,11 +355,11 @@ func (c *hotChecker) call(call *ast.CallExpr) {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
-				c.w.reportf(call.Pos(), "make allocates in hot code")
+				c.w.Reportf(call.Pos(), "make allocates in hot code")
 			case "new":
-				c.w.reportf(call.Pos(), "new allocates in hot code")
+				c.w.Reportf(call.Pos(), "new allocates in hot code")
 			case "append":
-				c.w.reportf(call.Pos(), "append may allocate (slice growth) in hot code")
+				c.w.Reportf(call.Pos(), "append may allocate (slice growth) in hot code")
 			case "panic":
 				// Failure path: the whole argument subtree is exempt.
 				return
@@ -508,24 +374,23 @@ func (c *hotChecker) call(call *ast.CallExpr) {
 	callee := staticCallee(info, call)
 	reported := false
 	if callee != nil {
-		if tf, isModule := c.w.funcs[callee]; isModule {
-			if !tf.hot && !tf.cold {
-				c.w.reportf(call.Pos(),
+		if _, isModule := c.w.funcs[callee]; isModule {
+			if !c.w.annotated(callee) {
+				c.w.Reportf(call.Pos(),
 					"hot function %s calls %s, which is not marked //senss-lint:hotpath (or coldpath)",
-					c.fn.obj.Name(), callee.Name())
+					c.fn.Obj.Name(), callee.Name())
 				reported = true
 			}
 		} else if isInterfaceMethod(callee) {
 			var badNames []string
 			for _, impl := range c.w.implementations(callee) {
-				hf := c.w.funcs[impl]
-				if hf != nil && !hf.hot && !hf.cold {
-					badNames = append(badNames, methodName(impl))
+				if !c.w.annotated(impl) {
+					badNames = append(badNames, funcDisplay(impl))
 				}
 			}
 			if len(badNames) > 0 {
 				sort.Strings(badNames)
-				c.w.reportf(call.Pos(),
+				c.w.Reportf(call.Pos(),
 					"interface call %s resolves to unannotated implementation(s): %s",
 					callee.Name(), strings.Join(badNames, ", "))
 				reported = true
@@ -542,11 +407,11 @@ func (c *hotChecker) call(call *ast.CallExpr) {
 				// Module code outside a scoped run: its annotations are
 				// not visible here; the ./... run judges this call.
 			case pkgPath == "fmt":
-				c.w.reportf(call.Pos(), "fmt.%s allocates in hot code (formatting state and boxed operands)", callee.Name())
+				c.w.Reportf(call.Pos(), "fmt.%s allocates in hot code (formatting state and boxed operands)", callee.Name())
 				reported = true
 			default:
-				c.w.reportf(call.Pos(), "hot function %s calls %s.%s, outside the hot-path allowlist",
-					c.fn.obj.Name(), pkgPath, callee.Name())
+				c.w.Reportf(call.Pos(), "hot function %s calls %s.%s, outside the hot-path allowlist",
+					c.fn.Obj.Name(), pkgPath, callee.Name())
 				reported = true
 			}
 		}
@@ -574,7 +439,7 @@ func (c *hotChecker) checkConversion(call *ast.CallExpr, dst, src types.Type) {
 	du, su := dst.Underlying(), src.Underlying()
 	if b, ok := du.(*types.Basic); ok && b.Info()&types.IsString != 0 {
 		if _, fromSlice := su.(*types.Slice); fromSlice {
-			c.w.reportf(call.Pos(), "string conversion allocates in hot code")
+			c.w.Reportf(call.Pos(), "string conversion allocates in hot code")
 			return
 		}
 	}
@@ -582,13 +447,13 @@ func (c *hotChecker) checkConversion(call *ast.CallExpr, dst, src types.Type) {
 		if el, ok := ds.Elem().Underlying().(*types.Basic); ok &&
 			(el.Kind() == types.Uint8 || el.Kind() == types.Int32) {
 			if b, ok := su.(*types.Basic); ok && b.Info()&types.IsString != 0 {
-				c.w.reportf(call.Pos(), "string conversion allocates in hot code")
+				c.w.Reportf(call.Pos(), "string conversion allocates in hot code")
 				return
 			}
 		}
 	}
 	if boxes(dst, src) {
-		c.w.reportf(call.Pos(), "interface conversion boxes %s in hot code", typeName(src))
+		c.w.Reportf(call.Pos(), "interface conversion boxes %s in hot code", typeName(src))
 	}
 }
 
@@ -611,50 +476,10 @@ func (c *hotChecker) checkArgBoxing(call *ast.CallExpr, sig *types.Signature) {
 			pt = params.At(i).Type()
 		}
 		if boxes(pt, c.info().TypeOf(arg)) {
-			c.w.reportf(arg.Pos(), "interface conversion boxes %s in hot code",
+			c.w.Reportf(arg.Pos(), "interface conversion boxes %s in hot code",
 				typeName(c.info().TypeOf(arg)))
 		}
 	}
-}
-
-// staticCallee resolves the called *types.Func, or nil for func values.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
-// isInterfaceMethod reports whether fn is declared on an interface.
-func isInterfaceMethod(fn *types.Func) bool {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return false
-	}
-	_, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	return ok
-}
-
-// methodName renders Type.Method for diagnostics.
-func methodName(fn *types.Func) string {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return n.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Name()
 }
 
 // boxes reports whether assigning a src-typed value to a dst-typed

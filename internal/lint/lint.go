@@ -20,11 +20,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -132,14 +133,12 @@ func (p *Pass) CalleePkgPath(call *ast.CallExpr) string {
 }
 
 // ModulePass carries one (analyzer, whole module) unit of work for
-// analyzers that need the cross-package view.
+// analyzers that need the cross-package view. The embedded index
+// (interproc.go) is built once per run and shared by every module
+// analyzer that covers the same packages.
 type ModulePass struct {
 	Analyzer *Analyzer
-	// Pkgs is every loaded package, sorted by import path, sharing one
-	// token.FileSet and one type-checked object space (a *types.Var seen
-	// from two packages is the same pointer).
-	Pkgs   []*Package
-	Fset   *token.FileSet
+	*index
 	report func(Diagnostic)
 }
 
@@ -179,7 +178,7 @@ func RegistryNames() map[string]bool {
 // RunAnalyzers executes every applicable analyzer over the packages,
 // filters findings through senss-lint:ignore directives, and appends a
 // diagnostic for each malformed or reason-less directive. The result is
-// sorted by position for reproducible output.
+// deduplicated and sorted by position, analyzer, and message.
 func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	// Waiver directives may name any analyzer of the default suite plus
 	// whatever extra analyzers this run carries (fixture tests construct
@@ -219,43 +218,50 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 		}
 		out = append(out, sup.problems...)
 	}
-	if len(pkgs) > 0 {
-		// scoped filters the module view down to the packages the analyzer
-		// covers, so Scope keeps meaning the same thing in both modes.
-		for _, a := range analyzers {
-			if a.RunModule == nil {
-				continue
-			}
-			var scoped []*Package
-			for _, pkg := range pkgs {
-				if a.applies(pkg.RelPath) {
-					scoped = append(scoped, pkg)
-				}
-			}
-			if len(scoped) == 0 {
-				continue
-			}
-			mp := &ModulePass{Analyzer: a, Pkgs: scoped, Fset: scoped[0].Fset,
-				report: func(d Diagnostic) {
-					if !suppressed(d) {
-						out = append(out, d)
-					}
-				}}
-			a.RunModule(mp)
+	// full is the index over every package, built on first use and
+	// shared by the module analyzers whose scope covers them all.
+	var full *index
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
 		}
+		// scoped filters the module view down to the packages the
+		// analyzer covers, so Scope keeps meaning the same thing in both
+		// modes.
+		var scoped []*Package
+		for _, pkg := range pkgs {
+			if a.applies(pkg.RelPath) {
+				scoped = append(scoped, pkg)
+			}
+		}
+		var x *index
+		switch {
+		case len(scoped) == 0:
+			continue
+		case len(scoped) < len(pkgs):
+			x = newIndex(scoped)
+		default:
+			if full == nil {
+				full = newIndex(pkgs)
+			}
+			x = full
+		}
+		a.RunModule(&ModulePass{Analyzer: a, index: x, report: func(d Diagnostic) {
+			if !suppressed(d) {
+				out = append(out, d)
+			}
+		}})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	// One total order, then deduplication: module analyzers revisit
+	// functions across fixpoint passes and may report one flow twice.
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Analyzer, b.Analyzer),
+			cmp.Compare(a.Message, b.Message),
+		)
 	})
-	return out
+	return slices.Compact(out)
 }

@@ -72,12 +72,7 @@ func AnalyzerLockguard() *Analyzer {
 		Doc:  "fields marked //senss-lint:guardedby are only touched under their mutex; locks are balanced, ordered, and never held across blocking calls",
 	}
 	a.RunModule = func(mp *ModulePass) {
-		w := newLockWorld(mp.Pkgs, mp.Fset)
-		w.run()
-		for _, d := range w.diags {
-			d.Analyzer = mp.Analyzer.Name
-			mp.report(d)
-		}
+		newLockWorld(mp).run()
 	}
 	return a
 }
@@ -88,11 +83,7 @@ func AnalyzerLockguard() *Analyzer {
 // pin this against a checked-in golden, so any future nesting of the
 // serving/orchestration locks is a conscious, reviewed decision.
 func LockOrderGraph(pkgs []*Package) (classes []string, edges map[string][]string) {
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	}
-	w := newLockWorld(pkgs, fset)
+	w := newLockWorld(&ModulePass{Analyzer: AnalyzerLockguard(), index: newIndex(pkgs), report: func(Diagnostic) {}})
 	w.run()
 	seen := map[string]bool{}
 	for _, g := range w.guards {
@@ -139,18 +130,6 @@ type guardInfo struct {
 	rw    bool       // guard is a sync.RWMutex
 }
 
-// lockFunc is one module function body.
-type lockFunc struct {
-	obj  *types.Func
-	decl *ast.FuncDecl
-	pkg  *Package
-	// params[i] is the i-th parameter object; recv is the receiver (nil
-	// for plain functions). Requirement indices: -1 = receiver, 0.. =
-	// params.
-	recv   *types.Var
-	params []*types.Var
-}
-
 // lockReq is one requires-lock precondition in a function summary: the
 // guard field must be held on the argument at the given index.
 type lockReq struct {
@@ -167,20 +146,14 @@ func (r lockReq) key() string {
 
 // lockWorld is the whole-module analysis state.
 type lockWorld struct {
-	pkgs []*Package
-	fset *token.FileSet
+	solver
 
-	funcs map[*types.Func]*lockFunc
-	order []*lockFunc
 	// guards maps every annotated field to its resolved guard; guardClass
 	// maps a guard (mutex) field to its lock-order class.
 	guards     map[*types.Var]*guardInfo
 	guardClass map[*types.Var]string
 
-	named     []types.Type
-	implCache map[*types.Func][]*types.Func
-
-	// Summaries, computed to fixpoint before the emit pass.
+	// Summaries, computed to fixpoint before the reporting pass.
 	requires map[*types.Func]map[string]lockReq
 	blocking map[*types.Func]bool
 	acquires map[*types.Func]map[string]bool // transitive annotated classes
@@ -190,133 +163,33 @@ type lockWorld struct {
 	edges map[string]map[string]token.Pos
 
 	varIDs map[types.Object]int
-
-	diags    []Diagnostic
-	diagSeen map[string]bool
-	// emit gates diagnostic recording: the requirement fixpoint runs the
-	// same walk with emit off.
-	emit bool
-	// reqChanged tracks fixpoint progress.
-	reqChanged bool
 }
 
-func newLockWorld(pkgs []*Package, fset *token.FileSet) *lockWorld {
+func newLockWorld(mp *ModulePass) *lockWorld {
 	return &lockWorld{
-		pkgs:       pkgs,
-		fset:       fset,
-		funcs:      make(map[*types.Func]*lockFunc),
+		solver:     solver{ModulePass: mp},
 		guards:     make(map[*types.Var]*guardInfo),
 		guardClass: make(map[*types.Var]string),
-		implCache:  make(map[*types.Func][]*types.Func),
 		requires:   make(map[*types.Func]map[string]lockReq),
 		blocking:   make(map[*types.Func]bool),
 		acquires:   make(map[*types.Func]map[string]bool),
 		edges:      make(map[string]map[string]token.Pos),
 		varIDs:     make(map[types.Object]int),
-		diagSeen:   make(map[string]bool),
 	}
 }
+
+// lockRounds bounds the requirement fixpoint: each round can only add
+// (function, param, guard) triples, and call chains that hoist a
+// requirement are shallow.
+const lockRounds = 10
 
 func (w *lockWorld) run() {
-	w.build()
 	w.collectGuards()
 	w.computeSummaries()
-
-	// Requirement fixpoint: the walk records requires-lock summaries for
-	// guarded accesses (and unsatisfiable callee requirements) rooted at
-	// parameters; repeat until no summary grows. Bounded: each round can
-	// only add (function, param, guard) triples.
-	w.emit = false
-	for round := 0; round < 10; round++ {
-		w.reqChanged = false
-		for _, fn := range w.order {
-			w.analyze(fn)
-		}
-		if !w.reqChanged {
-			break
-		}
-	}
-
-	w.emit = true
-	for _, fn := range w.order {
-		w.analyze(fn)
-	}
+	// The walk records requires-lock summaries for guarded accesses (and
+	// unsatisfiable callee requirements) rooted at parameters.
+	w.solve(lockRounds, w.analyze)
 	w.reportCycles()
-
-	sort.Slice(w.diags, func(i, j int) bool {
-		a, b := w.diags[i], w.diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Message < b.Message
-	})
-}
-
-func (w *lockWorld) reportf(pos token.Pos, format string, args ...any) {
-	if !w.emit {
-		return
-	}
-	d := Diagnostic{
-		Analyzer: "lockguard",
-		Pos:      w.fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	}
-	key := fmt.Sprintf("%s:%d:%d:%s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
-	if w.diagSeen[key] {
-		return
-	}
-	w.diagSeen[key] = true
-	w.diags = append(w.diags, d)
-}
-
-// build indexes every function body and named type of the module.
-func (w *lockWorld) build() {
-	for _, pkg := range w.pkgs {
-		if pkg.Info == nil || pkg.Types == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				lf := &lockFunc{obj: obj, decl: fd, pkg: pkg}
-				if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-					lf.recv, _ = pkg.Info.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
-				}
-				if fd.Type.Params != nil {
-					for _, field := range fd.Type.Params.List {
-						for _, name := range field.Names {
-							v, _ := pkg.Info.Defs[name].(*types.Var)
-							lf.params = append(lf.params, v)
-						}
-					}
-				}
-				w.funcs[obj] = lf
-				w.order = append(w.order, lf)
-			}
-		}
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() { // already sorted
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				w.named = append(w.named, tn.Type())
-			}
-		}
-	}
-	sort.Slice(w.order, func(i, j int) bool {
-		return w.order[i].decl.Pos() < w.order[j].decl.Pos()
-	})
 }
 
 // guardedbyDirective extracts the mutex path from a field's comments.
@@ -344,7 +217,7 @@ func guardedbyDirective(groups ...*ast.CommentGroup) (string, token.Pos, bool) {
 // collectGuards scans every struct declaration for guardedby annotations
 // and resolves each to its sibling mutex field.
 func (w *lockWorld) collectGuards() {
-	for _, pkg := range w.pkgs {
+	for _, pkg := range w.Pkgs {
 		if pkg.Info == nil {
 			continue
 		}
@@ -382,11 +255,7 @@ func (w *lockWorld) collectStructGuards(pkg *Package, ts *ast.TypeSpec, st *ast.
 		}
 		guard, rw, ok := w.resolveGuard(pkg, st, guardName)
 		if !ok {
-			w.diags = append(w.diags, Diagnostic{
-				Analyzer: "lockguard",
-				Pos:      w.fset.Position(pos),
-				Message:  fmt.Sprintf("guardedby %q names no sync.Mutex or sync.RWMutex field in %s", guardName, owner),
-			})
+			w.Reportf(pos, "guardedby %q names no sync.Mutex or sync.RWMutex field in %s", guardName, owner)
 			continue
 		}
 		class := owner + "." + guardName
@@ -471,37 +340,6 @@ func isMutexType(t types.Type) (rw, ok bool) {
 		return true, true
 	}
 	return false, false
-}
-
-// implementations resolves an interface method to every concrete module
-// method that can stand behind it (mirrors hotpath's resolution).
-func (w *lockWorld) implementations(callee *types.Func) []*types.Func {
-	if impls, ok := w.implCache[callee]; ok {
-		return impls
-	}
-	var out []*types.Func
-	sig, _ := callee.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		if iface, _ := sig.Recv().Type().Underlying().(*types.Interface); iface != nil {
-			for _, t := range w.named {
-				if _, isIface := t.Underlying().(*types.Interface); isIface {
-					continue
-				}
-				pt := types.NewPointer(t)
-				if !types.Implements(t, iface) && !types.Implements(pt, iface) {
-					continue
-				}
-				obj, _, _ := types.LookupFieldOrMethod(pt, true, callee.Pkg(), callee.Name())
-				if m, ok := obj.(*types.Func); ok {
-					if _, known := w.funcs[m]; known {
-						out = append(out, m)
-					}
-				}
-			}
-		}
-	}
-	w.implCache[callee] = out
-	return out
 }
 
 // varID assigns a stable per-run identifier to a variable object, so
@@ -632,7 +470,7 @@ func (w *lockWorld) addRequire(fn *types.Func, req lockReq) {
 	}
 	if _, ok := m[req.key()]; !ok {
 		m[req.key()] = req
-		w.reqChanged = true
+		w.changed = true
 	}
 }
 

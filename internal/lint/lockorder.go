@@ -35,42 +35,6 @@ var terminatingFuncs = map[string]bool{
 	"log.Fatalln": true,
 }
 
-// staticCallee resolves a call to the *types.Func it names, or nil for
-// func values, conversions, and builtins.
-func lockStaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
-	}
-	return nil
-}
-
-func lockIsInterfaceMethod(f *types.Func) bool {
-	sig, _ := f.Type().(*types.Signature)
-	return sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type())
-}
-
-// funcDisplay renders a callee for messages: Type.method or pkg.func.
-func funcDisplay(f *types.Func) string {
-	if sig, _ := f.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return n.Obj().Name() + "." + f.Name()
-		}
-	}
-	if f.Pkg() != nil {
-		return f.Pkg().Name() + "." + f.Name()
-	}
-	return f.Name()
-}
-
 // computeSummaries records, for every module function, whether its own
 // statements (excluding go statements and func-literal bodies, which the
 // walk models at their use sites) can block, and which annotated lock
@@ -79,7 +43,7 @@ func funcDisplay(f *types.Func) string {
 func (w *lockWorld) computeSummaries() {
 	callees := make(map[*types.Func]map[*types.Func]bool)
 	for _, fn := range w.order {
-		info := fn.pkg.Info
+		info := fn.Pkg.Info
 		acq := make(map[string]bool)
 		cl := make(map[*types.Func]bool)
 		blocking := false
@@ -130,47 +94,44 @@ func (w *lockWorld) computeSummaries() {
 					}
 					return true
 				}
-				callee := lockStaticCallee(info, t)
+				callee := staticCallee(info, t)
 				if callee == nil {
 					return true
 				}
-				if _, inMod := w.funcs[callee]; inMod {
-					cl[callee] = true
-				} else if lockIsInterfaceMethod(callee) {
-					if blockingExternalFuncs[callee.FullName()] {
-						blocking = true
-					}
-					for _, impl := range w.implementations(callee) {
-						cl[impl] = true
-					}
-				} else if blockingExternalFuncs[callee.FullName()] {
+				if blockingExternalFuncs[callee.FullName()] {
 					blocking = true
+				}
+				for _, c := range w.targets(callee) {
+					cl[c] = true
 				}
 			}
 			return true
 		}
-		ast.Inspect(fn.decl.Body, scan)
-		w.blocking[fn.obj] = blocking
-		w.acquires[fn.obj] = acq
-		callees[fn.obj] = cl
+		ast.Inspect(fn.Decl.Body, scan)
+		w.blocking[fn.Obj] = blocking
+		w.acquires[fn.Obj] = acq
+		callees[fn.Obj] = cl
 	}
-	for changed := true; changed; {
-		changed = false
+	// Each round carries every fact at least one call edge further, and
+	// no call path is longer than the function count.
+	converge(len(w.order)+1, func() bool {
+		changed := false
 		for _, fn := range w.order {
-			for c := range callees[fn.obj] {
-				if w.blocking[c] && !w.blocking[fn.obj] {
-					w.blocking[fn.obj] = true
+			for c := range callees[fn.Obj] {
+				if w.blocking[c] && !w.blocking[fn.Obj] {
+					w.blocking[fn.Obj] = true
 					changed = true
 				}
 				for class := range w.acquires[c] {
-					if !w.acquires[fn.obj][class] {
-						w.acquires[fn.obj][class] = true
+					if !w.acquires[fn.Obj][class] {
+						w.acquires[fn.Obj][class] = true
 						changed = true
 					}
 				}
 			}
 		}
-	}
+		return changed
+	})
 }
 
 // heldLock is one mutex held on a path.
@@ -278,7 +239,7 @@ type breakFrame struct {
 // func-literal body, in capture or inherit mode).
 type lockWalker struct {
 	w    *lockWorld
-	fn   *lockFunc // enclosing declared function (requirement hoist root)
+	fn   *Func // enclosing declared function (requirement hoist root)
 	pkg  *Package
 	info *types.Info
 	// states is the live set of abstract lock states; nil means the
@@ -298,16 +259,16 @@ type lockWalker struct {
 }
 
 // analyze runs the walk over fn's body.
-func (w *lockWorld) analyze(fn *lockFunc) {
+func (w *lockWorld) analyze(fn *Func) {
 	lw := &lockWalker{
 		w:        w,
 		fn:       fn,
-		pkg:      fn.pkg,
-		info:     fn.pkg.Info,
+		pkg:      fn.Pkg,
+		info:     fn.Pkg.Info,
 		states:   []*lockState{{}},
 		baseline: make(map[string]bool),
 	}
-	lw.walkBody(fn.decl.Body, fn.decl.Body.Rbrace)
+	lw.walkBody(fn.Decl.Body, fn.Decl.Body.Rbrace)
 }
 
 // subWalker builds a walker for a func-literal body.
@@ -340,7 +301,7 @@ func (lw *lockWalker) releaseCheck(pos token.Pos) {
 				continue
 			}
 			lw.w.reportf(pos, "%s is locked but not released on this return path (%s at %s)",
-				h.disp, h.kind, lw.w.fset.Position(h.pos))
+				h.disp, h.kind, lw.w.Fset.Position(h.pos))
 		}
 	}
 }
@@ -644,7 +605,7 @@ func (lw *lockWalker) walkGo(t *ast.GoStmt) {
 	for _, a := range t.Call.Args {
 		lw.walkExpr(a)
 	}
-	if callee := lockStaticCallee(lw.info, t.Call); callee != nil {
+	if callee := staticCallee(lw.info, t.Call); callee != nil {
 		reqs := sortedRequires(lw.w.requires[callee])
 		for _, req := range reqs {
 			arg := lw.requireArg(t.Call, req)
@@ -805,7 +766,7 @@ func (lw *lockWalker) checkGuarded(sel *ast.SelectorExpr, g *guardInfo, write bo
 		return
 	}
 	if !heldAny && simple && lw.callerIndex(root) != -2 {
-		lw.w.addRequire(lw.fn.obj, lockReq{
+		lw.w.addRequire(lw.fn.Obj, lockReq{
 			index: lw.callerIndex(root),
 			guard: g.name,
 			write: write,
@@ -830,10 +791,10 @@ func (lw *lockWalker) callerIndex(v *types.Var) int {
 	if v == nil {
 		return -2
 	}
-	if lw.fn.recv != nil && v == lw.fn.recv {
+	if lw.fn.Recv != nil && v == lw.fn.Recv {
 		return -1
 	}
-	for i, p := range lw.fn.params {
+	for i, p := range lw.fn.Params {
 		if v == p {
 			return i
 		}
@@ -916,7 +877,7 @@ func (lw *lockWalker) handleCall(call *ast.CallExpr) {
 		}
 		lw.walkExpr(a)
 	}
-	callee := lockStaticCallee(lw.info, call)
+	callee := staticCallee(lw.info, call)
 	if callee == nil {
 		return
 	}
@@ -924,28 +885,18 @@ func (lw *lockWalker) handleCall(call *ast.CallExpr) {
 		lw.states = nil
 		return
 	}
-	var blocking bool
-	acquired := make(map[string]bool)
 	if _, inMod := lw.w.funcs[callee]; inMod {
 		lw.checkRequirements(call, callee)
-		blocking = lw.w.blocking[callee]
-		for c := range lw.w.acquires[callee] {
-			acquired[c] = true
-		}
-	} else if lockIsInterfaceMethod(callee) {
-		if blockingExternalFuncs[callee.FullName()] {
+	}
+	blocking := blockingExternalFuncs[callee.FullName()]
+	acquired := make(map[string]bool)
+	for _, impl := range lw.w.targets(callee) {
+		if lw.w.blocking[impl] {
 			blocking = true
 		}
-		for _, impl := range lw.w.implementations(callee) {
-			if lw.w.blocking[impl] {
-				blocking = true
-			}
-			for c := range lw.w.acquires[impl] {
-				acquired[c] = true
-			}
+		for c := range lw.w.acquires[impl] {
+			acquired[c] = true
 		}
-	} else if blockingExternalFuncs[callee.FullName()] {
-		blocking = true
 	}
 	if blocking {
 		lw.checkBlocking(call.Pos(), fmt.Sprintf("a call to %s, which blocks", funcDisplay(callee)))
@@ -1005,7 +956,7 @@ func (lw *lockWalker) checkRequirements(call *ast.CallExpr, callee *types.Func) 
 			continue
 		}
 		if !heldAny && simple && lw.capture == "" && lw.callerIndex(root) != -2 {
-			lw.w.addRequire(lw.fn.obj, lockReq{
+			lw.w.addRequire(lw.fn.Obj, lockReq{
 				index: lw.callerIndex(root),
 				guard: req.guard,
 				write: req.write,

@@ -44,11 +44,9 @@ package lint
 // this analyzer than for any other).
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -59,7 +57,13 @@ func AnalyzerTaintflow() *Analyzer {
 		Doc:  "secret taint must not reach output sinks or variable-time compares, and acquired secrets must be zeroized on all return paths",
 	}
 	a.RunModule = func(mp *ModulePass) {
-		newTaintWorld(mp).run()
+		w := &taintWorld{
+			solver:       solver{ModulePass: mp},
+			secretFields: make(map[*types.Var]string),
+			summaries:    make(map[*types.Func]*taintSummary),
+			extParam:     make(map[*types.Func]uint64),
+		}
+		w.run()
 	}
 	return a
 }
@@ -93,10 +97,10 @@ var taintOrigins = map[string]originSpec{
 // the protected material is the persistent pad and key stores.
 var taintDeclassifiers = map[string]bool{
 	"(senss/internal/crypto/aes.Block).XOR": true,
-	"senss/internal/crypto/sha256.Sum256":         true,
-	"crypto/sha256.Sum256":                        true,
-	"senss/internal/crypto/ct.Equal":              true,
-	"senss/internal/crypto/ct.Fingerprint":        true,
+	"senss/internal/crypto/sha256.Sum256":   true,
+	"crypto/sha256.Sum256":                  true,
+	"senss/internal/crypto/ct.Equal":        true,
+	"senss/internal/crypto/ct.Fingerprint":  true,
 	"crypto/subtle.ConstantTimeCompare":     true,
 	"crypto/hmac.Equal":                     true,
 }
@@ -157,48 +161,34 @@ type taintSummary struct {
 	paramOutFrom  []uint64
 }
 
-// taintFunc is one module function with a body.
-type taintFunc struct {
-	obj    *types.Func
-	decl   *ast.FuncDecl
-	pkg    *Package
-	params []*types.Var // receiver first, then declared parameters
+// taintParams lists fn's summary operands: the receiver first, for
+// methods, then the declared parameters (the order of a call site's
+// operands, receiver expression first).
+func taintParams(fn *Func) []*types.Var {
+	if fn.Recv == nil {
+		return fn.Params
+	}
+	return append([]*types.Var{fn.Recv}, fn.Params...)
+}
+
+// taintArity is len(taintParams(fn)), without building the list.
+func taintArity(fn *Func) int {
+	if fn.Recv != nil {
+		return len(fn.Params) + 1
+	}
+	return len(fn.Params)
 }
 
 // taintWorld is the whole-module analysis state.
 type taintWorld struct {
-	mp    *ModulePass
-	fset  *token.FileSet
-	funcs map[*types.Func]*taintFunc
-	order []*taintFunc
+	solver
 	// secretFields holds the //senss-lint:secret annotated fields.
 	secretFields map[*types.Var]string
-	// named lists every module named type, for interface resolution.
-	named     []types.Type
 	// declassIfaces holds the resolved taintDeclassifierIfaces entries
 	// found among the loaded packages and their imports.
 	declassIfaces []declassIface
-	implCache     map[*types.Func][]*types.Func
-	summaries map[*types.Func]*taintSummary
-	extParam  map[*types.Func]uint64
-	changed   bool
-
-	reporting bool
-	seen      map[string]bool
-	diags     []Diagnostic
-}
-
-func newTaintWorld(mp *ModulePass) *taintWorld {
-	return &taintWorld{
-		mp:           mp,
-		fset:         mp.Fset,
-		funcs:        make(map[*types.Func]*taintFunc),
-		secretFields: make(map[*types.Var]string),
-		implCache:    make(map[*types.Func][]*types.Func),
-		summaries:    make(map[*types.Func]*taintSummary),
-		extParam:     make(map[*types.Func]uint64),
-		seen:         make(map[string]bool),
-	}
+	summaries     map[*types.Func]*taintSummary
+	extParam      map[*types.Func]uint64
 }
 
 // taintRounds bounds the global fixpoint. Call chains in this module are
@@ -207,100 +197,19 @@ func newTaintWorld(mp *ModulePass) *taintWorld {
 const taintRounds = 16
 
 func (w *taintWorld) run() {
-	w.build()
-	for round := 0; round < taintRounds; round++ {
-		w.changed = false
-		for _, fn := range w.order {
-			w.analyze(fn)
-		}
-		if !w.changed {
-			break
-		}
-	}
-	w.reporting = true
-	for _, fn := range w.order {
-		w.analyze(fn)
-		w.checkZeroize(fn)
-	}
-	sort.Slice(w.diags, func(i, j int) bool {
-		a, b := w.diags[i], w.diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Message < b.Message
-	})
-	for _, d := range w.diags {
-		w.mp.report(d)
-	}
-}
-
-// reportf records a deduplicated finding (the reporting pass revisits
-// every function, so the same flow would otherwise repeat).
-func (w *taintWorld) reportf(pos token.Pos, format string, args ...any) {
-	if !w.reporting {
-		return
-	}
-	d := Diagnostic{
-		Analyzer: w.mp.Analyzer.Name,
-		Pos:      w.fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	}
-	key := fmt.Sprintf("%s:%d:%d:%s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
-	if w.seen[key] {
-		return
-	}
-	w.seen[key] = true
-	w.diags = append(w.diags, d)
-}
-
-// build indexes every function body, secret-field annotation, and named
-// type of the module.
-func (w *taintWorld) build() {
-	for _, pkg := range w.mp.Pkgs {
+	for _, pkg := range w.Pkgs {
 		if pkg.Info == nil || pkg.Types == nil {
 			continue
 		}
 		for _, f := range pkg.Files {
 			w.collectSecretFields(pkg, f)
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				tf := &taintFunc{obj: obj, decl: fd, pkg: pkg}
-				sig := obj.Type().(*types.Signature)
-				if r := sig.Recv(); r != nil {
-					tf.params = append(tf.params, r)
-				}
-				for i := 0; i < sig.Params().Len(); i++ {
-					tf.params = append(tf.params, sig.Params().At(i))
-				}
-				w.funcs[obj] = tf
-				w.order = append(w.order, tf)
-			}
-		}
-		scope := pkg.Types.Scope()
-		names := scope.Names() // already sorted
-		for _, name := range names {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				w.named = append(w.named, tn.Type())
-			}
 		}
 	}
-	sort.Slice(w.order, func(i, j int) bool {
-		return w.order[i].decl.Pos() < w.order[j].decl.Pos()
-	})
 	w.resolveDeclassIfaces()
+	w.solve(taintRounds, func(fn *Func) {
+		w.analyze(fn)
+		w.checkZeroize(fn)
+	})
 }
 
 // resolveDeclassIfaces looks up every taintDeclassifierIfaces entry among
@@ -348,7 +257,7 @@ func (w *taintWorld) resolveDeclassIfaces() {
 			visit(imp)
 		}
 	}
-	for _, pkg := range w.mp.Pkgs {
+	for _, pkg := range w.Pkgs {
 		visit(pkg.Types)
 	}
 }
@@ -414,17 +323,17 @@ func (w *taintWorld) collectSecretFields(pkg *Package, f *ast.File) {
 
 // summaryFor returns (allocating if needed) the callee's summary sized to
 // its signature.
-func (w *taintWorld) summaryFor(fn *taintFunc) *taintSummary {
-	s := w.summaries[fn.obj]
+func (w *taintWorld) summaryFor(fn *Func) *taintSummary {
+	s := w.summaries[fn.Obj]
 	if s == nil {
-		nres := fn.obj.Type().(*types.Signature).Results().Len()
+		nres := fn.Obj.Type().(*types.Signature).Results().Len()
 		s = &taintSummary{
 			resultConst:   make([]bool, nres),
 			resultFrom:    make([]uint64, nres),
-			paramOutConst: make([]bool, len(fn.params)),
-			paramOutFrom:  make([]uint64, len(fn.params)),
+			paramOutConst: make([]bool, taintArity(fn)),
+			paramOutFrom:  make([]uint64, taintArity(fn)),
 		}
-		w.summaries[fn.obj] = s
+		w.summaries[fn.Obj] = s
 	}
 	return s
 }
@@ -441,46 +350,10 @@ func (w *taintWorld) addExtParam(callee *types.Func, bits uint64) {
 	}
 }
 
-// implementations resolves an interface method to every concrete module
-// method that can stand behind it.
-func (w *taintWorld) implementations(callee *types.Func) []*types.Func {
-	if impls, ok := w.implCache[callee]; ok {
-		return impls
-	}
-	var out []*types.Func
-	sig, _ := callee.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		w.implCache[callee] = nil
-		return nil
-	}
-	iface, _ := sig.Recv().Type().Underlying().(*types.Interface)
-	if iface == nil {
-		w.implCache[callee] = nil
-		return nil
-	}
-	for _, t := range w.named {
-		if _, isIface := t.Underlying().(*types.Interface); isIface {
-			continue
-		}
-		pt := types.NewPointer(t)
-		if !types.Implements(t, iface) && !types.Implements(pt, iface) {
-			continue
-		}
-		obj, _, _ := types.LookupFieldOrMethod(pt, true, callee.Pkg(), callee.Name())
-		if m, ok := obj.(*types.Func); ok {
-			if _, known := w.funcs[m]; known {
-				out = append(out, m)
-			}
-		}
-	}
-	w.implCache[callee] = out
-	return out
-}
-
 // fstate is the per-function analysis state of one analyze() invocation.
 type fstate struct {
 	w   *taintWorld
-	fn  *taintFunc
+	fn  *Func
 	env map[types.Object]tval
 	// paramIdx maps the function's own parameters to their bit index.
 	paramIdx map[types.Object]int
@@ -490,15 +363,15 @@ type fstate struct {
 // analyze runs the flow-insensitive intraprocedural pass over fn to a
 // local fixpoint, updating the function's summary and the callees'
 // externally-tainted parameter sets.
-func (w *taintWorld) analyze(fn *taintFunc) {
+func (w *taintWorld) analyze(fn *Func) {
 	st := &fstate{
 		w:        w,
 		fn:       fn,
 		env:      make(map[types.Object]tval),
 		paramIdx: make(map[types.Object]int),
 	}
-	ext := w.extParam[fn.obj]
-	for i, p := range fn.params {
+	ext := w.extParam[fn.Obj]
+	for i, p := range taintParams(fn) {
 		st.paramIdx[p] = i
 		v := tval{ps: paramBit(i)}
 		if ext&paramBit(i) != 0 {
@@ -510,14 +383,14 @@ func (w *taintWorld) analyze(fn *taintFunc) {
 	// environment only grows, so this terminates quickly.
 	for iter := 0; iter < 20; iter++ {
 		st.changed = false
-		st.stmts(fn.decl.Body.List)
+		st.stmts(fn.Decl.Body.List)
 		if !st.changed {
 			break
 		}
 	}
 }
 
-func (s *fstate) info() *types.Info { return s.fn.pkg.Info }
+func (s *fstate) info() *types.Info { return s.fn.Pkg.Info }
 
 // merge grows the taint of obj, tracking both local and global change.
 func (s *fstate) merge(obj types.Object, v tval) {
@@ -581,21 +454,6 @@ func (s *fstate) rootObj(e ast.Expr) types.Object {
 			return nil
 		}
 	}
-}
-
-// calleeOf resolves the called function object, or nil for func values.
-func (s *fstate) calleeOf(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := s.info().Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := s.info().Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
 }
 
 // recvExpr returns the receiver expression of a method call, or nil.
@@ -734,7 +592,7 @@ func (s *fstate) call(call *ast.CallExpr) tval {
 		}
 	}
 
-	callee := s.calleeOf(call)
+	callee := staticCallee(s.info(), call)
 
 	// Argument taints: receiver first (mirroring summary parameter order).
 	var args []ast.Expr
@@ -779,44 +637,34 @@ func (s *fstate) call(call *ast.CallExpr) tval {
 		return tval{}
 	}
 
-	// Resolve targets: the static callee, or every implementation of an
-	// interface method.
-	targets := []*types.Func{callee}
-	if _, isModule := s.w.funcs[callee]; !isModule {
-		if impls := s.w.implementations(callee); len(impls) > 0 {
-			targets = impls
-		}
-	}
-
+	// The static callee, or every module implementation of an interface
+	// method.
+	targets := s.w.targets(callee)
 	var out tval
-	anyModule := false
 	for _, target := range targets {
-		tf, isModule := s.w.funcs[target]
-		if !isModule {
-			continue
-		}
-		anyModule = true
+		tf := s.w.funcs[target]
+		np := taintArity(tf)
 		sum := s.w.summaryFor(tf)
 		// Push caller taint into the callee's parameter set.
 		var bits uint64
 		for i, av := range avals {
-			if av.c && i < len(tf.params) {
+			if av.c && i < np {
 				bits |= paramBit(i)
 			}
 		}
 		// Variadic overflow arguments land in the last parameter.
-		if len(avals) > len(tf.params) && len(tf.params) > 0 {
-			for i := len(tf.params); i < len(avals); i++ {
+		if len(avals) > np && np > 0 {
+			for i := np; i < len(avals); i++ {
 				if avals[i].c {
-					bits |= paramBit(len(tf.params) - 1)
+					bits |= paramBit(np - 1)
 				}
 			}
 		}
 		s.w.addExtParam(target, bits)
 		// Out-parameters: taint the caller's argument roots.
-		for i := 0; i < len(tf.params) && i < len(args); i++ {
+		for i := 0; i < np && i < len(args); i++ {
 			o := tval{c: sum.paramOutConst[i]}
-			for j := 0; j < len(tf.params) && j < len(avals); j++ {
+			for j := 0; j < np && j < len(avals); j++ {
 				if sum.paramOutFrom[i]&paramBit(j) != 0 {
 					o = o.or(avals[j])
 				}
@@ -837,7 +685,7 @@ func (s *fstate) call(call *ast.CallExpr) tval {
 		}
 		return out
 	}
-	if !anyModule {
+	if len(targets) == 0 {
 		// Unsummarized (standard library) call: taint in, taint out.
 		for _, av := range avals {
 			out = out.or(av)
@@ -847,12 +695,12 @@ func (s *fstate) call(call *ast.CallExpr) tval {
 }
 
 // callResult translates a callee summary result into the caller's frame.
-func (s *fstate) callResult(sum *taintSummary, avals []tval, tf *taintFunc, idx int) tval {
+func (s *fstate) callResult(sum *taintSummary, avals []tval, tf *Func, idx int) tval {
 	if idx >= len(sum.resultConst) {
 		return tval{}
 	}
 	v := tval{c: sum.resultConst[idx]}
-	for j := 0; j < len(tf.params) && j < len(avals); j++ {
+	for j := 0; j < taintArity(tf) && j < len(avals); j++ {
 		if sum.resultFrom[idx]&paramBit(j) != 0 {
 			v = v.or(avals[j])
 		}
@@ -867,7 +715,7 @@ func (s *fstate) callResults(call *ast.CallExpr, n int) []tval {
 	if n > 0 {
 		out[0] = base
 	}
-	callee := s.calleeOf(call)
+	callee := staticCallee(s.info(), call)
 	if callee == nil {
 		for i := range out {
 			out[i] = base
@@ -887,19 +735,9 @@ func (s *fstate) callResults(call *ast.CallExpr, n int) []tval {
 	for i, a := range args {
 		avals[i] = s.eval(a)
 	}
-	targets := []*types.Func{callee}
-	if _, isModule := s.w.funcs[callee]; !isModule {
-		if impls := s.w.implementations(callee); len(impls) > 0 {
-			targets = impls
-		}
-	}
-	anyModule := false
+	targets := s.w.targets(callee)
 	for _, target := range targets {
-		tf, isModule := s.w.funcs[target]
-		if !isModule {
-			continue
-		}
-		anyModule = true
+		tf := s.w.funcs[target]
 		sum := s.w.summaryFor(tf)
 		for i := 0; i < n; i++ {
 			out[i] = out[i].or(s.callResult(sum, avals, tf, i))
@@ -911,7 +749,7 @@ func (s *fstate) callResults(call *ast.CallExpr, n int) []tval {
 				out[r].c = true
 			}
 		}
-	} else if !anyModule {
+	} else if len(targets) == 0 {
 		var join tval
 		for _, av := range avals {
 			join = join.or(av)
@@ -1297,7 +1135,7 @@ func (s *fstate) throughField(lhs ast.Expr) bool {
 // recordReturn folds return-value taints into the function's summary.
 func (s *fstate) recordReturn(ret *ast.ReturnStmt) {
 	sum := s.w.summaryFor(s.fn)
-	sig := s.fn.obj.Type().(*types.Signature)
+	sig := s.fn.Obj.Type().(*types.Signature)
 	var vals []tval
 	switch {
 	case len(ret.Results) == 0 && sig.Results().Len() > 0:

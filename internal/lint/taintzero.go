@@ -54,16 +54,16 @@ type zstate struct {
 
 // checkZeroize enforces zeroize-on-all-paths for every acquire-flagged
 // origin binding in fn. Runs only during the reporting pass.
-func (w *taintWorld) checkZeroize(fn *taintFunc) {
+func (w *taintWorld) checkZeroize(fn *Func) {
 	if !w.reporting {
 		return
 	}
 	secrets := w.findAcquisitions(fn)
 	for _, sec := range secrets {
 		zw := &zeroWalker{w: w, fn: fn, sec: sec}
-		st, falls := zw.stmts(fn.decl.Body.List, zstate{})
+		st, falls := zw.stmts(fn.Decl.Body.List, zstate{})
 		if falls && st.acq && !st.z && !st.esc {
-			w.reportf(fn.decl.Body.Rbrace,
+			w.reportf(fn.Decl.Body.Rbrace,
 				"%s %q is not zeroized before the function returns; call ct.Zero on every path",
 				sec.what, objName(sec.obj))
 		}
@@ -72,10 +72,10 @@ func (w *taintWorld) checkZeroize(fn *taintFunc) {
 
 // findAcquisitions locates assignments binding an acquire-origin result to
 // a local identifier.
-func (w *taintWorld) findAcquisitions(fn *taintFunc) []acquiredSecret {
-	info := fn.pkg.Info
+func (w *taintWorld) findAcquisitions(fn *Func) []acquiredSecret {
+	info := fn.Pkg.Info
 	var out []acquiredSecret
-	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
 			return true
@@ -84,13 +84,7 @@ func (w *taintWorld) findAcquisitions(fn *taintFunc) []acquiredSecret {
 		if !ok {
 			return true
 		}
-		var callee *types.Func
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			callee, _ = info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			callee, _ = info.Uses[fun.Sel].(*types.Func)
-		}
+		callee := staticCallee(info, call)
 		if callee == nil {
 			return true
 		}
@@ -129,11 +123,11 @@ func objName(obj types.Object) string {
 // zeroWalker carries one (function, secret) path walk.
 type zeroWalker struct {
 	w   *taintWorld
-	fn  *taintFunc
+	fn  *Func
 	sec acquiredSecret
 }
 
-func (zw *zeroWalker) info() *types.Info { return zw.fn.pkg.Info }
+func (zw *zeroWalker) info() *types.Info { return zw.fn.Pkg.Info }
 
 // mentions reports whether e references the tracked secret object.
 func (zw *zeroWalker) mentions(e ast.Node) bool {
