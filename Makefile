@@ -31,9 +31,9 @@ hotpath: build
 
 # lockguard runs only the lock-discipline analyzer (guarded fields,
 # unlock paths, lock ordering, goroutine/blocking hygiene; DESIGN.md
-# section 17). The full `lint` target already includes it; this target is
-# the fast loop while annotating //senss-lint:guardedby fields or
-# remediating concurrency findings.
+# section 17). The full `lint` target (and thus `verify`) already
+# includes it; this target is the fast loop while annotating
+# //senss-lint:guardedby fields or remediating concurrency findings.
 lockguard: build
 	$(GO) run ./cmd/senss-lint -analyzer lockguard ./...
 
@@ -114,7 +114,7 @@ serve-smoke: build
 
 # verify is the full pre-merge gate: everything CI runs, in order of
 # increasing cost.
-verify: build vet lint lockguard test farm-race serve-race race oracle speed-smoke serve-smoke bench-check fuzz-smoke
+verify: build vet lint test farm-race serve-race race oracle speed-smoke serve-smoke bench-check fuzz-smoke
 
 clean:
 	$(GO) clean ./...
