@@ -192,9 +192,8 @@ var update = flag.Bool("update", false, "rewrite testdata/findings.golden")
 // TestFindingsGolden pins every fixture finding byte for byte. The want
 // comments above match message substrings, so they cannot tell a
 // reworded, reordered, duplicated, or re-positioned finding from the
-// original; this golden can. Paths are module-relative (including a
-// second position quoted inside a message, as lockguard's acquisition
-// site is), so the file is the same on any checkout. Regenerate with
+// original; this golden can. Paths are module-relative, so the file is
+// the same on any checkout. Regenerate with
 // `go test ./internal/lint -run TestFindingsGolden -update`.
 func TestFindingsGolden(t *testing.T) {
 	root, err := filepath.Abs("../..")
@@ -216,7 +215,6 @@ func TestFindingsGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.Pos.Filename = filepath.ToSlash(rel)
-			d.Message = strings.ReplaceAll(d.Message, root+string(filepath.Separator), "")
 			fmt.Fprintln(&buf, d)
 		}
 	}
@@ -495,7 +493,7 @@ func TestNoVariableTimeCompareHelpers(t *testing.T) {
 // stable across runs over identical inputs, sensitive to the analyzer
 // set, and insensitive to analyzer-name order.
 func TestContentHash(t *testing.T) {
-	loader := newLoader(t)
+	loader := fixtureLoader(t)
 	pkg, err := loader.LoadDir(filepath.Join("testdata", "taint"))
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +564,7 @@ func TestContentHash(t *testing.T) {
 // the hash digests module-relative paths, so the same tree checked out at
 // two different absolute locations produces the same hash.
 func TestContentHashRelocatable(t *testing.T) {
-	loader := newLoader(t)
+	loader := fixtureLoader(t)
 	src, err := filepath.Abs(filepath.Join("testdata", "taint"))
 	if err != nil {
 		t.Fatal(err)

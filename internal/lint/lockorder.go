@@ -10,6 +10,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -300,8 +301,11 @@ func (lw *lockWalker) releaseCheck(pos token.Pos) {
 			if lw.baseline[h.key] || s.hasDeferred(h.key) {
 				continue
 			}
-			lw.w.reportf(pos, "%s is locked but not released on this return path (%s at %s)",
-				h.disp, h.kind, lw.w.Fset.Position(h.pos))
+			// The acquisition is in the finding's own file, so its base
+			// name keeps the message the same on every checkout.
+			at := lw.w.Fset.Position(h.pos)
+			lw.w.reportf(pos, "%s is locked but not released on this return path (%s at %s:%d:%d)",
+				h.disp, h.kind, filepath.Base(at.Filename), at.Line, at.Column)
 		}
 	}
 }
