@@ -75,6 +75,8 @@ fuzz-smoke: build
 figures: build
 	$(GO) run ./cmd/senss-tables -fig all -cache-dir .senss-cache
 
+# Every BENCH_*.json record is written by senss-farm (cmd/senss-farm/bench.go).
+
 # bench-sim records the raw-substrate trajectory points (simulated memory
 # ops per host second, host allocations per simulated op) in
 # BENCH_sim.json: one record per workload at the 4-proc bench geometry
@@ -92,25 +94,26 @@ bench-check: build
 # encrypt, pad stream, CBC-MAC, and end-to-end secured throughput per
 # backend, plus the stdlib/ref speedup) in BENCH_crypto.json.
 bench-crypto: build
-	$(GO) run ./cmd/senss-speed
+	$(GO) run ./cmd/senss-farm bench-crypto
 
 # bench-serve records the serving-layer trajectory point (sessions/sec,
-# step-latency percentiles, peak SHU-group occupancy under M tenants x K
+# step-latency percentiles, peak SHU-group occupancy under 4 tenants x 16
 # sessions) in BENCH_serve.json.
 bench-serve: build
-	$(GO) run ./cmd/senss-serve bench
+	$(GO) run ./cmd/senss-farm bench-serve
 
-# speed-smoke is the cheap senss-speed invocation verify runs: quick
+# speed-smoke is the cheap bench-crypto invocation verify runs: quick
 # intervals, output to a scratch file, but the full backend sweep and the
 # cross-backend cycle-identity gate still execute.
 speed-smoke: build
-	$(GO) run ./cmd/senss-speed -quick -out /tmp/senss-speed-smoke.json
+	$(GO) run ./cmd/senss-farm bench-crypto -quick -out /tmp/senss-speed-smoke.json
 
-# serve-smoke drives one secured session per tenant through the real
-# HTTP surface on an ephemeral port and checks the group accounting
-# drains to zero — the serving layer's end-to-end self-test.
+# serve-smoke is the bench-serve invocation verify runs, output to a
+# scratch file: secured sessions driven through the real HTTP surface on
+# an ephemeral port, failing unless the group and session books drain to
+# zero — the serving layer's end-to-end self-test.
 serve-smoke: build
-	$(GO) run ./cmd/senss-serve serve -smoke
+	$(GO) run ./cmd/senss-farm bench-serve -out /tmp/senss-serve-smoke.json
 
 # verify is the full pre-merge gate: everything CI runs, in order of
 # increasing cost.

@@ -26,13 +26,10 @@ import (
 	"senss/internal/workload"
 )
 
-// benchConfig is the shared experiment machine (scaled per DESIGN.md §2).
+// benchConfig is the benchmark machine with an l2-byte L2.
 func benchConfig(procs int, l2 int) Config {
-	cfg := machine.DefaultConfig()
-	cfg.Procs = procs
-	cfg.Coherence.L1Size = 4 << 10
+	cfg := BenchConfig(procs)
 	cfg.Coherence.L2Size = l2
-	cfg.CPU.CodeBytes = 2 << 10
 	return cfg
 }
 

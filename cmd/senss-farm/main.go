@@ -1,8 +1,8 @@
 // Command senss-farm drives the internal/farm orchestration subsystem
 // directly: it runs figure sweeps across a bounded worker pool with a
 // persistent content-addressed result cache, reports sweep/cache status,
-// garbage-collects stale entries, pre-warms the cache, and records the
-// cold-vs-parallel benchmark trajectory point.
+// garbage-collects stale entries and pre-warms the cache. It is also the
+// one producer of the BENCH_*.json trajectory records (bench.go).
 //
 // Subcommands:
 //
@@ -10,9 +10,12 @@
 //	senss-farm warm   -fig 6 -size bench
 //	senss-farm status -cache-dir .senss-cache -json
 //	senss-farm gc     -cache-dir .senss-cache [-all]
-//	senss-farm bench  -out BENCH_farm.json
-//	senss-farm bench-sim -out BENCH_sim.json
 //	senss-farm lint   -cache-dir .senss-cache [-json]
+//	senss-farm bench
+//	senss-farm bench-sim [-workloads all] [-iters 5] [-out BENCH_sim.json]
+//	senss-farm bench-check
+//	senss-farm bench-crypto [-quick] [-out BENCH_crypto.json]
+//	senss-farm bench-serve [-out BENCH_serve.json]
 //
 // "lint" runs the senss-lint suite through the same content-addressed
 // cache as experiments: the verdict is stored under a hash of the
@@ -30,9 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"strings"
-	"time"
 
 	"senss"
 	"senss/internal/crypto"
@@ -61,6 +61,10 @@ func main() {
 		err = cmdBenchSim(args)
 	case "bench-check":
 		err = cmdBenchCheck(args)
+	case "bench-crypto":
+		err = cmdBenchCrypto(args)
+	case "bench-serve":
+		err = cmdBenchServe(args)
 	case "lint":
 		err = cmdLint(args)
 	case "help", "-h", "-help", "--help":
@@ -79,12 +83,14 @@ func main() {
 func usage(w *os.File) {
 	fmt.Fprint(w, `senss-farm — parallel experiment orchestration with result caching
 
-usage: senss-farm <run|warm|status|gc|bench|bench-sim|lint> [flags]
+usage: senss-farm <run|warm|status|gc|lint|bench|bench-sim|bench-check|bench-crypto|bench-serve> [flags]
 
   run     execute figure sweeps and print their tables
   warm    execute figure sweeps, populating the cache only
   status  report sweep manifests and cache contents
   gc      remove stale/corrupt cache entries (-all wipes everything)
+  lint    run the senss-lint suite content-addressed: verdicts cache
+          under a hash of the analyzer set + all sources
   bench   measure cold serial vs parallel wall-clock for the Figure 6
           sweep and write the BENCH_farm.json trajectory point
   bench-sim
@@ -94,8 +100,13 @@ usage: senss-farm <run|warm|status|gc|bench|bench-sim|lint> [flags]
   bench-check
           re-measure the BENCH_sim.json workloads and fail on a >15%
           ops/sec regression against the committed records
-  lint    run the senss-lint suite content-addressed: verdicts cache
-          under a hash of the analyzer set + all sources
+  bench-crypto
+          measure every crypto backend (block encrypt, pad stream,
+          CBC-MAC, secured end-to-end run), check the backends are
+          cycle-identical, and write BENCH_crypto.json
+  bench-serve
+          drive 4 tenants x 16 secured sessions through an in-process
+          senss-serve, check its books drain, and write BENCH_serve.json
 
 common flags: -fig, -size, -workers, -cache-dir, -json (see <sub> -h)
 `)
@@ -371,336 +382,6 @@ func cmdGC(args []string) error {
 	}
 	fmt.Printf("gc %s: removed %d file(s)\n", *cacheDir, removed)
 	return nil
-}
-
-// benchReport is the recorded trajectory point: cold-cache serial vs
-// parallel wall-clock for the Figure 6 sweep, plus the warm-cache replay.
-type benchReport struct {
-	Benchmark       string  `json:"benchmark"`
-	Date            string  `json:"date"`
-	HostCPUs        int     `json:"host_cpus"`
-	Gomaxprocs      int     `json:"gomaxprocs"`
-	Size            string  `json:"size"`
-	Jobs            int     `json:"jobs"`
-	Workers         int     `json:"workers"`
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	WarmSeconds     float64 `json:"warm_seconds"`
-	WarmHitRate     float64 `json:"warm_hit_rate"`
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("senss-farm bench", flag.ExitOnError)
-	size := fs.String("size", "test", "problem scale: test or bench")
-	workers := fs.Int("workers", 0, "parallel worker count (0 = one per core)")
-	out := fs.String("out", "BENCH_farm.json", "output file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	scale := senss.SizeTest
-	if *size == "bench" {
-		scale = senss.SizeBench
-	}
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Fprintln(os.Stderr, "bench: warning: GOMAXPROCS=1 — the parallel phase cannot "+
-			"beat serial on this host; read speedup as a ceiling of 1.0, not a regression")
-	}
-
-	// The job set is enumerated once; each phase gets a fresh
-	// memory-only farm so every timing starts cold.
-	jobs, err := senss.NewHarnessOn(scale, farm.NewMem(1)).FigureJobs(6)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(os.Stderr, "bench: %d jobs, cold serial...\n", len(jobs))
-	serial := farm.NewMem(1)
-	t0 := time.Now()
-	if err := serial.Warm(jobs); err != nil {
-		return err
-	}
-	serialDur := time.Since(t0)
-
-	fmt.Fprintf(os.Stderr, "bench: cold parallel (%d workers)...\n", w)
-	par := farm.NewMem(w)
-	t0 = time.Now()
-	if err := par.Warm(jobs); err != nil {
-		return err
-	}
-	parallelDur := time.Since(t0)
-
-	before := par.Cache().Stats()
-	t0 = time.Now()
-	if err := par.Warm(jobs); err != nil {
-		return err
-	}
-	warmDur := time.Since(t0)
-	after := par.Cache().Stats()
-	hitRate := float64(after.Hits-before.Hits) / float64(len(jobs))
-
-	report := benchReport{
-		Benchmark:       "farm-fig6-sweep",
-		Date:            time.Now().UTC().Format(time.RFC3339),
-		HostCPUs:        runtime.NumCPU(),
-		Gomaxprocs:      runtime.GOMAXPROCS(0),
-		Size:            *size,
-		Jobs:            len(jobs),
-		Workers:         w,
-		SerialSeconds:   serialDur.Seconds(),
-		ParallelSeconds: parallelDur.Seconds(),
-		Speedup:         serialDur.Seconds() / parallelDur.Seconds(),
-		WarmSeconds:     warmDur.Seconds(),
-		WarmHitRate:     hitRate,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("serial %.2fs, parallel %.2fs (%d workers) = %.2fx, warm replay %.3fs (hit rate %.2f) -> %s\n",
-		report.SerialSeconds, report.ParallelSeconds, w, report.Speedup, report.WarmSeconds, hitRate, *out)
-	return nil
-}
-
-// simBenchReport is one BENCH_sim.json trajectory point: raw substrate
-// throughput (simulated memory operations and cycles per host second) and
-// the host-side allocation rate per simulated operation — the number the
-// hotpath discipline (DESIGN.md section 13) exists to keep down. The file
-// holds one record per swept workload at the 4-processor bench geometry,
-// plus one single-processor engine record (see benchSimJobs).
-type simBenchReport struct {
-	Benchmark    string  `json:"benchmark"`
-	Date         string  `json:"date"`
-	HostCPUs     int     `json:"host_cpus"`
-	Gomaxprocs   int     `json:"gomaxprocs"`
-	Workload     string  `json:"workload"`
-	Procs        int     `json:"procs"`
-	Iterations   int     `json:"iterations"`
-	Seconds      float64 `json:"seconds"`
-	SimMemOps    uint64  `json:"sim_mem_ops"`
-	SimCycles    uint64  `json:"sim_cycles"`
-	OpsPerSecond float64 `json:"ops_per_second"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
-}
-
-// benchSimProcs is the multiprocessor bench geometry's processor count,
-// matching BenchmarkSimulator in bench_test.go.
-const benchSimProcs = 4
-
-// simBenchJob names one measurement of the sweep.
-type simBenchJob struct {
-	Workload string
-	Procs    int
-}
-
-// benchSimJobs returns the sweep's job list: every workload at the
-// 4-processor bench geometry, then one single-processor record. The
-// 1-proc row isolates raw engine dispatch throughput — with one runnable
-// proc there are no cross-proc scheduler handoffs and no bus contention,
-// so it tracks the scheduler fast path that multiprocessor rows dilute
-// with (simulated) lock and arbitration traffic.
-func benchSimJobs(names []string) []simBenchJob {
-	jobs := make([]simBenchJob, 0, len(names)+1)
-	for _, n := range names {
-		jobs = append(jobs, simBenchJob{Workload: n, Procs: benchSimProcs})
-	}
-	jobs = append(jobs, simBenchJob{Workload: "ocean", Procs: 1})
-	return jobs
-}
-
-// measureSimBench runs one bench-sim measurement: warmup, then iters
-// timed repetitions of the unprotected machine at the bench geometry.
-func measureSimBench(job simBenchJob, iters int) (simBenchReport, error) {
-	// The throughput baseline runs the unprotected machine at the bench
-	// suite's scale (BenchmarkSimulator in bench_test.go uses the same
-	// geometry), so trajectory points stay comparable across PRs.
-	cfg := senss.DefaultConfig()
-	cfg.Procs = job.Procs
-	cfg.Coherence.L1Size = 4 << 10
-	cfg.Coherence.L2Size = 64 << 10
-	cfg.CPU.CodeBytes = 2 << 10
-
-	if _, err := senss.RunWorkload(job.Workload, senss.SizeTest, cfg); err != nil {
-		return simBenchReport{}, err
-	}
-
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	var ops, cycles uint64
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		run, err := senss.RunWorkload(job.Workload, senss.SizeTest, cfg)
-		if err != nil {
-			return simBenchReport{}, err
-		}
-		ops += run.Loads + run.Stores + run.RMWs
-		cycles += run.Cycles
-	}
-	dur := time.Since(t0)
-	runtime.ReadMemStats(&ms1)
-
-	return simBenchReport{
-		Benchmark:    "sim-throughput",
-		Date:         time.Now().UTC().Format(time.RFC3339),
-		HostCPUs:     runtime.NumCPU(),
-		Gomaxprocs:   runtime.GOMAXPROCS(0),
-		Workload:     job.Workload,
-		Procs:        job.Procs,
-		Iterations:   iters,
-		Seconds:      dur.Seconds(),
-		SimMemOps:    ops,
-		SimCycles:    cycles,
-		OpsPerSecond: float64(ops) / dur.Seconds(),
-		AllocsPerOp:  float64(ms1.Mallocs-ms0.Mallocs) / float64(ops),
-		BytesPerOp:   float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(ops),
-	}, nil
-}
-
-// benchSimWorkloads resolves the -workloads flag into a validated name
-// list ("all" means every built-in workload).
-func benchSimWorkloads(list string) ([]string, error) {
-	if list == "all" {
-		return senss.WorkloadNames(), nil
-	}
-	var names []string
-	for _, n := range strings.Split(list, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		if err := validWorkload(n); err != nil {
-			return nil, err
-		}
-		names = append(names, n)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("empty workload list")
-	}
-	return names, nil
-}
-
-func cmdBenchSim(args []string) error {
-	fs := flag.NewFlagSet("senss-farm bench-sim", flag.ExitOnError)
-	list := fs.String("workloads", "all", `comma-separated workloads to sweep, or "all"`)
-	iters := fs.Int("iters", 5, "measured repetitions per record")
-	out := fs.String("out", "BENCH_sim.json", "output file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	names, err := benchSimWorkloads(*list)
-	if err != nil {
-		return err
-	}
-
-	var reports []simBenchReport
-	for _, job := range benchSimJobs(names) {
-		fmt.Fprintf(os.Stderr, "bench-sim: %s procs=%d (%d iters)...\n", job.Workload, job.Procs, *iters)
-		rep, err := measureSimBench(job, *iters)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-12s procs=%d  %8d sim mem ops in %6.2fs = %9.0f ops/s, %.2f allocs/op, %.1f bytes/op\n",
-			rep.Workload, rep.Procs, rep.SimMemOps, rep.Seconds, rep.OpsPerSecond, rep.AllocsPerOp, rep.BytesPerOp)
-		reports = append(reports, rep)
-	}
-	data, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%d records -> %s\n", len(reports), *out)
-	return nil
-}
-
-// benchCheckThreshold is the fraction of the committed ops/sec a fresh
-// measurement must reach; below it bench-check fails the build.
-const benchCheckThreshold = 0.85
-
-// readSimBench loads a BENCH_sim.json record set, accepting both the
-// current array format and the single-record format of older baselines.
-func readSimBench(path string) ([]simBenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var reports []simBenchReport
-	if err := json.Unmarshal(data, &reports); err != nil {
-		var one simBenchReport
-		if err2 := json.Unmarshal(data, &one); err2 != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-		if one.Procs == 0 {
-			one.Procs = benchSimProcs
-		}
-		reports = []simBenchReport{one}
-	}
-	if len(reports) == 0 {
-		return nil, fmt.Errorf("%s: no records", path)
-	}
-	return reports, nil
-}
-
-// cmdBenchCheck re-measures every committed BENCH_sim.json record and
-// fails on a >15% ops/sec regression — the performance ratchet guarding
-// the engine hot path.
-func cmdBenchCheck(args []string) error {
-	fs := flag.NewFlagSet("senss-farm bench-check", flag.ExitOnError)
-	iters := fs.Int("iters", 3, "measured repetitions per record")
-	in := fs.String("in", "BENCH_sim.json", "committed baseline to check against")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	baseline, err := readSimBench(*in)
-	if err != nil {
-		return err
-	}
-	var failures []string
-	for _, want := range baseline {
-		job := simBenchJob{Workload: want.Workload, Procs: want.Procs}
-		fmt.Fprintf(os.Stderr, "bench-check: %s procs=%d...\n", job.Workload, job.Procs)
-		got, err := measureSimBench(job, *iters)
-		if err != nil {
-			return err
-		}
-		ratio := got.OpsPerSecond / want.OpsPerSecond
-		status := "ok"
-		if ratio < benchCheckThreshold {
-			status = "REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s procs=%d: %.0f ops/s vs committed %.0f (%.0f%%)",
-				job.Workload, job.Procs, got.OpsPerSecond, want.OpsPerSecond, 100*ratio))
-		}
-		fmt.Printf("%-12s procs=%d  %9.0f ops/s vs committed %9.0f  (%3.0f%%)  %s\n",
-			job.Workload, job.Procs, got.OpsPerSecond, want.OpsPerSecond, 100*ratio, status)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("ops/sec regressed >%.0f%% on %d record(s):\n  %s",
-			100*(1-benchCheckThreshold), len(failures), strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// validWorkload rejects an unknown -workload before any warmup work, so
-// a typo fails fast with the available names instead of partway into a
-// measurement.
-func validWorkload(name string) error {
-	names := senss.WorkloadNames()
-	for _, n := range names {
-		if n == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown workload %q (available: %s)", name, strings.Join(names, ", "))
 }
 
 func emitJSON(v any) error { return emitJSONTo(os.Stdout, v) }

@@ -143,79 +143,3 @@ func TestStatusJSON(t *testing.T) {
 		t.Errorf("counts = %d/%d/%d, want 1/0/1", done, failed, pending)
 	}
 }
-
-// TestValidWorkload pins the bench-sim -workload guard: every built-in
-// name passes, a typo fails fast naming the available set.
-func TestValidWorkload(t *testing.T) {
-	for _, name := range workload.AllNames() {
-		if err := validWorkload(name); err != nil {
-			t.Errorf("validWorkload(%q) = %v", name, err)
-		}
-	}
-	err := validWorkload("oceen")
-	if err == nil {
-		t.Fatal("typo accepted")
-	}
-	if !strings.Contains(err.Error(), `"oceen"`) || !strings.Contains(err.Error(), "ocean") {
-		t.Fatalf("error does not name the typo and the available set: %v", err)
-	}
-}
-
-// TestBenchSimJobs pins the sweep's record set: one record per workload
-// at the 4-processor bench geometry, plus the single-processor engine
-// record, in workload order — BENCH_sim.json's shape is part of the
-// bench-check contract.
-func TestBenchSimJobs(t *testing.T) {
-	names := workload.AllNames()
-	jobs := benchSimJobs(names)
-	if len(jobs) != len(names)+1 {
-		t.Fatalf("%d jobs for %d workloads, want %d", len(jobs), len(names), len(names)+1)
-	}
-	for i, n := range names {
-		if jobs[i].Workload != n || jobs[i].Procs != benchSimProcs {
-			t.Errorf("job %d = %+v, want {%s %d}", i, jobs[i], n, benchSimProcs)
-		}
-	}
-	last := jobs[len(jobs)-1]
-	if last.Workload != "ocean" || last.Procs != 1 {
-		t.Errorf("engine record = %+v, want {ocean 1}", last)
-	}
-}
-
-// TestBenchSimRecordsWorkloads runs a tiny two-workload bench-sim sweep
-// and pins that the emitted records carry the workloads that produced
-// them plus the 1-proc engine record — trajectory points from different
-// workloads must never be conflated.
-func TestBenchSimRecordsWorkloads(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several simulations")
-	}
-	out := t.TempDir() + "/BENCH_sim.json"
-	if err := cmdBenchSim([]string{"-workloads", "lockcontend,prodcons", "-iters", "1", "-out", out}); err != nil {
-		t.Fatalf("bench-sim: %v", err)
-	}
-	reports, err := readSimBench(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []simBenchJob{
-		{Workload: "lockcontend", Procs: benchSimProcs},
-		{Workload: "prodcons", Procs: benchSimProcs},
-		{Workload: "ocean", Procs: 1},
-	}
-	if len(reports) != len(want) {
-		t.Fatalf("%d records, want %d", len(reports), len(want))
-	}
-	for i, rep := range reports {
-		if rep.Workload != want[i].Workload || rep.Procs != want[i].Procs || rep.Iterations != 1 {
-			t.Errorf("record %d = %s/procs=%d/iters=%d, want %s/procs=%d/iters=1",
-				i, rep.Workload, rep.Procs, rep.Iterations, want[i].Workload, want[i].Procs)
-		}
-		if rep.SimMemOps == 0 || rep.OpsPerSecond <= 0 {
-			t.Errorf("implausible measurement: %+v", rep)
-		}
-	}
-	if err := cmdBenchSim([]string{"-workloads", "oceen"}); err == nil {
-		t.Fatal("bench-sim accepted unknown workload")
-	}
-}

@@ -3,23 +3,15 @@
 // service-wide SHU group accountant with per-tenant quotas, and a
 // bounded worker pool that answers saturation with 429 + Retry-After.
 //
-// Subcommands:
+// Usage:
 //
-//	senss-serve serve -addr 127.0.0.1:8080 [-workers N] [-quota N] [-smoke]
-//	senss-serve bench -tenants 4 -sessions 16 -out BENCH_serve.json
+//	senss-serve serve -addr 127.0.0.1:8080 [-workers N] [-quota N]
 //
-// "serve" runs the service until interrupted. With -smoke it instead
-// binds an ephemeral port, drives one secured session to completion
-// through its own HTTP API, checks the group accounting drained, and
-// exits — the self-test "make verify" runs.
-//
-// "bench" starts an in-process server on an ephemeral port, drives M
-// tenants × K sessions through it, and writes the sessions/sec,
-// step-latency percentile, and group-occupancy record.
+// "serve" runs the service until interrupted. Its load benchmark and
+// self-test are `senss-farm bench-serve`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -40,8 +32,6 @@ func main() {
 	switch cmd {
 	case "serve":
 		err = cmdServe(args)
-	case "bench":
-		err = cmdBench(args)
 	case "help", "-h", "-help", "--help":
 		usage(os.Stdout)
 	default:
@@ -58,10 +48,10 @@ func main() {
 func usage(w *os.File) {
 	fmt.Fprint(w, `senss-serve — multi-tenant SENSS simulation service
 
-usage: senss-serve <serve|bench> [flags]
+usage: senss-serve serve [flags]
 
 serve flags:
-  -addr       listen address (default 127.0.0.1:8080; -smoke uses :0)
+  -addr       listen address (default 127.0.0.1:8080)
   -shards     session-table stripe count (default 16)
   -workers    concurrent simulation slices (default 8)
   -backlog    admission waiting room beyond workers (default 32)
@@ -70,176 +60,31 @@ serve flags:
   -quota      per-tenant group quota, 0 = unlimited (default 0)
   -idle       evict sessions idle this long, 0 = never (default 0)
   -sweep      janitor period when -idle is set (default 30s)
-  -smoke      run the self-test against an ephemeral port and exit
-
-bench flags:
-  -addr       external server to load; empty starts one in-process
-  -tenants    tenant count M (default 4)
-  -sessions   sessions per tenant K (default 16)
-  -workload   workload every session runs (default lockcontend)
-  -security   session protection mode (default senss)
-  -step       requested step slice in cycles (0 = server default)
-  -conc       concurrent client requests (default 2*tenants)
-  -workers    in-process server worker bound (default 8)
-  -out        report path (default BENCH_serve.json)
 `)
 }
 
-type serveFlags struct {
-	fs       *flag.FlagSet
-	addr     *string
-	shards   *int
-	workers  *int
-	backlog  *int
-	step     *uint64
-	capacity *int
-	quota    *int
-	idle     *time.Duration
-	sweep    *time.Duration
-}
-
-func newServeFlags(name string) serveFlags {
-	fs := flag.NewFlagSet("senss-serve "+name, flag.ExitOnError)
-	return serveFlags{
-		fs:       fs,
-		addr:     fs.String("addr", "127.0.0.1:8080", "listen address"),
-		shards:   fs.Int("shards", 0, "session-table stripe count"),
-		workers:  fs.Int("workers", 0, "concurrent simulation slices"),
-		backlog:  fs.Int("backlog", 0, "admission waiting room"),
-		step:     fs.Uint64("step", 0, "default step slice in cycles"),
-		capacity: fs.Int("capacity", 0, "service-wide SHU group budget"),
-		quota:    fs.Int("quota", 0, "per-tenant group quota (0 = unlimited)"),
-		idle:     fs.Duration("idle", 0, "idle-session eviction timeout (0 = never)"),
-		sweep:    fs.Duration("sweep", 30*time.Second, "eviction janitor period"),
-	}
-}
-
-func (f serveFlags) options() serve.Options {
-	return serve.Options{
-		Shards:        *f.shards,
-		Workers:       *f.workers,
-		Backlog:       *f.backlog,
-		StepCycles:    *f.step,
-		GroupCapacity: *f.capacity,
-		TenantQuota:   *f.quota,
-		IdleTimeout:   *f.idle,
-		SweepEvery:    *f.sweep,
-	}
-}
-
 func cmdServe(args []string) error {
-	f := newServeFlags("serve")
-	smoke := f.fs.Bool("smoke", false, "run the self-test and exit")
-	if err := f.fs.Parse(args); err != nil {
+	fs := flag.NewFlagSet("senss-serve serve", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
+	var opts serve.Options
+	fs.IntVar(&opts.Shards, "shards", 0, "session-table stripe count")
+	fs.IntVar(&opts.Workers, "workers", 0, "concurrent simulation slices")
+	fs.IntVar(&opts.Backlog, "backlog", 0, "admission waiting room")
+	fs.Uint64Var(&opts.StepCycles, "step", 0, "default step slice in cycles")
+	fs.IntVar(&opts.GroupCapacity, "capacity", 0, "service-wide SHU group budget")
+	fs.IntVar(&opts.TenantQuota, "quota", 0, "per-tenant group quota (0 = unlimited)")
+	fs.DurationVar(&opts.IdleTimeout, "idle", 0, "idle-session eviction timeout (0 = never)")
+	fs.DurationVar(&opts.SweepEvery, "sweep", 30*time.Second, "eviction janitor period")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	srv := serve.New(f.options())
+	srv := serve.New(opts)
 	defer srv.Close()
 
-	addr := *f.addr
-	if *smoke {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		return fmt.Errorf("listen %s: %w", addr, err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	if *smoke {
-		go hs.Serve(ln)
-		defer closeServer(hs)
-		return runSmoke(srv, "http://"+ln.Addr().String())
+		return fmt.Errorf("listen %s: %w", *addr, err)
 	}
 	fmt.Printf("senss-serve: listening on http://%s\n", ln.Addr())
-	return hs.Serve(ln)
-}
-
-// closeServer tears down an ephemeral in-process HTTP server. The
-// process is exiting either way, but a failed teardown still gets a line
-// on stderr rather than vanishing into a blank discard.
-func closeServer(hs *http.Server) {
-	if err := hs.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "senss-serve: closing http server: %v\n", err)
-	}
-}
-
-// runSmoke drives one secured session to completion through the real
-// HTTP surface and checks the books balance afterwards.
-func runSmoke(srv *serve.Server, baseURL string) error {
-	rep, err := serve.RunBench(serve.BenchOptions{
-		BaseURL:           baseURL,
-		Tenants:           2,
-		SessionsPerTenant: 1,
-		Workload:          "lockcontend",
-		Security:          "senss",
-	})
-	if err != nil {
-		return fmt.Errorf("smoke: %w", err)
-	}
-	if rep.Completed != 2 || rep.Failed != 0 {
-		return fmt.Errorf("smoke: completed=%d failed=%d", rep.Completed, rep.Failed)
-	}
-	if st := srv.Stats(); st.GroupsInUse != 0 || st.Sessions != 0 {
-		return fmt.Errorf("smoke: books did not drain: groups=%d sessions=%d", st.GroupsInUse, st.Sessions)
-	}
-	fmt.Printf("senss-serve smoke OK: %d sessions, %d steps, p50 %.2fms\n",
-		rep.Completed, rep.Steps, rep.StepP50MS)
-	return nil
-}
-
-func cmdBench(args []string) error {
-	f := newServeFlags("bench")
-	tenants := f.fs.Int("tenants", 4, "tenant count")
-	sessions := f.fs.Int("sessions", 16, "sessions per tenant")
-	workloadName := f.fs.String("workload", "lockcontend", "workload to run")
-	security := f.fs.String("security", "senss", "protection mode")
-	conc := f.fs.Int("conc", 0, "concurrent client requests")
-	out := f.fs.String("out", "BENCH_serve.json", "report path")
-	external := f.fs.String("target", "", "external server base URL (empty = in-process)")
-	if err := f.fs.Parse(args); err != nil {
-		return err
-	}
-
-	baseURL := *external
-	if baseURL == "" {
-		srv := serve.New(f.options())
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("listen: %w", err)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-		defer closeServer(hs)
-		baseURL = "http://" + ln.Addr().String()
-	}
-
-	start := time.Now()
-	rep, err := serve.RunBench(serve.BenchOptions{
-		BaseURL:           baseURL,
-		Tenants:           *tenants,
-		SessionsPerTenant: *sessions,
-		Workload:          *workloadName,
-		Security:          *security,
-		StepCycles:        *f.step,
-		Concurrency:       *conc,
-	})
-	if err != nil {
-		return err
-	}
-	record := struct {
-		Timestamp string `json:"timestamp"`
-		serve.BenchReport
-	}{Timestamp: start.UTC().Format(time.RFC3339), BenchReport: rep}
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("senss-serve bench: %d sessions in %.1fms (%.1f/sec), step p50 %.2fms p99 %.2fms, peak groups %d/%d -> %s\n",
-		rep.Completed, rep.WallMS, rep.SessionsPerSec, rep.StepP50MS, rep.StepP99MS,
-		rep.PeakGroups, rep.GroupCapacity, *out)
-	return nil
+	return (&http.Server{Handler: srv.Handler()}).Serve(ln)
 }

@@ -13,7 +13,8 @@
 //     replays, and its key schedule can be genuinely zeroized.
 //   - "stdlib": crypto/aes from the Go standard library, which uses
 //     AES-NI (or the equivalent) on real hardware. An order of magnitude
-//     faster; cmd/senss-speed records the ratio in BENCH_crypto.json.
+//     faster; senss-farm bench-crypto records the ratio in
+//     BENCH_crypto.json.
 //
 // The backend never affects simulated timing: the SHU's AES core is
 // charged in modeled cycles (Params.AESLatency) by the simulator, not by

@@ -10,7 +10,7 @@ import (
 // stdlibCipher is the "stdlib" backend: crypto/aes behind the
 // BlockCipher interface. On amd64/arm64 the standard library dispatches
 // to the hardware AES instructions, which is what makes this backend the
-// fast path cmd/senss-speed measures.
+// fast path senss-farm bench-crypto measures.
 //
 // The in/out scratch blocks live on the (heap-allocated) struct because
 // cipher.Block.Encrypt takes []byte through an interface: slicing a

@@ -13,49 +13,27 @@ import (
 )
 
 // BenchOptions shapes a load-generation run against a senss-serve
-// endpoint: M tenants each opening K sessions and stepping them to
-// completion.
+// endpoint: M tenants each opening K sessions of benchWorkload under
+// benchSecurity and stepping them to completion.
 type BenchOptions struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Tenants is M (default 4).
+	// Tenants is M.
 	Tenants int
-	// SessionsPerTenant is K (default 16).
+	// SessionsPerTenant is K.
 	SessionsPerTenant int
-	// Workload names the program every session runs (default "lockcontend").
-	Workload string
-	// Security is the session protection mode (default "senss").
-	Security string
-	// StepCycles is the per-step slice request (0 = server default).
-	StepCycles uint64
-	// Concurrency bounds in-flight client requests (default 2*Tenants).
-	Concurrency int
-	// SamplePeriod is the occupancy poll period (default 20ms).
-	SamplePeriod time.Duration
 }
 
-func (o *BenchOptions) defaults() {
-	if o.Tenants <= 0 {
-		o.Tenants = 4
-	}
-	if o.SessionsPerTenant <= 0 {
-		o.SessionsPerTenant = 16
-	}
-	if o.Workload == "" {
-		o.Workload = "lockcontend"
-	}
-	if o.Security == "" {
-		o.Security = "senss"
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 2 * o.Tenants
-	}
-	if o.SamplePeriod <= 0 {
-		o.SamplePeriod = 20 * time.Millisecond
-	}
-}
+// The load every bench session carries, and how it is driven: 2 client
+// requests in flight per tenant, occupancy polled every benchSamplePeriod,
+// each step the server's default slice.
+const (
+	benchWorkload     = "lockcontend"
+	benchSecurity     = "senss"
+	benchSamplePeriod = 20 * time.Millisecond
+)
 
-// BenchReport is the BENCH_serve.json schema.
+// BenchReport is the body of the BENCH_serve.json record.
 type BenchReport struct {
 	Workload          string  `json:"workload"`
 	Security          string  `json:"security"`
@@ -121,11 +99,10 @@ func (c *benchClient) do(method, path string, body, out any) (status int, err er
 
 // RunBench drives the load and assembles the report.
 func RunBench(opts BenchOptions) (BenchReport, error) {
-	opts.defaults()
 	total := opts.Tenants * opts.SessionsPerTenant
 	rep := BenchReport{
-		Workload:          opts.Workload,
-		Security:          opts.Security,
+		Workload:          benchWorkload,
+		Security:          benchSecurity,
 		Tenants:           opts.Tenants,
 		SessionsPerTenant: opts.SessionsPerTenant,
 		Sessions:          total,
@@ -138,7 +115,7 @@ func RunBench(opts BenchOptions) (BenchReport, error) {
 	samplerWG.Add(1)
 	go func() {
 		defer samplerWG.Done()
-		t := time.NewTicker(opts.SamplePeriod)
+		t := time.NewTicker(benchSamplePeriod)
 		defer t.Stop()
 		for {
 			select {
@@ -174,13 +151,13 @@ func RunBench(opts BenchOptions) (BenchReport, error) {
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Concurrency; w++ {
+	for w := 0; w < 2*opts.Tenants; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			c := &benchClient{base: opts.BaseURL, hc: &http.Client{Timeout: 60 * time.Second}}
 			for j := range jobs {
-				ok, nSteps, nRetried, lats := benchOne(c, opts, j.tenant)
+				ok, nSteps, nRetried, lats := benchOne(c, j.tenant)
 				mu.Lock()
 				if ok {
 					completed++
@@ -219,8 +196,8 @@ func RunBench(opts BenchOptions) (BenchReport, error) {
 // benchOne runs one session to completion: create, step until done,
 // delete. 429 responses back off and retry — that is the backpressure
 // contract working, not a failure.
-func benchOne(c *benchClient, opts BenchOptions, tenant string) (ok bool, steps, retried int, lats []time.Duration) {
-	spec := SessionSpec{Tenant: tenant, Workload: opts.Workload, Security: opts.Security}
+func benchOne(c *benchClient, tenant string) (ok bool, steps, retried int, lats []time.Duration) {
+	spec := SessionSpec{Tenant: tenant, Workload: benchWorkload, Security: benchSecurity}
 	var info SessionInfo
 	for {
 		code, err := c.do(http.MethodPost, "/v1/sessions", spec, &info)
@@ -237,7 +214,7 @@ func benchOne(c *benchClient, opts BenchOptions, tenant string) (ok bool, steps,
 		}
 		break
 	}
-	req := StepRequest{Cycles: opts.StepCycles}
+	var req StepRequest
 	for {
 		var resp StepResponse
 		t0 := time.Now()

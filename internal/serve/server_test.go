@@ -706,8 +706,6 @@ func TestRunBench(t *testing.T) {
 		BaseURL:           ts.URL,
 		Tenants:           2,
 		SessionsPerTenant: 2,
-		Workload:          "lockcontend",
-		Security:          "senss",
 	})
 	if err != nil {
 		t.Fatalf("bench: %v", err)

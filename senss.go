@@ -74,6 +74,19 @@ const (
 // AES, 160-cycle hashing; security off.
 func DefaultConfig() Config { return machine.DefaultConfig() }
 
+// BenchConfig returns the benchmark machine: DefaultConfig with procs
+// processors, scaled (DESIGN.md §2) to 4 KB L1s, 64 KB L2s and 2 KB of
+// code so that test-scale workloads exercise the whole hierarchy. The
+// BENCH_*.json records and the package's Go benchmarks measure it.
+func BenchConfig(procs int) Config {
+	cfg := machine.DefaultConfig()
+	cfg.Procs = procs
+	cfg.Coherence.L1Size = 4 << 10
+	cfg.Coherence.L2Size = 64 << 10
+	cfg.CPU.CodeBytes = 2 << 10
+	return cfg
+}
+
 // NewMachine assembles a machine for custom programs.
 func NewMachine(cfg Config) *Machine { return machine.New(cfg) }
 
