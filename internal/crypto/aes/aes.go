@@ -5,12 +5,19 @@
 // (80 cycles latency, 3.2 GB/s throughput in the paper's configuration);
 // this package supplies the actual transformation so that bus masks, MACs,
 // and memory pads are real values and attacks are genuinely detected.
+//
+// The cipher keeps the state as four big-endian uint32 columns, row 0 in
+// the most significant byte, so rotating a column left by 8 moves row i+1
+// into row i. SubBytes and ShiftRows are fused into four S-box lookups per
+// column, and MixColumns runs on a whole column in one register. The
+// 256-byte sbox and invSbox are the only tables the state indexes.
 package aes
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // BlockSize is the AES block size in bytes.
@@ -27,14 +34,15 @@ const rounds = 10
 type Block [BlockSize]byte
 
 // XOR returns b ⊕ o. This is the one-cycle OTP operation of the SENSS
-// bus-encryption datapath.
+// bus-encryption datapath, computed as two 64-bit XORs (byte order does
+// not matter to XOR, so the host's native little-endian loads serve).
 //
 //senss-lint:hotpath
 func (b Block) XOR(o Block) Block {
 	var r Block
-	for i := range b {
-		r[i] = b[i] ^ o[i]
-	}
+	le := binary.LittleEndian
+	le.PutUint64(r[0:8], le.Uint64(b[0:8])^le.Uint64(o[0:8]))
+	le.PutUint64(r[8:16], le.Uint64(b[8:16])^le.Uint64(o[8:16]))
 	return r
 }
 
@@ -98,15 +106,6 @@ func init() {
 	}
 }
 
-// xtime multiplies by x (i.e., {02}) in GF(2^8) with the AES polynomial,
-// without branching: the reduction constant is masked in when the high bit
-// shifts out.
-//
-//senss-lint:hotpath
-func xtime(b byte) byte {
-	return b<<1 ^ 0x1b&-(b>>7)
-}
-
 // rcon holds the round constants for key expansion.
 var rcon = [11]byte{0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36}
 
@@ -140,15 +139,6 @@ func NewFromBlock(key Block) *Cipher {
 	return c
 }
 
-func subWord(w uint32) uint32 {
-	return uint32(sbox[w>>24])<<24 |
-		uint32(sbox[w>>16&0xff])<<16 |
-		uint32(sbox[w>>8&0xff])<<8 |
-		uint32(sbox[w&0xff])
-}
-
-func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
-
 func (c *Cipher) expand(key []byte) {
 	nk := KeySize / 4
 	for i := 0; i < nk; i++ {
@@ -157,7 +147,9 @@ func (c *Cipher) expand(key []byte) {
 	for i := nk; i < len(c.enc); i++ {
 		t := c.enc[i-1]
 		if i%nk == 0 {
-			t = subWord(rotWord(t)) ^ uint32(rcon[i/nk])<<24
+			// SubWord(RotWord(t)): subShift with t feeding every row.
+			t = bits.RotateLeft32(t, 8)
+			t = subShift(&sbox, t, t, t, t) ^ uint32(rcon[i/nk])<<24
 		}
 		c.enc[i] = c.enc[i-nk] ^ t
 	}
@@ -175,136 +167,108 @@ func (c *Cipher) expand(key []byte) {
 	}
 }
 
-func invMixColumnWord(w uint32) uint32 {
-	var col [4]byte
-	binary.BigEndian.PutUint32(col[:], w)
-	out := invMixColumn(col)
-	return binary.BigEndian.Uint32(out[:])
-}
-
-// mixColumn multiplies one state column by the MixColumns matrix in the
-// FIPS-197 §4.2.1 form: with t = a0⊕a1⊕a2⊕a3, each output byte is
-// b_i = a_i ⊕ t ⊕ xtime(a_i ⊕ a_{i+1}).
+// subShift builds one output column of SubBytes∘ShiftRows from the input
+// columns that feed its rows: row r comes from the r-th argument. Called
+// as subShift(box, s_c, s_{c+1}, s_{c+2}, s_{c+3}) it is the forward
+// ShiftRows; with s_{c-r} and invSbox it is the inverse. The four box
+// loads are the only state-indexed memory accesses of the cipher.
 //
 //senss-lint:hotpath
-func mixColumn(col [4]byte) [4]byte {
-	a0, a1, a2, a3 := col[0], col[1], col[2], col[3]
-	t := a0 ^ a1 ^ a2 ^ a3
-	return [4]byte{
-		a0 ^ t ^ xtime(a0^a1),
-		a1 ^ t ^ xtime(a1^a2),
-		a2 ^ t ^ xtime(a2^a3),
-		a3 ^ t ^ xtime(a3^a0),
-	}
+func subShift(box *[256]byte, a, b, c, d uint32) uint32 {
+	return uint32(box[byte(a>>24)])<<24 |
+		uint32(box[byte(b>>16)])<<16 |
+		uint32(box[byte(c>>8)])<<8 |
+		uint32(box[byte(d)])
 }
 
-// invMixColumn multiplies one column by the InvMixColumns matrix. That
+// xtime4 multiplies each of the four bytes of x by x (i.e., {02}) in
+// GF(2^8) with the AES polynomial, without branching: each byte's high
+// bit selects the reduction constant for that byte alone.
+//
+//senss-lint:hotpath
+func xtime4(x uint32) uint32 {
+	return (x&0x7f7f7f7f)<<1 ^ (x>>7&0x01010101)*0x1b
+}
+
+// mixColumnWord multiplies one column by the MixColumns matrix in the
+// FIPS-197 §4.2.1 form b_i = a_i ⊕ t ⊕ xtime(a_i ⊕ a_{i+1}), with
+// t = a0⊕a1⊕a2⊕a3, computed on all four rows at once.
+//
+//senss-lint:hotpath
+func mixColumnWord(w uint32) uint32 {
+	x := w ^ bits.RotateLeft32(w, 8)
+	t := x ^ bits.RotateLeft32(x, 16)
+	return w ^ t ^ xtime4(x)
+}
+
+// invMixColumnWord multiplies one column by the InvMixColumns matrix. That
 // matrix factors as the MixColumns matrix times {05 00 04 00} (The Design
-// of Rijndael §4.1.3), so a two-xtime pre-step reuses mixColumn.
-func invMixColumn(col [4]byte) [4]byte {
-	u := xtime(xtime(col[0] ^ col[2]))
-	v := xtime(xtime(col[1] ^ col[3]))
-	return mixColumn([4]byte{col[0] ^ u, col[1] ^ v, col[2] ^ u, col[3] ^ v})
-}
-
-// state is the AES state as a 4x4 column-major byte matrix, kept as 16 bytes
-// in column order (as FIPS-197 loads it).
-type state [16]byte
-
-//senss-lint:hotpath
-func (s *state) addRoundKey(rk []uint32) {
-	for c := 0; c < 4; c++ {
-		w := rk[c]
-		s[4*c+0] ^= byte(w >> 24)
-		s[4*c+1] ^= byte(w >> 16)
-		s[4*c+2] ^= byte(w >> 8)
-		s[4*c+3] ^= byte(w)
-	}
-}
-
-//senss-lint:hotpath
-func (s *state) subBytes() {
-	for i := range s {
-		s[i] = sbox[s[i]]
-	}
-}
-
-func (s *state) invSubBytes() {
-	for i := range s {
-		s[i] = invSbox[s[i]]
-	}
-}
-
-// shiftRows rotates row r left by r. Row r lives at indices r, r+4, r+8, r+12.
-//
-//senss-lint:hotpath
-func (s *state) shiftRows() {
-	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
-	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
-	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
-}
-
-func (s *state) invShiftRows() {
-	s[1], s[5], s[9], s[13] = s[13], s[1], s[5], s[9]
-	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
-	s[3], s[7], s[11], s[15] = s[7], s[11], s[15], s[3]
-}
-
-//senss-lint:hotpath
-func (s *state) mixColumns() {
-	for c := 0; c < 4; c++ {
-		col := [4]byte{s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]}
-		out := mixColumn(col)
-		copy(s[4*c:4*c+4], out[:])
-	}
-}
-
-func (s *state) invMixColumns() {
-	for c := 0; c < 4; c++ {
-		col := [4]byte{s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]}
-		out := invMixColumn(col)
-		copy(s[4*c:4*c+4], out[:])
-	}
+// of Rijndael §4.1.3), so a two-xtime pre-step reuses mixColumnWord.
+func invMixColumnWord(w uint32) uint32 {
+	u := xtime4(xtime4(w ^ bits.RotateLeft32(w, 16)))
+	return mixColumnWord(w ^ u)
 }
 
 // Encrypt computes the AES-128 encryption of src.
 //
 //senss-lint:hotpath
 func (c *Cipher) Encrypt(src Block) Block {
-	var s state
-	copy(s[:], src[:])
-	s.addRoundKey(c.enc[0:4])
-	for r := 1; r < rounds; r++ {
-		s.subBytes()
-		s.shiftRows()
-		s.mixColumns()
-		s.addRoundKey(c.enc[4*r : 4*r+4])
+	k := &c.enc
+	s0, s1, s2, s3 := columns(src)
+	s0, s1, s2, s3 = s0^k[0], s1^k[1], s2^k[2], s3^k[3]
+	for r := 4; r < 4*rounds; r += 4 {
+		s0, s1, s2, s3 =
+			mixColumnWord(subShift(&sbox, s0, s1, s2, s3))^k[r],
+			mixColumnWord(subShift(&sbox, s1, s2, s3, s0))^k[r+1],
+			mixColumnWord(subShift(&sbox, s2, s3, s0, s1))^k[r+2],
+			mixColumnWord(subShift(&sbox, s3, s0, s1, s2))^k[r+3]
 	}
-	s.subBytes()
-	s.shiftRows()
-	s.addRoundKey(c.enc[4*rounds : 4*rounds+4])
-	var dst Block
-	copy(dst[:], s[:])
-	return dst
+	return fromColumns(
+		subShift(&sbox, s0, s1, s2, s3)^k[4*rounds],
+		subShift(&sbox, s1, s2, s3, s0)^k[4*rounds+1],
+		subShift(&sbox, s2, s3, s0, s1)^k[4*rounds+2],
+		subShift(&sbox, s3, s0, s1, s2)^k[4*rounds+3])
 }
 
-// Decrypt computes the AES-128 decryption of src.
+// Decrypt computes the AES-128 decryption of src with the equivalent
+// inverse cipher (FIPS-197 §5.3.5).
 func (c *Cipher) Decrypt(src Block) Block {
-	var s state
-	copy(s[:], src[:])
-	s.addRoundKey(c.dec[0:4])
-	for r := 1; r < rounds; r++ {
-		s.invSubBytes()
-		s.invShiftRows()
-		s.invMixColumns()
-		s.addRoundKey(c.dec[4*r : 4*r+4])
+	k := &c.dec
+	s0, s1, s2, s3 := columns(src)
+	s0, s1, s2, s3 = s0^k[0], s1^k[1], s2^k[2], s3^k[3]
+	for r := 4; r < 4*rounds; r += 4 {
+		s0, s1, s2, s3 =
+			invMixColumnWord(subShift(&invSbox, s0, s3, s2, s1))^k[r],
+			invMixColumnWord(subShift(&invSbox, s1, s0, s3, s2))^k[r+1],
+			invMixColumnWord(subShift(&invSbox, s2, s1, s0, s3))^k[r+2],
+			invMixColumnWord(subShift(&invSbox, s3, s2, s1, s0))^k[r+3]
 	}
-	s.invSubBytes()
-	s.invShiftRows()
-	s.addRoundKey(c.dec[4*rounds : 4*rounds+4])
-	var dst Block
-	copy(dst[:], s[:])
-	return dst
+	return fromColumns(
+		subShift(&invSbox, s0, s3, s2, s1)^k[4*rounds],
+		subShift(&invSbox, s1, s0, s3, s2)^k[4*rounds+1],
+		subShift(&invSbox, s2, s1, s0, s3)^k[4*rounds+2],
+		subShift(&invSbox, s3, s2, s1, s0)^k[4*rounds+3])
+}
+
+// columns loads a block as four column words.
+//
+//senss-lint:hotpath
+func columns(b Block) (s0, s1, s2, s3 uint32) {
+	be := binary.BigEndian
+	return be.Uint32(b[0:4]), be.Uint32(b[4:8]), be.Uint32(b[8:12]), be.Uint32(b[12:16])
+}
+
+// fromColumns stores four column words back into a block.
+//
+//senss-lint:hotpath
+func fromColumns(s0, s1, s2, s3 uint32) Block {
+	var b Block
+	be := binary.BigEndian
+	be.PutUint32(b[0:4], s0)
+	be.PutUint32(b[4:8], s1)
+	be.PutUint32(b[8:12], s2)
+	be.PutUint32(b[12:16], s3)
+	return b
 }
 
 // Zeroize overwrites the expanded key schedule. The round keys are the

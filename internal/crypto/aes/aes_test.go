@@ -2,6 +2,7 @@ package aes
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
@@ -260,36 +261,243 @@ func invMixColumnGmul(c [4]byte) [4]byte {
 	}
 }
 
-// TestMixColumnMatchesGmul checks the xtime forms of mixColumn and
-// invMixColumn against the gmul definitions. Both sides are GF(2)-linear
-// maps on 32-bit columns, so agreeing on all 32 single-bit columns proves
-// them equal; a random sample guards the test itself.
-func TestMixColumnMatchesGmul(t *testing.T) {
+// The byte-wise FIPS-197 rounds below are the oracle for the word-sliced
+// core: a 16-byte column-major state, one method per round step, and the
+// xtime forms of MixColumns and InvMixColumns on [4]byte columns.
+
+// xtime multiplies by x (i.e., {02}) in GF(2^8) with the AES polynomial.
+func xtime(b byte) byte {
+	return b<<1 ^ 0x1b&-(b>>7)
+}
+
+// mixColumn is the FIPS-197 §4.2.1 form: with t = a0⊕a1⊕a2⊕a3, each
+// output byte is b_i = a_i ⊕ t ⊕ xtime(a_i ⊕ a_{i+1}).
+func mixColumn(col [4]byte) [4]byte {
+	a0, a1, a2, a3 := col[0], col[1], col[2], col[3]
+	t := a0 ^ a1 ^ a2 ^ a3
+	return [4]byte{
+		a0 ^ t ^ xtime(a0^a1),
+		a1 ^ t ^ xtime(a1^a2),
+		a2 ^ t ^ xtime(a2^a3),
+		a3 ^ t ^ xtime(a3^a0),
+	}
+}
+
+// invMixColumn applies the {05 00 04 00} pre-step, then mixColumn.
+func invMixColumn(col [4]byte) [4]byte {
+	u := xtime(xtime(col[0] ^ col[2]))
+	v := xtime(xtime(col[1] ^ col[3]))
+	return mixColumn([4]byte{col[0] ^ u, col[1] ^ v, col[2] ^ u, col[3] ^ v})
+}
+
+// state is the AES state as a 4x4 column-major byte matrix, kept as 16
+// bytes in column order (as FIPS-197 loads it).
+type state [16]byte
+
+func (s *state) addRoundKey(rk []uint32) {
+	for c := 0; c < 4; c++ {
+		w := rk[c]
+		s[4*c+0] ^= byte(w >> 24)
+		s[4*c+1] ^= byte(w >> 16)
+		s[4*c+2] ^= byte(w >> 8)
+		s[4*c+3] ^= byte(w)
+	}
+}
+
+func (s *state) subBytes() {
+	for i := range s {
+		s[i] = sbox[s[i]]
+	}
+}
+
+func (s *state) invSubBytes() {
+	for i := range s {
+		s[i] = invSbox[s[i]]
+	}
+}
+
+// shiftRows rotates row r left by r. Row r lives at indices r, r+4, r+8, r+12.
+func (s *state) shiftRows() {
+	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
+	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
+	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
+}
+
+func (s *state) invShiftRows() {
+	s[1], s[5], s[9], s[13] = s[13], s[1], s[5], s[9]
+	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
+	s[3], s[7], s[11], s[15] = s[7], s[11], s[15], s[3]
+}
+
+func (s *state) mixColumns() {
+	for c := 0; c < 4; c++ {
+		col := mixColumn([4]byte{s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]})
+		copy(s[4*c:4*c+4], col[:])
+	}
+}
+
+func (s *state) invMixColumns() {
+	for c := 0; c < 4; c++ {
+		col := invMixColumn([4]byte{s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]})
+		copy(s[4*c:4*c+4], col[:])
+	}
+}
+
+// encryptOracle is the FIPS-197 §5.1 Cipher over the byte state.
+func encryptOracle(c *Cipher, src Block) Block {
+	s := state(src)
+	s.addRoundKey(c.enc[0:4])
+	for r := 1; r < rounds; r++ {
+		s.subBytes()
+		s.shiftRows()
+		s.mixColumns()
+		s.addRoundKey(c.enc[4*r : 4*r+4])
+	}
+	s.subBytes()
+	s.shiftRows()
+	s.addRoundKey(c.enc[4*rounds : 4*rounds+4])
+	return Block(s)
+}
+
+// decryptOracle is the FIPS-197 §5.3 InvCipher over the byte state. It
+// walks the encryption schedule backwards, so it shares nothing with the
+// equivalent inverse cipher's dec schedule that Decrypt uses.
+func decryptOracle(c *Cipher, src Block) Block {
+	s := state(src)
+	s.addRoundKey(c.enc[4*rounds : 4*rounds+4])
+	for r := rounds - 1; r > 0; r-- {
+		s.invShiftRows()
+		s.invSubBytes()
+		s.addRoundKey(c.enc[4*r : 4*r+4])
+		s.invMixColumns()
+	}
+	s.invShiftRows()
+	s.invSubBytes()
+	s.addRoundKey(c.enc[0:4])
+	return Block(s)
+}
+
+// decScheduleOracle derives the equivalent inverse cipher's schedule
+// (FIPS-197 §5.3.5) from enc with the byte-wise invMixColumn.
+func decScheduleOracle(c *Cipher) [4 * (rounds + 1)]uint32 {
+	var dec [4 * (rounds + 1)]uint32
+	n := len(c.enc)
+	for i := 0; i < n; i += 4 {
+		for j := 0; j < 4; j++ {
+			w := c.enc[n-4-i+j]
+			if i > 0 && i < n-4 {
+				col := invMixColumn([4]byte(binary.BigEndian.AppendUint32(nil, w)))
+				w = binary.BigEndian.Uint32(col[:])
+			}
+			dec[i+j] = w
+		}
+	}
+	return dec
+}
+
+// TestWordCoreMatchesByteOracle checks the word-sliced Encrypt, Decrypt
+// and dec schedule against the byte-wise FIPS-197 rounds over random keys
+// and blocks.
+func TestWordCoreMatchesByteOracle(t *testing.T) {
+	r := rng.New(6)
+	f := func() bool {
+		c := NewFromBlock(Block(r.Block16()))
+		pt := Block(r.Block16())
+		return c.Encrypt(pt) == encryptOracle(c, pt) &&
+			c.Decrypt(pt) == decryptOracle(c, pt) &&
+			c.dec == decScheduleOracle(c)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// word packs a column big-endian, row 0 in the top byte, as the core does.
+func word(col [4]byte) uint32 { return binary.BigEndian.Uint32(col[:]) }
+
+// checkColumnMap checks a word-form column map against its gmul matrix
+// product, and the byte-wise oracle against the same product. Both sides
+// are GF(2)-linear maps on 32-bit columns, so agreeing on all 32
+// single-bit columns proves them equal; a random sample guards the test
+// itself.
+func checkColumnMap(t *testing.T, name string, wordMap func(uint32) uint32, byteMap, gmulMap func([4]byte) [4]byte) {
+	t.Helper()
 	for bit := 0; bit < 32; bit++ {
 		var col [4]byte
 		col[bit/8] = 1 << (bit % 8)
-		if got, want := mixColumn(col), mixColumnGmul(col); got != want {
-			t.Errorf("mixColumn(%x) = %x, want %x", col, got, want)
+		want := gmulMap(col)
+		if got := wordMap(word(col)); got != word(want) {
+			t.Errorf("%sWord(%x) = %08x, want %x", name, col, got, want)
 		}
-		if got, want := invMixColumn(col), invMixColumnGmul(col); got != want {
-			t.Errorf("invMixColumn(%x) = %x, want %x", col, got, want)
+		if got := byteMap(col); got != want {
+			t.Errorf("%s(%x) = %x, want %x", name, col, got, want)
 		}
 	}
 	f := func(col [4]byte) bool {
-		return mixColumn(col) == mixColumnGmul(col) &&
-			invMixColumn(col) == invMixColumnGmul(col) &&
-			invMixColumn(mixColumn(col)) == col
+		want := gmulMap(col)
+		return wordMap(word(col)) == word(want) && byteMap(col) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestXtimeMatchesGmul checks the branch-free xtime on every byte.
+func TestMixColumnWordMatchesGmul(t *testing.T) {
+	checkColumnMap(t, "mixColumn", mixColumnWord, mixColumn, mixColumnGmul)
+}
+
+func TestInvMixColumnWordMatchesGmul(t *testing.T) {
+	checkColumnMap(t, "invMixColumn", invMixColumnWord, invMixColumn, invMixColumnGmul)
+	f := func(w uint32) bool { return invMixColumnWord(mixColumnWord(w)) == w }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestXtimeMatchesGmul checks the byte oracle's xtime on every byte, and
+// the word core's xtime4 on every byte in every lane.
 func TestXtimeMatchesGmul(t *testing.T) {
 	for b := 0; b < 256; b++ {
-		if got, want := xtime(byte(b)), gmul(byte(b), 2); got != want {
+		want := gmul(byte(b), 2)
+		if got := xtime(byte(b)); got != want {
 			t.Errorf("xtime(%#02x) = %#02x, want %#02x", b, got, want)
+		}
+		for lane := 0; lane < 32; lane += 8 {
+			if got := xtime4(uint32(b) << lane); got != uint32(want)<<lane {
+				t.Errorf("xtime4(%#08x) = %#08x, want %#08x", uint32(b)<<lane, got, uint32(want)<<lane)
+			}
+		}
+	}
+}
+
+// TestXORMatchesByteLoop checks the word-wise Block.XOR against a byte loop.
+func TestXORMatchesByteLoop(t *testing.T) {
+	f := func(a, b Block) bool {
+		var want Block
+		for i := range a {
+			want[i] = a[i] ^ b[i]
+		}
+		return a.XOR(b) == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCoreZeroAlloc pins the cipher and the pad XOR at zero allocations:
+// they run on every bus message and memory pad, and a slice or an escape
+// introduced by a later refactor would show up here first.
+func TestCoreZeroAlloc(t *testing.T) {
+	r := rng.New(7)
+	c := NewFromBlock(Block(r.Block16()))
+	b, o := Block(r.Block16()), Block(r.Block16())
+	for name, fn := range map[string]func(){
+		"Encrypt": func() { b = c.Encrypt(b) },
+		"Decrypt": func() { b = c.Decrypt(b) },
+		"XOR":     func() { b = b.XOR(o) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s allocates %.1f per call, want 0", name, n)
 		}
 	}
 }

@@ -31,8 +31,8 @@ func newLoader(t *testing.T) *lint.Loader {
 }
 
 // module is the whole module, loaded once and shared by the tests that
-// analyze it (LoadModule type-checks every package and the standard
-// library from source, the bulk of this package's test time).
+// analyze it (LoadModule type-checks every package of the module, the
+// bulk of this package's test time).
 var module struct {
 	once sync.Once
 	pkgs []*lint.Package
@@ -59,8 +59,8 @@ func loadModule(t *testing.T) []*lint.Package {
 }
 
 // fixtures is the loader TestAnalyzerFixtures and TestFindingsGolden
-// share: both load the same fixture packages, and one loader
-// type-checks the standard library they import only once.
+// share: both load the same fixture packages, and one loader locates
+// and imports the standard library they import only once.
 var fixtures struct {
 	once   sync.Once
 	loader *lint.Loader

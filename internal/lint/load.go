@@ -1,15 +1,21 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -29,16 +35,21 @@ type Package struct {
 
 // Loader parses and type-checks every package of a module without any
 // go/packages dependency: module-local imports are resolved recursively by
-// directory, standard-library imports through the go/types source importer
-// (which reads GOROOT/src, so it works offline).
+// directory, standard-library imports from the compiler's export data.
+// `go list -export -deps` locates (and, on a cold build cache, compiles)
+// that export data once per module load, and once more for each fixture
+// directory that imports a package the loader has not seen; it needs no
+// network, since the standard library is part of the toolchain.
 type Loader struct {
 	Root       string // module root directory (contains go.mod)
 	ModulePath string
 	Fset       *token.FileSet
 
-	std  types.ImporterFrom
-	pkgs map[string]*Package // by import path
-	busy map[string]bool     // cycle guard
+	std     types.ImporterFrom
+	exports map[string]string      // export data file by import path
+	parsed  map[string][]*ast.File // by directory, parsed ahead of checking
+	pkgs    map[string]*Package    // by import path
+	busy    map[string]bool        // cycle guard
 }
 
 // NewLoader prepares a loader for the module rooted at dir (the directory
@@ -59,19 +70,81 @@ func NewLoader(root string) (*Loader, error) {
 	if modPath == "" {
 		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer does not support ImportFrom")
-	}
-	return &Loader{
+	l := &Loader{
 		Root:       root,
 		ModulePath: modPath,
-		Fset:       fset,
-		std:        std,
+		Fset:       token.NewFileSet(),
+		exports:    make(map[string]string),
+		parsed:     make(map[string][]*ast.File),
 		pkgs:       make(map[string]*Package),
 		busy:       make(map[string]bool),
-	}, nil
+	}
+	std, ok := importer.ForCompiler(l.Fset, "gc", l.openExport).(types.ImporterFrom)
+	if !ok {
+		return nil, fmt.Errorf("lint: gc importer does not support ImportFrom")
+	}
+	l.std = std
+	return l, nil
+}
+
+// openExport is the gc importer's lookup: it opens the export data that
+// fetchExports recorded for path.
+func (l *Loader) openExport(path string) (io.ReadCloser, error) {
+	file := l.exports[path]
+	if file == "" {
+		return nil, fmt.Errorf("lint: no export data for %s", path)
+	}
+	return os.Open(file)
+}
+
+// isLocal reports whether path names a package of the module.
+func (l *Loader) isLocal(path string) bool {
+	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
+}
+
+// fetchExports records the export data of every non-module import of
+// files, and of their dependencies, with one `go list` run for the
+// imports not recorded yet. A package go list cannot build gets no entry,
+// and importing it becomes a type error like any other.
+func (l *Loader) fetchExports(files []*ast.File) error {
+	var need []string
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || path == "unsafe" || path == "C" || l.isLocal(path) {
+				continue
+			}
+			if _, ok := l.exports[path]; !ok {
+				l.exports[path] = "" // queued; filled in below
+				need = append(need, path)
+			}
+		}
+	}
+	if len(need) == 0 {
+		return nil
+	}
+	sort.Strings(need)
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export"}, need...)...)
+	cmd.Dir = l.Root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("lint: go list -export: %w\n%s", err, stderr.Bytes())
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p struct{ ImportPath, Export string }
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return fmt.Errorf("lint: decoding go list output: %w", err)
+		}
+		if p.Export != "" {
+			l.exports[p.ImportPath] = p.Export
+		}
+	}
+	return nil
 }
 
 // LoadModule discovers and loads every package under the module root,
@@ -99,6 +172,20 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
+	// Parse everything first so one go list run covers the module's
+	// standard-library imports.
+	var all []*ast.File
+	for _, dir := range dirs {
+		files, err := l.parseDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		l.parsed[dir] = files
+		all = append(all, files...)
+	}
+	if err := l.fetchExports(all); err != nil {
+		return nil, err
+	}
 	var out []*Package
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(l.Root, dir)
@@ -156,8 +243,8 @@ func (l *Loader) load(importPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// loadDir parses and type-checks a single directory as one package.
-func (l *Loader) loadDir(dir, importPath, relPath string) (*Package, error) {
+// parseDir parses the non-test Go files of a single directory.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -176,6 +263,23 @@ func (l *Loader) loadDir(dir, importPath, relPath string) (*Package, error) {
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
+	}
+	return files, nil
+}
+
+// loadDir type-checks a single directory as one package, parsing it
+// unless LoadModule already has.
+func (l *Loader) loadDir(dir, importPath, relPath string) (*Package, error) {
+	files, ok := l.parsed[dir]
+	if !ok {
+		var err error
+		if files, err = l.parseDir(dir); err != nil {
+			return nil, err
+		}
+	}
+	delete(l.parsed, dir)
+	if err := l.fetchExports(files); err != nil {
+		return nil, err
 	}
 	pkg := &Package{
 		ImportPath: importPath,
@@ -215,7 +319,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 }
 
 // moduleImporter resolves module-local imports through the loader and
-// everything else through the stdlib source importer.
+// everything else through the export-data importer.
 type moduleImporter struct{ l *Loader }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -226,7 +330,7 @@ func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*t
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == m.l.ModulePath || strings.HasPrefix(path, m.l.ModulePath+"/") {
+	if m.l.isLocal(path) {
 		pkg, err := m.l.load(path)
 		if err != nil {
 			return nil, err
