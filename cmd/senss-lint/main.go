@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	senss-lint [-json] [-analyzer name[,name...]] [-skip prefix[,prefix...]] [-list] [patterns]
+//	senss-lint [-json] [-analyzer name[,name...]] [-list] [patterns]
 //
 // Patterns are module-relative package paths; "./..." (the default) means
 // every package, "./internal/bus" one package, "./internal/..." a subtree.
@@ -15,14 +15,10 @@
 // naming an unknown analyzer is a usage error. Exit status: 0 clean, 1
 // findings, 2 usage or load failure.
 //
-// With -json the driver emits a stable envelope,
+// With -json the driver emits a stable envelope whose finding paths are
+// module-relative:
 //
-//	{"schema": "senss-lint/1", "content_hash": "sha256:...",
-//	 "analyzers": [...], "findings": [...]}
-//
-// whose content_hash digests the analyzer set and every source file, so a
-// caching layer (internal/farm) can treat lint runs as content-addressed
-// artifacts: same hash, same findings.
+//	{"schema": "senss-lint/2", "analyzers": [...], "findings": [...]}
 //
 // Deliberate exceptions are waived in source with
 //
@@ -44,16 +40,14 @@ import (
 
 // envelope is the -json output schema.
 type envelope struct {
-	Schema      string            `json:"schema"`
-	ContentHash string            `json:"content_hash"`
-	Analyzers   []string          `json:"analyzers"`
-	Findings    []lint.Diagnostic `json:"findings"`
+	Schema    string            `json:"schema"`
+	Analyzers []string          `json:"analyzers"`
+	Findings  []lint.Diagnostic `json:"findings"`
 }
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit a JSON envelope with findings and a content hash")
+	jsonOut := flag.Bool("json", false, "emit a JSON envelope with the analyzer set and findings")
 	analyzer := flag.String("analyzer", "", "comma-separated analyzer names to run (default: all)")
-	skip := flag.String("skip", "", "comma-separated module-relative path prefixes to skip")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Parse()
 
@@ -110,7 +104,7 @@ func main() {
 	}
 	var selected []*lint.Package
 	for _, pkg := range pkgs {
-		if matchesAny(pkg.RelPath, patterns) && !skipped(pkg.RelPath, *skip) {
+		if matchesAny(pkg.RelPath, patterns) {
 			selected = append(selected, pkg)
 		}
 	}
@@ -131,18 +125,13 @@ func main() {
 		for _, a := range analyzers {
 			names = append(names, a.Name)
 		}
-		hash, err := lint.ContentHash(names, selected)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "senss-lint:", err)
-			os.Exit(2)
-		}
 		for i := range diags {
 			diags[i].Pos.Filename = relToRoot(root, diags[i].Pos.Filename)
 		}
 		if diags == nil {
 			diags = []lint.Diagnostic{}
 		}
-		env := envelope{Schema: "senss-lint/1", ContentHash: hash, Analyzers: names, Findings: diags}
+		env := envelope{Schema: "senss-lint/2", Analyzers: names, Findings: diags}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(env); err != nil {
@@ -193,20 +182,6 @@ func matchesAny(relPath string, patterns []string) bool {
 			continue
 		}
 		if relPath == p {
-			return true
-		}
-	}
-	return false
-}
-
-// skipped applies the -skip prefix list.
-func skipped(relPath, skip string) bool {
-	if skip == "" {
-		return false
-	}
-	for _, p := range strings.Split(skip, ",") {
-		p = strings.TrimSpace(strings.TrimPrefix(p, "./"))
-		if p != "" && (relPath == p || strings.HasPrefix(relPath, p+"/")) {
 			return true
 		}
 	}

@@ -52,7 +52,6 @@ usage: senss-serve serve [flags]
 
 serve flags:
   -addr       listen address (default 127.0.0.1:8080)
-  -shards     session-table stripe count (default 16)
   -workers    concurrent simulation slices (default 8)
   -backlog    admission waiting room beyond workers (default 32)
   -step       default step slice in cycles (default 200000)
@@ -67,7 +66,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("senss-serve serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	var opts serve.Options
-	fs.IntVar(&opts.Shards, "shards", 0, "session-table stripe count")
 	fs.IntVar(&opts.Workers, "workers", 0, "concurrent simulation slices")
 	fs.IntVar(&opts.Backlog, "backlog", 0, "admission waiting room")
 	fs.Uint64Var(&opts.StepCycles, "step", 0, "default step slice in cycles")

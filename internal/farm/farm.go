@@ -84,9 +84,6 @@ func (f *Farm) SetRunner(fn RunFunc) { f.run = fn }
 // Cache exposes the underlying result cache (status and gc tooling).
 func (f *Farm) Cache() *Cache { return f.cache }
 
-// Workers returns the pool bound.
-func (f *Farm) Workers() int { return f.workers }
-
 // Result is the outcome of one job.
 type Result struct {
 	Job      Job

@@ -234,7 +234,9 @@ func TestFindingsGolden(t *testing.T) {
 	}
 }
 
-// TestRegistryNamesUnique guards the ignore-directive namespace.
+// TestRegistryNamesUnique guards the ignore-directive namespace, and
+// checks that every analyzer with a fixture is registered, so the
+// driver and TestModuleClean run what the fixtures test.
 func TestRegistryNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range lint.Registry() {
@@ -245,6 +247,11 @@ func TestRegistryNamesUnique(t *testing.T) {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
+	}
+	for _, tc := range fixtureCases() {
+		if !seen[tc.analyzer.Name] {
+			t.Errorf("analyzer %q (fixture %s) is not in Registry()", tc.analyzer.Name, tc.dir)
+		}
 	}
 }
 
@@ -486,120 +493,6 @@ func TestNoVariableTimeCompareHelpers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestContentHash pins the -json envelope's caching contract: the hash is
-// stable across runs over identical inputs, sensitive to the analyzer
-// set, and insensitive to analyzer-name order.
-func TestContentHash(t *testing.T) {
-	loader := fixtureLoader(t)
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "taint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs := []*lint.Package{pkg}
-	h1, err := lint.ContentHash([]string{"taintflow", "secrets"}, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := lint.ContentHash([]string{"secrets", "taintflow"}, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Errorf("hash depends on analyzer order: %s vs %s", h1, h2)
-	}
-	if !strings.HasPrefix(h1, "sha256:") || len(h1) != len("sha256:")+64 {
-		t.Errorf("malformed hash %q", h1)
-	}
-	h3, err := lint.ContentHash([]string{"taintflow"}, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3 == h1 {
-		t.Error("hash ignores the analyzer set")
-	}
-
-	// The senss-farm lint cache keys on the registry names, so every
-	// analyzer added since (hotpath in PR 6, lockguard in this PR) must
-	// invalidate old cache entries: the registry must carry the name, and
-	// a hash over the full registry must differ from one missing it —
-	// that difference is exactly what retires stale 7-analyzer verdicts.
-	var names []string
-	for _, a := range lint.Registry() {
-		names = append(names, a.Name)
-	}
-	for _, added := range []string{"hotpath", "lockguard"} {
-		present := false
-		for _, n := range names {
-			if n == added {
-				present = true
-			}
-		}
-		if !present {
-			t.Fatalf("registry does not include %s; farm lint caching would miss it", added)
-		}
-		hFull, err := lint.ContentHash(names, pkgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var without []string
-		for _, n := range names {
-			if n != added {
-				without = append(without, n)
-			}
-		}
-		hWithout, err := lint.ContentHash(without, pkgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hFull == hWithout {
-			t.Errorf("hash insensitive to the %s analyzer; stale farm cache entries would be reused", added)
-		}
-	}
-}
-
-// TestContentHashRelocatable pins the cache-sharing half of the contract:
-// the hash digests module-relative paths, so the same tree checked out at
-// two different absolute locations produces the same hash.
-func TestContentHashRelocatable(t *testing.T) {
-	loader := fixtureLoader(t)
-	src, err := filepath.Abs(filepath.Join("testdata", "taint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hashes []string
-	for _, parent := range []string{"checkout-a", "checkout-b/nested"} {
-		dir := filepath.Join(t.TempDir(), parent, "taint")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		entries, err := os.ReadDir(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(src, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := lint.ContentHash([]string{"taintflow"}, []*lint.Package{pkg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hashes = append(hashes, h)
-	}
-	if hashes[0] != hashes[1] {
-		t.Errorf("hash depends on the checkout path: %s vs %s", hashes[0], hashes[1])
 	}
 }
 

@@ -557,7 +557,7 @@ func (s *fstate) eval(e ast.Expr) tval {
 		s.stmts(t.Body.List)
 		return tval{}
 	case *ast.CallExpr:
-		return s.call(t)
+		return s.call(t, 1)[0]
 	case *ast.KeyValueExpr:
 		return s.eval(t.Value)
 	}
@@ -575,20 +575,24 @@ func (s *fstate) secretField(obj types.Object) (tval, bool) {
 }
 
 // call models one call expression: declassifiers, origins, sinks,
-// summaries, interface resolution, and the builtin special cases.
-func (s *fstate) call(call *ast.CallExpr) tval {
+// summaries, interface resolution, and the builtin special cases. It
+// evaluates the call once and returns the taint of each of its first n
+// results (n is 1 in expression position).
+func (s *fstate) call(call *ast.CallExpr, n int) []tval {
+	out := make([]tval, n)
 	info := s.info()
 	// Conversions: T(x) keeps x's taint.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
-			return s.eval(call.Args[0])
+			out[0] = s.eval(call.Args[0])
 		}
-		return tval{}
+		return out
 	}
 	// Builtins.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			return s.builtin(call, b.Name())
+			out[0] = s.builtin(call, b.Name())
+			return out
 		}
 	}
 
@@ -601,23 +605,23 @@ func (s *fstate) call(call *ast.CallExpr) tval {
 	}
 	args = append(args, call.Args...)
 	avals := make([]tval, len(args))
+	var join tval
 	for i, a := range args {
 		avals[i] = s.eval(a)
+		join = join.or(avals[i])
 	}
 
 	if callee == nil {
 		// Indirect call through a func value: no summary; conservatively
-		// join the arguments into the result.
-		var v tval
-		for _, av := range avals {
-			v = v.or(av)
+		// join the arguments into every result.
+		for i := range out {
+			out[i] = join
 		}
-		return v
+		return out
 	}
 
-	full := callee.FullName()
 	if s.w.isDeclassifier(callee) {
-		return tval{}
+		return out
 	}
 	if w, sunk := taintSinkOf(callee); sunk {
 		for i, a := range args {
@@ -634,13 +638,12 @@ func (s *fstate) call(call *ast.CallExpr) tval {
 				break
 			}
 		}
-		return tval{}
+		return out
 	}
 
 	// The static callee, or every module implementation of an interface
 	// method.
 	targets := s.w.targets(callee)
-	var out tval
 	for _, target := range targets {
 		tf := s.w.funcs[target]
 		np := taintArity(tf)
@@ -673,22 +676,22 @@ func (s *fstate) call(call *ast.CallExpr) tval {
 				s.merge(s.rootObj(args[i]), o)
 			}
 		}
-		// Results (expression position uses index 0; multi-assign is
-		// handled by the caller through callResults).
-		out = out.or(s.callResult(sum, avals, tf, 0))
+		for i := range out {
+			out[i] = out[i].or(s.callResult(sum, avals, tf, i))
+		}
 	}
-	if orig, ok := taintOrigins[full]; ok {
+	if orig, ok := taintOrigins[callee.FullName()]; ok {
 		for _, r := range orig.results {
-			if r == 0 {
-				out.c = true
+			if r < n {
+				out[r].c = true
 			}
 		}
 		return out
 	}
 	if len(targets) == 0 {
 		// Unsummarized (standard library) call: taint in, taint out.
-		for _, av := range avals {
-			out = out.or(av)
+		for i := range out {
+			out[i] = out[i].or(join)
 		}
 	}
 	return out
@@ -706,59 +709,6 @@ func (s *fstate) callResult(sum *taintSummary, avals []tval, tf *Func, idx int) 
 		}
 	}
 	return v
-}
-
-// callResults computes the taint of every result of a multi-value call.
-func (s *fstate) callResults(call *ast.CallExpr, n int) []tval {
-	out := make([]tval, n)
-	base := s.eval(call) // side effects + result 0 under the single-value path
-	if n > 0 {
-		out[0] = base
-	}
-	callee := staticCallee(s.info(), call)
-	if callee == nil {
-		for i := range out {
-			out[i] = base
-		}
-		return out
-	}
-	full := callee.FullName()
-	if s.w.isDeclassifier(callee) {
-		return out
-	}
-	var args []ast.Expr
-	if recv := s.recvExpr(call); recv != nil {
-		args = append(args, recv)
-	}
-	args = append(args, call.Args...)
-	avals := make([]tval, len(args))
-	for i, a := range args {
-		avals[i] = s.eval(a)
-	}
-	targets := s.w.targets(callee)
-	for _, target := range targets {
-		tf := s.w.funcs[target]
-		sum := s.w.summaryFor(tf)
-		for i := 0; i < n; i++ {
-			out[i] = out[i].or(s.callResult(sum, avals, tf, i))
-		}
-	}
-	if orig, ok := taintOrigins[full]; ok {
-		for _, r := range orig.results {
-			if r < n {
-				out[r].c = true
-			}
-		}
-	} else if len(targets) == 0 {
-		var join tval
-		for _, av := range avals {
-			join = join.or(av)
-		}
-		for i := range out {
-			out[i] = out[i].or(join)
-		}
-	}
-	return out
 }
 
 // builtin models the handful of builtins that move or create data.
@@ -956,7 +906,7 @@ func (s *fstate) stmt(st ast.Stmt) {
 				}
 				if len(vs.Values) == 1 && len(vs.Names) > 1 {
 					if call, ok := vs.Values[0].(*ast.CallExpr); ok {
-						vals := s.callResults(call, len(vs.Names))
+						vals := s.call(call, len(vs.Names))
 						for i, name := range vs.Names {
 							s.merge(s.info().Defs[name], vals[i])
 						}
@@ -1058,7 +1008,7 @@ func (s *fstate) assign(t *ast.AssignStmt) {
 		var vals []tval
 		switch r := ast.Unparen(t.Rhs[0]).(type) {
 		case *ast.CallExpr:
-			vals = s.callResults(r, len(t.Lhs))
+			vals = s.call(r, len(t.Lhs))
 		default:
 			v := s.eval(t.Rhs[0])
 			vals = make([]tval, len(t.Lhs))
@@ -1145,7 +1095,7 @@ func (s *fstate) recordReturn(ret *ast.ReturnStmt) {
 		}
 	case len(ret.Results) == 1 && sig.Results().Len() > 1:
 		if call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr); ok {
-			vals = s.callResults(call, sig.Results().Len())
+			vals = s.call(call, sig.Results().Len())
 		} else {
 			vals = make([]tval, sig.Results().Len())
 		}

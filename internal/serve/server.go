@@ -49,8 +49,6 @@ const (
 
 // Options configures a Server. The zero value selects the defaults.
 type Options struct {
-	// Shards is the session-table stripe count (0 = DefaultShards).
-	Shards int
 	// Workers bounds concurrent simulation slices (0 = DefaultWorkers).
 	Workers int
 	// Backlog is the admission waiting room (< 0 = none, 0 = DefaultBacklog).
@@ -110,7 +108,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:  opts,
-		table: NewTable(opts.Shards),
+		table: NewTable(),
 		quota: NewAccountant(opts.GroupCapacity, opts.TenantQuota),
 		pool:  NewPool(opts.Workers, opts.Backlog),
 		mux:   http.NewServeMux(),

@@ -7,18 +7,18 @@ import (
 	"sync/atomic"
 )
 
-// DefaultShards is the session-table shard count when Options leaves it
-// zero: enough to keep create/step/evict contention off any single lock
-// with hundreds of concurrent handlers, small enough to stay cheap.
+// DefaultShards is the session-table shard count: enough to keep
+// create/step/evict contention off any single lock with hundreds of
+// concurrent handlers, small enough to stay cheap.
 const DefaultShards = 16
 
 // Table is the lock-striped session registry — the gocryptfs
 // openfiletable/inomap pattern applied to simulation sessions. IDs hash
-// onto N independently locked shards, so concurrent handlers touching
+// onto DefaultShards independently locked shards, so concurrent handlers touching
 // different sessions never serialize on a global lock; per-session
 // mutual exclusion lives in the Hosted itself.
 type Table struct {
-	shards []tableShard
+	shards [DefaultShards]tableShard
 	nextID atomic.Uint64
 	count  atomic.Int64
 }
@@ -29,19 +29,11 @@ type tableShard struct {
 	m map[string]*Hosted
 }
 
-// NewTable builds a table with n shards (<= 0 selects DefaultShards,
-// values are rounded up to a power of two so shard selection is a mask).
+// NewTable builds an empty table of DefaultShards shards.
 //
 //senss-lint:ignore lockguard construction: the table has not escaped NewTable yet, so no other goroutine can observe the shard maps being seeded
-func NewTable(n int) *Table {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	t := &Table{shards: make([]tableShard, size)}
+func NewTable() *Table {
+	t := &Table{}
 	for i := range t.shards {
 		t.shards[i].m = make(map[string]*Hosted)
 	}
@@ -57,7 +49,7 @@ func (t *Table) NewID() string {
 func (t *Table) shardFor(id string) *tableShard {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(id)) // fnv's Write cannot fail
-	return &t.shards[h.Sum32()&uint32(len(t.shards)-1)]
+	return &t.shards[h.Sum32()%DefaultShards]
 }
 
 // Put registers a session under its ID.

@@ -6,18 +6,8 @@ import (
 	"testing"
 )
 
-func TestTableShardCountRoundsUp(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, DefaultShards}, {1, 1}, {3, 4}, {16, 16}, {17, 32},
-	} {
-		if got := len(NewTable(tc.in).shards); got != tc.want {
-			t.Errorf("NewTable(%d): %d shards, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestTableNewIDUnique(t *testing.T) {
-	tab := NewTable(4)
+	tab := NewTable()
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
 		id := tab.NewID()
@@ -29,7 +19,7 @@ func TestTableNewIDUnique(t *testing.T) {
 }
 
 func TestTablePutGetDelete(t *testing.T) {
-	tab := NewTable(4)
+	tab := NewTable()
 	h := &Hosted{ID: tab.NewID()}
 	tab.Put(h)
 	if tab.Len() != 1 {
@@ -56,7 +46,7 @@ func TestTablePutGetDelete(t *testing.T) {
 
 // TestTableConcurrent exercises the stripes under the race detector.
 func TestTableConcurrent(t *testing.T) {
-	tab := NewTable(8)
+	tab := NewTable()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
