@@ -9,6 +9,12 @@
 // cache-state change commits atomically at the coherence point (an L2 hit
 // before any sleep, or the bus grant via Transaction.OnData for misses), so
 // in-flight requests can never install stale lines.
+//
+// Load, Store and RMW end with their trailing latency owed rather than
+// slept (sim.Proc.Owe): the value is already bound, so the caller's next
+// sleep — normally the CPU's compute gap — takes the charge in the same
+// coroutine switch. Load, Store, RMW and IFetch take any owed sleep on
+// entry, so back-to-back calls keep their plain-sleep timing.
 package coherence
 
 import (
@@ -268,6 +274,7 @@ func (n *Node) invalidateL1(la uint64) {
 //
 //senss-lint:hotpath
 func (n *Node) Load(p *sim.Proc, addr uint64) uint64 {
+	p.Settle()
 	n.Stats.Loads++
 	if n.L1D.Lookup(addr) != nil {
 		l2 := n.L2.Peek(addr)
@@ -275,19 +282,19 @@ func (n *Node) Load(p *sim.Proc, addr uint64) uint64 {
 			panic(fmt.Sprintf("coherence: inclusion violated at %#x on node %d", addr, n.ID))
 		}
 		v := n.wordOf(l2, addr) // bind the value at the coherence point
-		p.Sleep(n.Params.L1HitLat)
+		p.Owe(n.Params.L1HitLat)
 		return v
 	}
 	if l2 := n.L2.Lookup(addr); l2 != nil {
 		v := n.wordOf(l2, addr)
 		n.L1D.InsertVictim(addr, cache.Shared, &n.l1Victim)
-		p.Sleep(n.Params.L1HitLat + n.Params.L2HitLat)
+		p.Owe(n.Params.L1HitLat + n.Params.L2HitLat)
 		return v
 	}
 	fs := n.fillState()
 	fs.op, fs.addr = opLoad, addr
 	n.fill(p, addr, bus.Rd, fs)
-	p.Sleep(n.Params.L1HitLat + n.Params.L2HitLat) // probes preceding the miss
+	p.Owe(n.Params.L1HitLat + n.Params.L2HitLat) // probes preceding the miss
 	return fs.res
 }
 
@@ -296,6 +303,7 @@ func (n *Node) Load(p *sim.Proc, addr uint64) uint64 {
 //
 //senss-lint:hotpath
 func (n *Node) IFetch(p *sim.Proc, addr uint64) {
+	p.Settle()
 	n.Stats.IFetches++
 	if n.L1I.Lookup(addr) != nil {
 		return
@@ -315,6 +323,7 @@ func (n *Node) IFetch(p *sim.Proc, addr uint64) {
 //
 //senss-lint:hotpath
 func (n *Node) Store(p *sim.Proc, addr uint64, val uint64) {
+	p.Settle()
 	n.Stats.Stores++
 	l2, owned := n.storeLookup(addr)
 	if owned {
@@ -324,7 +333,7 @@ func (n *Node) Store(p *sim.Proc, addr uint64, val uint64) {
 		fs.op, fs.addr, fs.val = opStore, addr, val
 		n.acquireModified(p, addr, l2, fs)
 	}
-	p.Sleep(n.Params.StoreLat)
+	p.Owe(n.Params.StoreLat)
 }
 
 // RMW atomically applies f to the word at addr, returning the old value.
@@ -333,19 +342,20 @@ func (n *Node) Store(p *sim.Proc, addr uint64, val uint64) {
 //
 //senss-lint:hotpath
 func (n *Node) RMW(p *sim.Proc, addr uint64, f func(uint64) uint64) uint64 {
+	p.Settle()
 	n.Stats.RMWs++
 	l2, owned := n.storeLookup(addr)
 	if owned {
 		old := n.wordOf(l2, addr)
 		n.setWord(l2, addr, f(old))
-		p.Sleep(n.Params.StoreLat + n.Params.RMWLat)
+		p.Owe(n.Params.StoreLat + n.Params.RMWLat)
 		return old
 	}
 	fs := n.fillState()
 	fs.op, fs.addr, fs.mut = opRMW, addr, f
 	n.acquireModified(p, addr, l2, fs)
 	fs.mut = nil // drop the caller's closure for the GC
-	p.Sleep(n.Params.StoreLat + n.Params.RMWLat)
+	p.Owe(n.Params.StoreLat + n.Params.RMWLat)
 	return fs.res
 }
 

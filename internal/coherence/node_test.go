@@ -338,3 +338,34 @@ func TestUpgradeRaceRecovery(t *testing.T) {
 	s.run(t)
 	s.check(t)
 }
+
+// TestLoadTakesOwedStoreLatency calls Store and then Load on a node with
+// no CPU port in between. Another node's RdX snoops the line away one
+// cycle into the store's owed latency, so the load must take that latency
+// before probing: it misses and reads the other node's value, at the
+// cycle plain sleeps give.
+func TestLoadTakesOwedStoreLatency(t *testing.T) {
+	s := newSystem(t, 2, 1024)
+	const addr = 0x500
+	var got, missesBefore, missesAfter, doneAt uint64
+	s.engine.Spawn("a", func(p *sim.Proc) {
+		n := s.nodes[0]
+		n.Load(p, addr) // line arrives Exclusive, so the store is a hit
+		s.engine.Schedule(p.Now()+1, func() {
+			s.engine.Spawn("b", func(p *sim.Proc) { s.nodes[1].Store(p, addr, 2) })
+		})
+		n.Store(p, addr, 1)
+		missesBefore = n.L2.Misses
+		got = n.Load(p, addr)
+		missesAfter = n.L2.Misses
+		doneAt = p.Now()
+	})
+	s.run(t)
+	s.check(t)
+	if got != 2 || missesAfter != missesBefore+1 {
+		t.Errorf("load read %d with %d L2 misses, want 2 with 1", got, missesAfter-missesBefore)
+	}
+	if doneAt != 345 {
+		t.Errorf("load completed at cycle %d, want 345", doneAt)
+	}
+}

@@ -42,19 +42,21 @@ type Port struct {
 	node   *coherence.Node
 	params Params
 
-	pc   uint64 // byte position in the text region
-	Ops  uint64 // memory operations performed
-	Done bool   // set once the program returns
+	pc uint64 // byte position in the text region
 }
 
-// NewPort binds a proc to a node. Exposed for the machine package and
-// white-box tests.
-func NewPort(proc *sim.Proc, node *coherence.Node, params Params) *Port {
-	return &Port{proc: proc, node: node, params: params}
+// Spawn starts prog on a new proc of e bound to node. exit, when non-nil,
+// runs on that proc once prog returns, at the cycle its last operation
+// completes (any latency the node left owed is taken first).
+func Spawn(e *sim.Engine, name string, node *coherence.Node, params Params, prog Program, exit func()) {
+	e.Spawn(name, func(p *sim.Proc) {
+		prog(&Port{proc: p, node: node, params: params})
+		p.Settle()
+		if exit != nil {
+			exit()
+		}
+	})
 }
-
-// Proc exposes the underlying sim proc (for Think-style extensions).
-func (c *Port) Proc() *sim.Proc { return c.proc }
 
 // PID returns the processor ID.
 func (c *Port) PID() int { return c.node.ID }
@@ -63,13 +65,16 @@ func (c *Port) PID() int { return c.node.ID }
 func (c *Port) Now() uint64 { return c.proc.Now() }
 
 // step charges the per-op compute gap and the instruction-fetch model.
+// The gap sleep also takes the latency the previous operation left owed;
+// with no gap, that latency is settled on its own.
 func (c *Port) step() {
 	if c.params.Gate != nil {
 		c.params.Gate.check(c.proc)
 	}
-	c.Ops++
 	if c.params.OpGap > 0 {
 		c.proc.Sleep(c.params.OpGap)
+	} else {
+		c.proc.Settle()
 	}
 	if c.params.IFetchBytes > 0 && c.params.CodeBytes > 0 {
 		line := uint64(c.node.Params.L1Line)

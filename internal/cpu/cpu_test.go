@@ -23,29 +23,26 @@ func newRig() (*sim.Engine, *mem.Store, *coherence.Node) {
 	return e, store, n
 }
 
-// runProgram executes one program on the rig and returns total cycles.
-func runProgram(t *testing.T, params Params, prog Program) (uint64, *Port) {
+// runProgram executes one program on the rig and returns total cycles
+// and the node it ran on.
+func runProgram(t *testing.T, params Params, prog Program) (uint64, *coherence.Node) {
 	t.Helper()
 	e, _, n := newRig()
-	var port *Port
-	e.Spawn("cpu0", func(p *sim.Proc) {
-		port = NewPort(p, n, params)
-		prog(port)
-	})
+	Spawn(e, "cpu0", n, params, prog, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return e.Now(), port
+	return e.Now(), n
 }
 
 func TestOpsCounted(t *testing.T) {
-	_, port := runProgram(t, Params{}, func(c *Port) {
+	_, n := runProgram(t, Params{}, func(c *Port) {
 		c.Store(0x100, 1)
 		c.Load(0x100)
 		c.RMW(0x100, func(v uint64) uint64 { return v + 1 })
 	})
-	if port.Ops != 3 {
-		t.Errorf("Ops = %d, want 3", port.Ops)
+	if ops := n.Stats.Loads + n.Stats.Stores + n.Stats.RMWs; ops != 3 {
+		t.Errorf("ops = %d, want 3", ops)
 	}
 }
 
@@ -114,16 +111,11 @@ func TestOpGapCharged(t *testing.T) {
 }
 
 func TestIFetchModelTouchesICache(t *testing.T) {
-	e, _, n := newRig()
-	e.Spawn("cpu0", func(p *sim.Proc) {
-		c := NewPort(p, n, Params{CodeBase: 0x8000, CodeBytes: 256, IFetchBytes: 4})
+	_, n := runProgram(t, Params{CodeBase: 0x8000, CodeBytes: 256, IFetchBytes: 4}, func(c *Port) {
 		for i := 0; i < 200; i++ { // cycles through the 256-byte text region
 			c.Load(0x600)
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
 	if n.Stats.IFetches == 0 {
 		t.Error("instruction-fetch model never fetched")
 	}

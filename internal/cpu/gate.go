@@ -38,8 +38,10 @@ func (g *Gate) Parked() int { return g.parked }
 func (g *Gate) NoteExit(e *sim.Engine) { g.quiesce.WakeAll(e) }
 
 // check parks the calling program while the gate is closed. Port calls it
-// before each operation.
+// before each operation. The gate is simulated state, so any latency the
+// program owes is taken before it is read.
 func (g *Gate) check(p *sim.Proc) {
+	p.Settle()
 	for g.closed {
 		g.parked++
 		g.quiesce.WakeAll(p.Engine())

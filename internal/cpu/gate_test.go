@@ -108,3 +108,39 @@ func TestGateNoteExitUnblocksScheduler(t *testing.T) {
 		t.Error("scheduler never unblocked after the worker exited")
 	}
 }
+
+// TestGateClosedInsideOwedLatency closes the gate from an fn event while
+// a program owes the latency of its last load. The gate is read only once
+// that latency is taken, so the program parks where plain sleeps would
+// park it: after the load completes, not one operation later.
+func TestGateClosedInsideOwedLatency(t *testing.T) {
+	e, _, n := newRig() // L1 hit: 2 cycles
+	g := &Gate{}
+	const gap, hit = 5, 2
+	var parkedAt, loadsAtPark uint64
+	var closeAt uint64
+	Spawn(e, "cpu0", n, Params{OpGap: gap, Gate: g}, func(c *Port) {
+		c.Load(0x700) // miss: warms the line
+		t0 := c.Now()
+		// Hit k (k ≥ 1) completes at t0 + k*(gap+hit); close the gate
+		// one cycle before the third completes, inside its owed latency.
+		closeAt = t0 + 3*(gap+hit) - 1
+		e.Schedule(closeAt, func() {
+			g.Close()
+			e.Spawn("watch", func(p *sim.Proc) {
+				g.WaitQuiesce(p, func() int { return 1 })
+				parkedAt, loadsAtPark = p.Now(), n.Stats.Loads
+				g.Open(e)
+			})
+		})
+		for k := 0; k < 6; k++ {
+			c.Load(0x700)
+		}
+	}, nil)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := closeAt + 1; parkedAt != want || loadsAtPark != 4 {
+		t.Errorf("parked at cycle %d after %d loads, want cycle %d after 4", parkedAt, loadsAtPark, want)
+	}
+}

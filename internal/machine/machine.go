@@ -574,17 +574,19 @@ func (m *Machine) Start(programs []cpu.Program) error {
 		if prog == nil {
 			continue
 		}
-		node := m.Nodes[i]
-		prog := prog
-		params := m.Config.CPU
-		params.CodeBase = m.nodeCode[i]
-		m.Engine.Spawn(fmt.Sprintf("cpu%d", i), func(p *sim.Proc) {
-			port := cpu.NewPort(p, node, params)
-			prog(port)
-			port.Done = true
-		})
+		m.spawnProgram(i, fmt.Sprintf("cpu%d", i), prog, nil, nil)
 	}
 	return nil
+}
+
+// spawnProgram runs prog on processor i as a proc named name, parking at
+// gate (if non-nil) between operations; exit, if non-nil, runs when prog
+// returns (cpu.Spawn).
+func (m *Machine) spawnProgram(i int, name string, prog cpu.Program, gate *cpu.Gate, exit func()) {
+	params := m.Config.CPU
+	params.CodeBase = m.nodeCode[i]
+	params.Gate = gate
+	cpu.Spawn(m.Engine, name, m.Nodes[i], params, prog, exit)
 }
 
 // Step advances a started machine by at most maxCycles simulated cycles,

@@ -62,15 +62,7 @@ func (m *Machine) RunTimeShared(appA, appB []cpu.Program, quantum uint64) (stats
 				continue
 			}
 			g.running++
-			node := m.Nodes[i]
-			prog := prog
-			params := m.Config.CPU
-			params.CodeBase = m.nodeCode[i]
-			params.Gate = g.gate
-			m.Engine.Spawn(fmt.Sprintf("cpu%d-g%d", i, g.gid), func(p *sim.Proc) {
-				port := cpu.NewPort(p, node, params)
-				prog(port)
-				port.Done = true
+			m.spawnProgram(i, fmt.Sprintf("cpu%d-g%d", i, g.gid), prog, g.gate, func() {
 				g.running--
 				g.gate.NoteExit(m.Engine)
 			})

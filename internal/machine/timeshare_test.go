@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"senss/internal/cpu"
+	"senss/internal/stats"
 )
 
 // tsApp builds a per-processor increment loop over its own counter line,
@@ -88,5 +90,50 @@ func TestTimeSharedRejectsZeroQuantum(t *testing.T) {
 	m := New(smallConfig(2, SecurityBus))
 	if _, err := m.RunTimeShared(nil, nil, 0); err == nil {
 		t.Error("zero quantum accepted")
+	}
+}
+
+// storeTailApp is tsApp without the think time: every program ends on a
+// store, so it finishes owing that store's latency.
+func storeTailApp(m *Machine, procs, iters int) []cpu.Program {
+	progs := make([]cpu.Program, procs)
+	for i := 0; i < procs; i++ {
+		addr := m.Alloc(64)
+		progs[i] = func(c *cpu.Port) {
+			for k := 0; k < iters; k++ {
+				c.Store(addr, c.Load(addr)+1)
+			}
+		}
+	}
+	return progs
+}
+
+// TestTimeSharedExitTiming pins the whole measurement of a time-shared
+// run in which app A's programs finish, owing their last store's latency,
+// while the scheduler is quiescing them: each exit must be noted at the
+// cycle that store completes, so any slip in exit order or cycle moves
+// the swap schedule and this record.
+func TestTimeSharedExitTiming(t *testing.T) {
+	m := New(smallConfig(2, SecurityBus))
+	appA := storeTailApp(m, 2, 30)
+	appB, _ := tsApp(m, 2, 100)
+	run, err := m.RunTimeShared(appA, appB, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stats.Run{
+		Procs: 2, Label: "senss", Cycles: 5606,
+		BusTotal: 30, BusByKind: map[string]uint64{"BusRd": 30},
+		C2C: 13, MemFills: 17, BusBusy: 690,
+		ArbWaits: 3, ArbWaitCyc: 59, ArbWaitMax: 23,
+		BusData: 1920, ExtraBus: 90,
+		L1DHits: 256, L1DMisses: 4, L1IHits: 14, L1IMisses: 50,
+		L2Hits: 284, L2Misses: 30, Loads: 260, Stores: 260,
+	}
+	if !reflect.DeepEqual(run, want) {
+		t.Errorf("run = %+v\nwant  %+v", run, want)
+	}
+	if m.SwapCount != 3 {
+		t.Errorf("%d context switches, want 3", m.SwapCount)
 	}
 }

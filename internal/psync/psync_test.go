@@ -29,11 +29,7 @@ func rig(t *testing.T, procs int, progs func(tid int) cpu.Program) uint64 {
 		nodes[i] = coherence.NewNode(i, params, b)
 	}
 	for i := 0; i < procs; i++ {
-		i := i
-		prog := progs(i)
-		e.Spawn("cpu", func(p *sim.Proc) {
-			prog(cpu.NewPort(p, nodes[i], cpu.Params{}))
-		})
+		cpu.Spawn(e, "cpu", nodes[i], cpu.Params{}, progs(i), nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

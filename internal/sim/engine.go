@@ -21,6 +21,16 @@
 // live in a calendar queue (calqueue.go) rather than a binary heap: O(1)
 // value-typed push/pop with no comparison sorting on the hot path
 // (DESIGN.md §16).
+//
+// A proc may also owe a sleep instead of taking it (Owe): the wake is
+// queued as Sleep would queue it, but the proc keeps running. Its next
+// Sleep turns that queued wake into the first leg of a two-leg event —
+// dispatch queues the second leg itself when the first comes up, drawing
+// the sequence number the woken proc would have drawn — so the pair costs
+// one coroutine switch instead of two and retires in the identical
+// (cycle, sequence) order. The code a proc runs while it owes must touch
+// no simulated state; Park, Now, Settle and the body's return take the
+// owed sleep first.
 package sim
 
 import (
@@ -48,6 +58,8 @@ type Engine struct {
 	limit   uint64
 	halted  bool
 	haltMsg string
+	// resumes counts coroutine resumptions (RunUntil's next() calls).
+	resumes uint64
 }
 
 // stopReason says why dispatch ran out of events to process.
@@ -104,6 +116,14 @@ type Proc struct {
 	yield func(struct{}) bool
 	name  string
 	done  bool
+	// owes is set while the proc's wake from Owe sits in the queue and
+	// the proc keeps running.
+	owes bool
+	// twoLeg marks the proc's queued wake as the first leg of a two-leg
+	// event: dispatch requeues the proc leg cycles later instead of
+	// resuming it.
+	twoLeg bool
+	leg    uint64
 }
 
 // Name returns the proc's diagnostic name.
@@ -112,10 +132,13 @@ func (p *Proc) Name() string { return p.name }
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.e }
 
-// Now returns the current simulated cycle.
+// Now returns the current simulated cycle, after taking any owed sleep.
 //
 //senss-lint:hotpath
-func (p *Proc) Now() uint64 { return p.e.now }
+func (p *Proc) Now() uint64 {
+	p.Settle()
+	return p.e.now
+}
 
 // procAborted is the sentinel Sleep/Park panic with when Abort stops a
 // suspended proc; the coroutine body recovers it and returns.
@@ -137,6 +160,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 			}
 		}()
 		fn(p)
+		p.Settle()
 	})
 	e.live++
 	e.procs = append(e.procs, p)
@@ -186,6 +210,14 @@ func (e *Engine) dispatch(self *Proc) bool {
 			ev.fn()
 			continue
 		}
+		if ev.p.twoLeg {
+			// The first leg of a two-leg sleep: queue the second with
+			// the sequence number the proc would draw on waking here.
+			ev.p.twoLeg = false
+			e.seq++
+			e.q.push(event{at: e.now + ev.p.leg, seq: e.seq, p: ev.p})
+			continue
+		}
 		if ev.p == self {
 			return true
 		}
@@ -198,14 +230,54 @@ func (e *Engine) dispatch(self *Proc) bool {
 }
 
 // Sleep suspends the proc for d simulated cycles (0 means yield to other
-// events at this cycle).
+// events at this cycle). A proc that owes a sleep takes both at once: the
+// owed wake becomes the first leg of a two-leg event and d the second.
 //
 //senss-lint:hotpath
 func (p *Proc) Sleep(d uint64) {
+	if p.owes {
+		p.owes = false
+		p.twoLeg, p.leg = true, d
+	} else {
+		e := p.e
+		e.seq++
+		e.q.push(event{at: e.now + d, seq: e.seq, p: p})
+	}
+	p.suspend()
+}
+
+// Owe charges d simulated cycles without suspending: the wake is queued
+// exactly as Sleep(d) would queue it, and the proc keeps running until
+// its next Sleep, Park, Now or Settle, or the end of its body, takes the
+// owed sleep. Until then the proc must touch no simulated state — its
+// clock still reads the cycle before the charge.
+//
+//senss-lint:hotpath
+func (p *Proc) Owe(d uint64) {
+	p.Settle()
 	e := p.e
 	e.seq++
 	e.q.push(event{at: e.now + d, seq: e.seq, p: p})
-	if !e.dispatch(p) && !p.yield(struct{}{}) {
+	p.owes = true
+}
+
+// Settle takes any sleep the proc owes, as a plain Sleep would have.
+//
+//senss-lint:hotpath
+func (p *Proc) Settle() {
+	if p.owes {
+		p.owes = false
+		p.suspend()
+	}
+}
+
+// suspend dispatches onward from the running proc, whose wake is already
+// queued (or which is parking), and yields unless that wake comes up
+// first.
+//
+//senss-lint:hotpath
+func (p *Proc) suspend() {
+	if !p.e.dispatch(p) && !p.yield(struct{}{}) {
 		panic(procAborted) // Abort stopped the coroutine: unwind the body
 	}
 }
@@ -216,9 +288,8 @@ func (p *Proc) Sleep(d uint64) {
 //
 //senss-lint:hotpath
 func (p *Proc) Park() {
-	if !p.e.dispatch(p) && !p.yield(struct{}{}) {
-		panic(procAborted)
-	}
+	p.Settle()
+	p.suspend()
 }
 
 // Unpark schedules parked proc q to resume at the current cycle. It may be
@@ -282,6 +353,7 @@ func (e *Engine) RunUntil(deadline uint64) (done bool, err error) {
 	for e.handoff != nil {
 		p := e.handoff
 		e.handoff = nil
+		e.resumes++
 		if _, running := p.next(); !running {
 			// The body returned: retire the proc and dispatch onward
 			// like a Sleep that never wakes.
