@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
+	"senss/internal/bus"
 	"senss/internal/crypto"
 	"senss/internal/driver"
+	"senss/internal/integrity"
 	"senss/internal/machine"
+	"senss/internal/sim"
 	"senss/internal/stats"
 )
 
@@ -77,6 +81,36 @@ func runGolden(t *testing.T, name string, cfg Config) stats.Run {
 		t.Fatalf("%s: halted: %s", name, run.HaltReason)
 	}
 	return run
+}
+
+// runMachine runs one workload at test size on a machine built from cfg,
+// after attach (when non-nil) has wired extra observers into it. It fails
+// on a simulation error, a halt, a wrong result or a broken coherence
+// invariant, and returns the machine for further inspection.
+func runMachine(t *testing.T, name string, cfg Config, attach func(*Machine)) (*Machine, Run) {
+	t.Helper()
+	w, err := NewWorkload(name, SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(cfg)
+	if attach != nil {
+		attach(m)
+	}
+	run, err := m.Run(w.Setup(m, cfg.Procs))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if halted, why := m.Halted(); halted {
+		t.Fatalf("%s: halted: %s", name, why)
+	}
+	if err := w.Validate(m); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("%s: invariants: %v", name, err)
+	}
+	return m, run
 }
 
 // TestGoldenConformance byte-compares the full stats table of every
@@ -190,5 +224,42 @@ func TestGoldenConformanceOracleClean(t *testing.T) {
 			t.Fatalf("%s: oracle diverged: %+v", backend, rep)
 		}
 		s.Close()
+	}
+}
+
+// memoryHashFetches is a bus hook charging zero cycles that counts
+// hash-tree lines supplied by memory, independently of the memory port
+// that fills stats.Run.HashFetches.
+type memoryHashFetches uint64
+
+func (n *memoryHashFetches) OnTransaction(_ *sim.Proc, t *bus.Transaction) uint64 {
+	if (t.Kind == bus.Rd || t.Kind == bus.RdX) && t.SupplierID == bus.MemorySupplier && t.Addr >= integrity.HashBase {
+		*n++
+	}
+	return 0
+}
+
+// TestGoldenHashFetchesMatchBus checks HashFetches on every senss+mem
+// golden cell against the bus hook's count. The paper kernels' trees
+// outgrow the lines Load warms into every L2, so memory supplies some of
+// their hash lines; falseshare's whole tree is warmed, so it fetches none.
+func TestGoldenHashFetchesMatchBus(t *testing.T) {
+	for _, name := range goldenWorkloads {
+		for _, v := range goldenVariants {
+			if v.mode != machine.SecurityBusMem {
+				continue
+			}
+			var seen memoryHashFetches
+			_, run := runMachine(t, name, goldenConfig(v.mode, v.backend), func(m *Machine) {
+				m.Bus.AttachHook(&seen)
+			})
+			if run.HashFetches != uint64(seen) {
+				t.Errorf("%s/%s: HashFetches = %d, bus saw %d memory-supplied hash lines",
+					name, v.label, run.HashFetches, seen)
+			}
+			if run.HashFetches == 0 && slices.Contains(PaperSuite(), name) {
+				t.Errorf("%s/%s: no hash-tree line fetched from memory", name, v.label)
+			}
+		}
 	}
 }

@@ -13,11 +13,11 @@ import (
 
 // CacheVersion stamps every on-disk entry and every manifest. It must
 // change whenever a cached result could disagree with what the current
-// build would compute: bump the golden suffix when the timing model
-// moves (the pinned cycle counts in golden_test.go change) or when the
-// stats.Run schema changes shape. Entries carrying any other version are
-// treated as misses and swept by GC.
-const CacheVersion = "farm-v1/golden-50895"
+// build would compute: whenever a record of testdata/golden_cycles.json
+// changes (the suffix is its falseshare/base cycle count) or stats.Run
+// changes shape. Entries carrying any other version are treated as
+// misses and swept by GC.
+const CacheVersion = "farm-v2/golden-50895"
 
 // entry is the on-disk representation of one cached result.
 type entry struct {

@@ -207,6 +207,8 @@ type Machine struct {
 	//senss-lint:secret
 	groupKeys map[int]aes.Block // session keys, kept for §4.2 swap-in
 	naive     *naiveHook        // §7.3 strawman baseline, when configured
+
+	hashFetches uint64 // hash-tree lines supplied by memory (integrityPort)
 }
 
 // New builds a machine from cfg. Call Alloc/InitWord to lay out the
@@ -285,15 +287,21 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// integrityPort marks writeback commits as in-flight tree updates before
-// delegating to the wrapped port.
+// integrityPort counts hash-tree lines fetched from memory and marks
+// writeback commits as in-flight tree updates before delegating to the
+// wrapped port.
 type integrityPort struct {
 	m     *Machine
 	inner bus.MemoryPort
 }
 
+// Fetch runs only for Rd/RdX transactions that memory supplies.
+//
 //senss-lint:hotpath
 func (p *integrityPort) Fetch(t *bus.Transaction, dst []byte) uint64 {
+	if t.Addr >= integrity.HashBase {
+		p.m.hashFetches++
+	}
 	return p.inner.Fetch(t, dst)
 }
 
@@ -659,6 +667,7 @@ func (m *Machine) Collect() stats.Run {
 	}
 	if m.Tree != nil {
 		r.HashOps = m.Tree.Stats.HashOps
+		r.HashFetches = m.hashFetches
 	}
 	if halted, why := m.Engine.Halted(); halted {
 		r.Halted = true
