@@ -57,14 +57,16 @@ serve-race:
 # oracle attached (SENSS_ORACLE=1): every bus transaction is replayed
 # against the untimed coherence and crypto reference models at zero
 # cycle cost, plus the oracle unit suite (planted-bug demonstrations).
+# The golden cells need no guard: they attach the oracle in plain
+# `go test` (TestGoldenConformance).
 oracle: build
 	SENSS_ORACLE=1 $(GO) test -run 'TestShape|TestOracle' . ./internal/oracle
 
-# fuzz-smoke first replays every checked-in corpus entry through
-# cmd/senss-fuzz (deterministic, always), then gives each native fuzz
-# target 10s of coverage-guided exploration against the oracle.
+# fuzz-smoke gives each native fuzz target 10s of coverage-guided
+# exploration against the oracle. The checked-in corpus is replayed
+# deterministically by plain `go test ./internal/fuzzing`, so `test`
+# (earlier in `verify`) already covers it.
 fuzz-smoke: build
-	$(GO) run ./cmd/senss-fuzz
 	$(GO) test ./internal/fuzzing -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime 10s
 	$(GO) test ./internal/fuzzing -run '^$$' -fuzz '^FuzzAdversary$$' -fuzztime 10s
 	$(GO) test ./internal/fuzzing -run '^$$' -fuzz '^FuzzConfig$$' -fuzztime 10s

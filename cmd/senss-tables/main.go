@@ -123,6 +123,6 @@ func render(t *senss.Table, markdown bool) string {
 func printHW() {
 	fmt.Println("§7.1 — SHU hardware overhead")
 	fmt.Println("----------------------------")
-	fmt.Println(core.ComputeHWCost(core.DefaultHWCost()))
+	fmt.Println(core.ComputeHWCost())
 	fmt.Println()
 }

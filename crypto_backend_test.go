@@ -4,7 +4,7 @@ package senss
 // behind the crypto.BlockCipher interface, so a secured simulation must
 // produce identical results — every cycle count, every bus statistic —
 // whichever backend computes the AES. The differential oracle checks the
-// payloads in lockstep elsewhere (oracle_sweep_test.go); this test pins
+// payloads in lockstep elsewhere (TestGoldenConformance); this test pins
 // the whole measurement record.
 
 import (

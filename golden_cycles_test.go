@@ -2,7 +2,6 @@ package senss
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -12,7 +11,6 @@ import (
 
 	"senss/internal/bus"
 	"senss/internal/crypto"
-	"senss/internal/driver"
 	"senss/internal/integrity"
 	"senss/internal/machine"
 	"senss/internal/sim"
@@ -45,9 +43,9 @@ var goldenVariants = []struct {
 	{"senss+mem/stdlib", machine.SecurityBusMem, crypto.Stdlib},
 }
 
-// goldenConfig is the canonical conformance geometry: the same scaled-down
-// machine as TestGoldenCycleCounts and the oracle sweep, with the lockstep
-// differential oracle attached so every recorded run is also oracle-clean.
+// goldenConfig is the canonical conformance geometry: a scaled-down
+// 4-processor machine with the lockstep differential oracle attached, so
+// every recorded run is also oracle-clean.
 func goldenConfig(mode machine.SecurityMode, backend string) Config {
 	cfg := DefaultConfig()
 	cfg.Procs = 4
@@ -123,16 +121,21 @@ func TestGoldenConformance(t *testing.T) {
 	got := make(map[string]stats.Run, len(goldenWorkloads)*len(goldenVariants))
 	for _, name := range goldenWorkloads {
 		for _, v := range goldenVariants {
-			run := runGolden(t, name, goldenConfig(v.mode, v.backend))
-			if v.mode != machine.SecurityOff && run.AuthMsgs == 0 {
-				t.Errorf("%s/%s: secured run reports no authentication traffic", name, v.label)
-			}
-			if run.Loads == 0 || run.Stores == 0 {
-				t.Errorf("%s/%s: implausible retired-op counts: loads=%d stores=%d",
-					name, v.label, run.Loads, run.Stores)
-			}
-			got[goldenKey(name, v.label)] = run
+			key := goldenKey(name, v.label)
+			t.Run(key, func(t *testing.T) {
+				run := runGolden(t, name, goldenConfig(v.mode, v.backend))
+				if v.mode != machine.SecurityOff && run.AuthMsgs == 0 {
+					t.Errorf("secured run reports no authentication traffic")
+				}
+				if run.Loads == 0 || run.Stores == 0 {
+					t.Errorf("implausible retired-op counts: loads=%d stores=%d", run.Loads, run.Stores)
+				}
+				got[key] = run
+			})
 		}
+	}
+	if t.Failed() {
+		t.FailNow() // a failed cell must not be recorded or compared
 	}
 
 	if update {
@@ -208,22 +211,17 @@ func TestGoldenConformance(t *testing.T) {
 }
 
 // TestGoldenConformanceOracleClean re-runs one secured cell per backend and
-// asserts the differential oracle saw traffic and stayed clean; RunWorkload
+// asserts the differential oracle saw traffic and stayed clean; runGolden
 // would have surfaced a divergence halt, this pins the plumbing.
 func TestGoldenConformanceOracleClean(t *testing.T) {
 	for _, backend := range []string{crypto.Ref, crypto.Stdlib} {
-		cfg := goldenConfig(machine.SecurityBus, backend)
-		s, err := driver.NewSession("falseshare", SizeTest, cfg)
-		if err != nil {
-			t.Fatal(err)
+		m, _ := runMachine(t, "falseshare", goldenConfig(machine.SecurityBus, backend), nil)
+		if m.Oracle.Diverged() {
+			t.Fatalf("%s: oracle diverged: %s", backend, m.Oracle.Report().Divergence)
 		}
-		if _, err := s.Run(context.Background(), 0); err != nil {
-			t.Fatalf("%s: %v", backend, err)
+		if m.Oracle.Checked() == 0 {
+			t.Fatalf("%s: oracle observed no transactions", backend)
 		}
-		if rep := s.OracleReport(); rep != nil {
-			t.Fatalf("%s: oracle diverged: %+v", backend, rep)
-		}
-		s.Close()
 	}
 }
 

@@ -454,7 +454,7 @@ func TestGroupTableExhaustion(t *testing.T) {
 }
 
 func TestHWCostMatchesPaperArithmetic(t *testing.T) {
-	h := ComputeHWCost(DefaultHWCost())
+	h := ComputeHWCost()
 	if h.MatrixBytes != 640 {
 		t.Errorf("matrix = %d bytes, want 640", h.MatrixBytes)
 	}

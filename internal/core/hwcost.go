@@ -3,38 +3,19 @@ package core
 import "fmt"
 
 // Hardware-overhead model of paper §7.1: sizes of the two SHU tables and
-// the extra bus lines. cmd/senss-hwcost prints it and a unit test pins the
-// arithmetic to the paper's reported numbers.
-
-// HWCostParams are the §7.1 configuration knobs.
-type HWCostParams struct {
-	MaxGroups    int // group info table entries (1024)
-	MaxProcs     int // processors (32)
-	KeyBits      int // session key (128)
-	CounterBits  int // authentication interval counter (8 chosen)
-	OccupiedBits int // occupied flag (1)
-	MaskCount    int // masks stored per group (8)
-	MaskBits     int // bits per mask (128)
-	BaseBusLines int // Gigaplane: 378
-	MsgTypeLines int // new message-type lines (2)
-	GIDLines     int // GID lines (10)
-}
-
-// DefaultHWCost returns the paper's §7.1 parameters.
-func DefaultHWCost() HWCostParams {
-	return HWCostParams{
-		MaxGroups:    1024,
-		MaxProcs:     32,
-		KeyBits:      128,
-		CounterBits:  8,
-		OccupiedBits: 1,
-		MaskCount:    8,
-		MaskBits:     128,
-		BaseBusLines: 378,
-		MsgTypeLines: 2,
-		GIDLines:     10,
-	}
-}
+// the extra bus lines. `senss-tables -fig hw` prints it and a unit test
+// pins the arithmetic to the paper's reported numbers. MaxProcs and
+// MaxGroups (core.go) size the group-processor matrix and the table.
+const (
+	keyBits      = 128 // session key
+	counterBits  = 8   // authentication interval counter (the paper's choice)
+	occupiedBits = 1   // occupied flag
+	maskCount    = 8   // masks stored per group entry
+	maskBits     = 128 // bits per mask
+	baseBusLines = 378 // Sun Gigaplane bus lines
+	msgTypeLines = 2   // new message-type lines
+	gidLines     = 10  // GID lines (log2 MaxGroups)
+)
 
 // HWCost is the computed overhead report.
 type HWCost struct {
@@ -46,23 +27,23 @@ type HWCost struct {
 }
 
 // ComputeHWCost evaluates the §7.1 arithmetic.
-func ComputeHWCost(p HWCostParams) HWCost {
+func ComputeHWCost() HWCost {
 	// The paper sizes the matrix as entries × log2(MaxProcs) bits
 	// ("1024 entries × 5 bits per entry = 640 bytes").
 	bitsPerEntry := 0
-	for 1<<bitsPerEntry < p.MaxProcs {
+	for 1<<bitsPerEntry < MaxProcs {
 		bitsPerEntry++
 	}
-	matrixBits := p.MaxGroups * bitsPerEntry
+	matrixBits := MaxGroups * bitsPerEntry
 
-	entryBits := p.OccupiedBits + p.KeyBits + p.CounterBits + p.MaskCount*p.MaskBits
-	extra := p.MsgTypeLines + p.GIDLines
+	entryBits := occupiedBits + keyBits + counterBits + maskCount*maskBits
+	extra := msgTypeLines + gidLines
 	return HWCost{
 		MatrixBytes:        matrixBits / 8,
 		EntryBits:          entryBits,
-		TableBytes:         p.MaxGroups * entryBits / 8,
+		TableBytes:         MaxGroups * entryBits / 8,
 		ExtraBusLines:      extra,
-		BusLineIncreasePct: float64(extra) / float64(p.BaseBusLines) * 100,
+		BusLineIncreasePct: float64(extra) / float64(baseBusLines) * 100,
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package fuzzing hosts the deterministic decoders and runners behind the
-// native `go test -fuzz` targets and the cmd/senss-fuzz replay driver.
+// native `go test -fuzz` targets.
 //
 // Three byte-string grammars are fuzzed, each against the lockstep
 // differential oracle (internal/oracle):
@@ -16,7 +16,9 @@
 //
 // Every runner is a pure function of its input bytes — fixed seeds, no
 // wall clock, no goroutines — so any crasher the fuzzer finds replays
-// byte-for-byte under cmd/senss-fuzz and as a plain corpus entry.
+// byte-for-byte as a plain corpus entry: `go test ./internal/fuzzing`
+// replays every file under testdata/fuzz/<Target>/, and
+// `go test ./internal/fuzzing -run 'FuzzSchedule/<entry>'` replays one.
 package fuzzing
 
 import (
@@ -146,8 +148,8 @@ func checkMachine(m *machine.Machine, progs []cpu.Program) error {
 	return nil
 }
 
-// divergenceError renders a checker's report as the error the fuzzer (and
-// cmd/senss-fuzz) surfaces.
+// divergenceError renders a checker's report as the error the fuzz
+// targets surface.
 func divergenceError(c *oracle.Checker) error {
 	r := c.Report()
 	return fmt.Errorf("oracle divergence after %d transactions at cycle %d: %s",

@@ -3,7 +3,7 @@ package fuzzing
 // SeedCorpus returns the seed inputs for a fuzz target. They are added
 // both in code (f.Add in fuzz_test.go) and as checked-in corpus files
 // under testdata/fuzz/<Target>/ — TestSeedCorpusFilesMatch pins the two
-// representations to each other, and cmd/senss-fuzz replays the files.
+// representations to each other.
 func SeedCorpus(target string) [][]byte {
 	switch target {
 	case "FuzzSchedule":

@@ -20,14 +20,6 @@ var orchestrationPkgs = map[string]bool{
 	"internal/farm": true,
 	"orchfix":       true,
 
-	// internal/fuzzing replays fuzz corpus entries for cmd/senss-fuzz and
-	// reports host wall time per entry (ReplayCorpus). Audited 2026-08:
-	// the wall-clock read exists only for operator-facing progress
-	// output; every runner (RunSchedule/RunAdversary/RunConfig) is a pure
-	// function of its input bytes with fixed seeds, so timing can never
-	// feed back into simulated results.
-	"internal/fuzzing": true,
-
 	// internal/serve hosts simulations behind HTTP: goroutines carry the
 	// eviction janitor and request handlers, and wall-clock reads drive
 	// idle-session eviction, Retry-After hints, and bench latency

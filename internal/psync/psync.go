@@ -53,97 +53,6 @@ func (l *Lock) WithLock(c *cpu.Port, fn func()) {
 	l.Release(c)
 }
 
-// TicketLock is a FIFO-fair spinlock: two counters (next ticket, now
-// serving) on separate cache lines. Under contention each release
-// invalidates only the serving line, and waiters acquire strictly in
-// arrival order — the classic fairness upgrade over test-and-set.
-type TicketLock struct {
-	next    uint64 // ticket dispenser word
-	serving uint64 // now-serving word (separate line)
-}
-
-// NewTicketLock returns a ticket lock using two words at addr and
-// addr+64 (both must be zeroed).
-func NewTicketLock(addr uint64) *TicketLock {
-	return &TicketLock{next: addr, serving: addr + 64}
-}
-
-// Acquire takes a ticket and spins until served.
-func (l *TicketLock) Acquire(c *cpu.Port) {
-	ticket := c.Add(l.next, 1)
-	for c.Load(l.serving) != ticket {
-		c.Think(spinBackoff)
-	}
-}
-
-// Release serves the next ticket.
-func (l *TicketLock) Release(c *cpu.Port) {
-	c.Store(l.serving, c.Load(l.serving)+1)
-}
-
-// RWLock is a reader-writer spinlock: a single word holds the reader
-// count, with the high bit as the writer flag.
-type RWLock struct {
-	addr uint64
-}
-
-// rwWriter is the writer-held bit.
-const rwWriter = uint64(1) << 63
-
-// NewRWLock returns a reader-writer lock at the given (zeroed) word.
-func NewRWLock(addr uint64) *RWLock { return &RWLock{addr: addr} }
-
-// RLock acquires shared access.
-func (l *RWLock) RLock(c *cpu.Port) {
-	for {
-		acquired := false
-		c.RMW(l.addr, func(v uint64) uint64 {
-			if v&rwWriter == 0 {
-				acquired = true
-				return v + 1
-			}
-			return v
-		})
-		if acquired {
-			return
-		}
-		for c.Load(l.addr)&rwWriter != 0 {
-			c.Think(spinBackoff)
-		}
-	}
-}
-
-// RUnlock releases shared access.
-func (l *RWLock) RUnlock(c *cpu.Port) {
-	c.RMW(l.addr, func(v uint64) uint64 { return v - 1 })
-}
-
-// Lock acquires exclusive access (writer-preference is not implemented;
-// writers contend with arriving readers).
-func (l *RWLock) Lock(c *cpu.Port) {
-	for {
-		acquired := false
-		c.RMW(l.addr, func(v uint64) uint64 {
-			if v == 0 {
-				acquired = true
-				return rwWriter
-			}
-			return v
-		})
-		if acquired {
-			return
-		}
-		for c.Load(l.addr) != 0 {
-			c.Think(spinBackoff)
-		}
-	}
-}
-
-// Unlock releases exclusive access.
-func (l *RWLock) Unlock(c *cpu.Port) {
-	c.Store(l.addr, 0)
-}
-
 // Barrier is a centralized sense-reversing barrier for n participants. It
 // occupies two simulated words (count at addr, sense at addr+8) and each
 // participant keeps its local sense in Context.

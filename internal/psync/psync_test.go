@@ -150,90 +150,6 @@ func TestBarrierPanicsOnZero(t *testing.T) {
 	NewBarrier(0, 0)
 }
 
-func TestTicketLockMutualExclusionAndFairness(t *testing.T) {
-	const procs, iters = 4, 30
-	lock := NewTicketLock(0x5000)
-	inside, maxInside := 0, 0
-	var order []int
-	rig(t, procs, func(tid int) cpu.Program {
-		return func(c *cpu.Port) {
-			for k := 0; k < iters; k++ {
-				lock.Acquire(c)
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				order = append(order, tid)
-				c.Think(7)
-				inside--
-				lock.Release(c)
-				c.Think(30)
-			}
-		}
-	})
-	if maxInside != 1 {
-		t.Errorf("mutual exclusion violated: %d inside", maxInside)
-	}
-	if len(order) != procs*iters {
-		t.Errorf("acquisitions = %d", len(order))
-	}
-	// Fairness: under steady contention no thread should starve — every
-	// thread appears within any window of 2×procs acquisitions once all
-	// are contending.
-	counts := make([]int, procs)
-	for _, tid := range order {
-		counts[tid]++
-	}
-	for tid, c := range counts {
-		if c != iters {
-			t.Errorf("thread %d acquired %d times, want %d", tid, c, iters)
-		}
-	}
-}
-
-func TestRWLockReadersShareWritersExclude(t *testing.T) {
-	const procs = 4
-	lock := NewRWLock(0x6000)
-	readers, maxReaders := 0, 0
-	writers, maxTogether := 0, 0
-	rig(t, procs, func(tid int) cpu.Program {
-		return func(c *cpu.Port) {
-			for k := 0; k < 25; k++ {
-				if tid == 0 { // one writer thread
-					lock.Lock(c)
-					writers++
-					if readers > 0 || writers > 1 {
-						maxTogether++
-					}
-					c.Think(9)
-					writers--
-					lock.Unlock(c)
-					c.Think(40)
-				} else {
-					lock.RLock(c)
-					readers++
-					if readers > maxReaders {
-						maxReaders = readers
-					}
-					if writers > 0 {
-						maxTogether++
-					}
-					c.Think(400)
-					readers--
-					lock.RUnlock(c)
-					c.Think(15)
-				}
-			}
-		}
-	})
-	if maxTogether != 0 {
-		t.Errorf("writer overlapped with other holders %d times", maxTogether)
-	}
-	if maxReaders < 2 {
-		t.Errorf("readers never shared (max concurrent = %d)", maxReaders)
-	}
-}
-
 func TestLockHandoffUnderContention(t *testing.T) {
 	// All threads repeatedly lock; total acquisitions must equal the sum
 	// of iterations, demonstrating no lost wakeups or stolen locks.

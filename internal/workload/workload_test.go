@@ -68,11 +68,12 @@ func TestWorkloadsUnderSENSS(t *testing.T) {
 }
 
 func TestWorkloadsUnderFullProtection(t *testing.T) {
-	for _, name := range PaperSuite() {
+	for _, name := range AllNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			runWorkload(t, name, 2, machine.SecurityBusMem)
+			runWorkload(t, name, 4, machine.SecurityBusMem)
 		})
 	}
 }

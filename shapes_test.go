@@ -165,7 +165,8 @@ func TestShapeGFModeBeatsCBCUnderMaskScarcity(t *testing.T) {
 		cfg.Security.Senss.Perfect = false
 		cfg.Security.Senss.Masks = 1
 		cfg.Security.Senss.AuthInterval = 100
-		return shapeRun(t, "radix", cfg)
+		_, r := runMachine(t, "radix", cfg, nil) // also checks coherence invariants
+		return r
 	}
 	cbc := run(core.AuthCBC)
 	gf := run(core.AuthGF)
