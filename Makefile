@@ -1,11 +1,17 @@
 GO ?= go
 
-.PHONY: all build test vet lint taintflow hotpath lockguard race farm-race serve-race oracle fuzz-smoke figures bench-sim bench-check bench-crypto bench-serve speed-smoke serve-smoke verify clean
+.PHONY: all build fmt test vet lint taintflow hotpath lockguard race farm-race serve-race oracle fuzz-smoke figures bench-sim bench-check bench-crypto bench-serve speed-smoke serve-smoke verify clean
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# fmt fails, listing the files, when any Go file in the tree is not
+# gofmt-formatted. gofmt writes a doc-comment //senss-lint: directive as
+# "// senss-lint:", which the linter reads the same way.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -119,7 +125,7 @@ serve-smoke: build
 
 # verify is the full pre-merge gate: everything CI runs, in order of
 # increasing cost.
-verify: build vet lint test farm-race serve-race race oracle speed-smoke serve-smoke bench-check fuzz-smoke
+verify: build fmt vet lint test farm-race serve-race race oracle speed-smoke serve-smoke bench-check fuzz-smoke
 
 clean:
 	$(GO) clean ./...

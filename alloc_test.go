@@ -18,6 +18,7 @@ import (
 
 	"senss/internal/bus"
 	"senss/internal/coherence"
+	"senss/internal/cpu"
 	"senss/internal/crypto"
 	"senss/internal/crypto/aes"
 	"senss/internal/mem"
@@ -42,15 +43,6 @@ type allocRig struct {
 // non-empty backend makes the memory port the memsec encryption layer
 // running that crypto backend.
 func startAllocRig(body func(p *sim.Proc, n *coherence.Node, op int), backend string) *allocRig {
-	params := coherence.Params{
-		L1Size: 4 << 10, L1Ways: 2, L1Line: 32,
-		L2Size: 16 << 10, L2Ways: 4, L2Line: 64,
-		L1HitLat: 2, L2HitLat: 10, StoreLat: 2, RMWLat: 4,
-	}
-	timing := bus.Timing{
-		BusCycle: 10, C2CLat: 120, MemLat: 180,
-		BytesPerBusCycle: 32, LineBytes: 64,
-	}
 	eng := sim.NewEngine()
 	store := mem.New()
 	var port bus.MemoryPort = &bus.SimpleMemory{Backing: store}
@@ -59,14 +51,10 @@ func startAllocRig(body func(p *sim.Proc, n *coherence.Node, op int), backend st
 		port = memsec.New(store, crypto.MustBackend(backend, aes.Block(r.Block16())), 1,
 			memsec.Params{AESLatency: 80, PerfectSNC: true, PadEntries: 8192})
 	}
-	b := bus.New(eng, timing, port)
-	n := coherence.NewNode(0, params, b)
+	b := bus.New(eng, allocTiming, port)
+	n := coherence.NewNode(0, allocParams, b)
 
-	rig := &allocRig{
-		work: make(chan int),
-		done: make(chan struct{}),
-		fin:  make(chan error, 1),
-	}
+	rig := newAllocRig()
 	eng.Spawn("alloc-driver", func(p *sim.Proc) {
 		for nops := range rig.work {
 			for i := 0; i < nops; i++ {
@@ -76,6 +64,69 @@ func startAllocRig(body func(p *sim.Proc, n *coherence.Node, op int), backend st
 			rig.done <- struct{}{}
 		}
 	})
+	go func() { rig.fin <- eng.Run() }()
+	return rig
+}
+
+// allocParams and allocTiming are the rigs' node and bus geometry.
+var (
+	allocParams = coherence.Params{
+		L1Size: 4 << 10, L1Ways: 2, L1Line: 32,
+		L2Size: 16 << 10, L2Ways: 4, L2Line: 64,
+		L1HitLat: 2, L2HitLat: 10, StoreLat: 2, RMWLat: 4,
+	}
+	allocTiming = bus.Timing{
+		BusCycle: 10, C2CLat: 120, MemLat: 180,
+		BytesPerBusCycle: 32, LineBytes: 64,
+	}
+)
+
+func newAllocRig() *allocRig {
+	return &allocRig{
+		work: make(chan int),
+		done: make(chan struct{}),
+		fin:  make(chan error, 1),
+	}
+}
+
+// startSpinRig builds a two-node machine whose operation is one
+// request/acknowledge handshake through cpu.Port.SpinUntil: the driver
+// stores a request word and spins on the acknowledgement, while a
+// responder — spinning on the request in turn — computes for 400 cycles
+// in short steps before it acknowledges. Most of the driver's wakes are
+// spin probes taken in engine context, inside the responder's dispatch;
+// the rest is the two line transfers per handshake.
+func startSpinRig() *allocRig {
+	const req, ack, backoff = 0x1000, 0x2000, 10
+	eng := sim.NewEngine()
+	b := bus.New(eng, allocTiming, &bus.SimpleMemory{Backing: mem.New()})
+	params := cpu.Params{OpGap: 1, CodeBase: 0x8000, CodeBytes: 2 << 10, IFetchBytes: 4}
+	rig := newAllocRig()
+	closing := false
+	cpu.Spawn(eng, "alloc-driver", coherence.NewNode(0, allocParams, b), params, func(c *cpu.Port) {
+		for nops := range rig.work {
+			for i := 0; i < nops; i++ {
+				rig.op++
+				c.Store(req, uint64(rig.op))
+				c.SpinUntil(ack, uint64(rig.op), backoff)
+			}
+			rig.done <- struct{}{}
+		}
+		closing = true
+		c.Store(req, uint64(rig.op+1))
+	}, nil)
+	cpu.Spawn(eng, "alloc-responder", coherence.NewNode(1, allocParams, b), params, func(c *cpu.Port) {
+		for k := uint64(1); ; k++ {
+			c.SpinUntil(req, k, backoff)
+			if closing {
+				return
+			}
+			for i := 0; i < 20; i++ {
+				c.Think(20)
+			}
+			c.Store(ack, k)
+		}
+	}, nil)
 	go func() { rig.fin <- eng.Run() }()
 	return rig
 }
@@ -187,22 +238,28 @@ func TestBusSteadyStateZeroAlloc(t *testing.T) {
 // update testdata/alloc_budget.json in the same commit.
 func TestAllocBudgets(t *testing.T) {
 	budgets := loadAllocBudgets(t)
+	rigFor := func(body func(p *sim.Proc, n *coherence.Node, op int), backend string) func() *allocRig {
+		return func() *allocRig { return startAllocRig(body, backend) }
+	}
 	scenarios := []struct {
-		name    string
-		budget  string
-		backend string // "" = insecure port, otherwise the memsec crypto backend
-		body    func(p *sim.Proc, n *coherence.Node, op int)
+		name   string
+		budget string
+		start  func() *allocRig
 	}{
-		{"coherence_miss_fill", "coherence_miss_fill", "", missBody},
+		{"coherence_miss_fill", "coherence_miss_fill", rigFor(missBody, "")},
 		// The memsec budget must hold under every registered crypto
 		// backend: the pad kernel is the same hotpath either way.
-		{"memsec_miss_fill_ref", "memsec_miss_fill", crypto.Ref, missBody},
-		{"memsec_miss_fill_stdlib", "memsec_miss_fill", crypto.Stdlib, missBody},
+		{"memsec_miss_fill_ref", "memsec_miss_fill", rigFor(missBody, crypto.Ref)},
+		{"memsec_miss_fill_stdlib", "memsec_miss_fill", rigFor(missBody, crypto.Stdlib)},
 		// Calendar-queue overflow tier: far-future sleeps and timers spill
 		// into the heap and migrate back into the wheel on rotation. Once
 		// the heap and bucket slices reach steady capacity nothing on this
 		// route allocates, and the budget pins that at zero.
-		{"calqueue_overflow", "calqueue_overflow", "", calqueueBody},
+		{"calqueue_overflow", "calqueue_overflow", rigFor(calqueueBody, "")},
+		// Spin probes run as wake continuations in engine context, and
+		// the handshake's line transfers use the pooled miss path: a
+		// hard zero.
+		{"spin_probe", "spin_probe", startSpinRig},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -210,7 +267,7 @@ func TestAllocBudgets(t *testing.T) {
 			if !ok {
 				t.Fatalf("no alloc budget recorded for %s", sc.budget)
 			}
-			rig := startAllocRig(sc.body, sc.backend)
+			rig := sc.start()
 			defer rig.stop(t)
 			perOp := measureAllocsPerOp(t, rig, 2048, 256)
 			if perOp > want {

@@ -210,6 +210,25 @@ func TestGoldenConformance(t *testing.T) {
 	}
 }
 
+// TestGoldenSpinResumes pins the host cost that cpu.Port.SpinUntil
+// removes. Barrier spin probes are over 40% of the retired memory ops of
+// the radix and barnes golden cells; run in engine context, they resume
+// no coroutine, and the engine resumes a proc less than once per two ops
+// (1.03 to 1.30 per op when every probe resumed the spinning proc).
+func TestGoldenSpinResumes(t *testing.T) {
+	for _, name := range []string{"radix", "barnes"} {
+		for _, v := range goldenVariants {
+			t.Run(goldenKey(name, v.label), func(t *testing.T) {
+				m, run := runMachine(t, name, goldenConfig(v.mode, v.backend), nil)
+				ops := run.Loads + run.Stores + run.RMWs
+				if perOp := float64(m.Engine.Resumes()) / float64(ops); perOp >= 0.5 {
+					t.Errorf("%d resumes for %d ops: %.2f per op, want under 0.5", m.Engine.Resumes(), ops, perOp)
+				}
+			})
+		}
+	}
+}
+
 // TestGoldenConformanceOracleClean re-runs one secured cell per backend and
 // asserts the differential oracle saw traffic and stayed clean; runGolden
 // would have surfaced a divergence halt, this pins the plumbing.

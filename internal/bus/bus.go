@@ -61,7 +61,7 @@ func (k Kind) String() string {
 
 // HasData reports whether the transaction carries a full line payload.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (k Kind) HasData() bool { return k == Rd || k == RdX || k == WB }
 
 // MemorySupplier is the SupplierID value meaning "data came from memory".
@@ -112,7 +112,7 @@ type Transaction struct {
 // CacheToCache reports whether this is a cache-to-cache data transfer —
 // the traffic class SENSS encrypts and authenticates.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (t *Transaction) CacheToCache() bool {
 	return (t.Kind == Rd || t.Kind == RdX) && t.SupplierID != MemorySupplier
 }
@@ -152,7 +152,7 @@ type Timing struct {
 // Occupancy returns how many CPU cycles the bus is held by a transaction
 // of kind k.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (tm *Timing) Occupancy(k Kind) uint64 {
 	if k.HasData() {
 		cycles := (tm.LineBytes + tm.BytesPerBusCycle - 1) / tm.BytesPerBusCycle
@@ -163,7 +163,7 @@ func (tm *Timing) Occupancy(k Kind) uint64 {
 
 // Latency returns the requester-visible latency from grant to completion.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (tm *Timing) Latency(t *Transaction) uint64 {
 	switch t.Kind {
 	case Rd, RdX:
@@ -242,7 +242,7 @@ func (b *Bus) Timing() Timing { return b.timing }
 // the coherence point (inside an OnData callback); the evicting node then
 // issues a Committed WB transaction for the bus timing and traffic.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (b *Bus) CommitStore(src, gid int, addr uint64, data []byte) {
 	if b.OnCommitStore != nil {
 		b.OnCommitStore(src, gid, addr, data)
@@ -265,7 +265,7 @@ func (b *Bus) AttachHook(h SecurityHook) { b.hooks = append(b.hooks, h) }
 // arbitration, snooping, data resolution, security processing, occupancy
 // and latency. On return, Rd/RdX transactions carry the line in t.Data.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (b *Bus) Transact(p *sim.Proc, t *Transaction) {
 	requested := b.engine.Now()
 	b.arbiter.Lock(p)
@@ -346,7 +346,7 @@ func (b *Bus) Transact(p *sim.Proc, t *Transaction) {
 // rides immediately after the saturating transfer. It returns the
 // occupancy cycles the caller must charge (via its extra-cycles return).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (b *Bus) RecordInjected(k Kind) uint64 {
 	b.Stats.Count[k]++
 	occ := b.timing.Occupancy(k)

@@ -43,12 +43,12 @@ func (s State) String() string {
 
 // Dirty reports whether the state obliges a writeback on eviction.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s State) Dirty() bool { return s == Modified || s == Owned }
 
 // Valid reports whether the state holds a usable copy.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s State) Valid() bool { return s != Invalid }
 
 // Line is one cache line frame.
@@ -113,12 +113,12 @@ func (c *Cache) Ways() int { return c.ways }
 
 // LineAddr returns the line-aligned address containing addr.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.lineSize) - 1)
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	la := addr / uint64(c.lineSize)
 	return int(la % uint64(c.sets)), la / uint64(c.sets)
@@ -126,7 +126,7 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 
 // AddrOf reconstructs the line address of a frame in a given set.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *Cache) AddrOf(set int, l *Line) uint64 {
 	return (l.Tag*uint64(c.sets) + uint64(set)) * uint64(c.lineSize)
 }
@@ -134,7 +134,7 @@ func (c *Cache) AddrOf(set int, l *Line) uint64 {
 // Lookup returns the valid line containing addr and bumps its LRU age, or
 // nil on miss. Hit/miss counters are updated.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *Cache) Lookup(addr uint64) *Line {
 	set, tag := c.index(addr)
 	for i := range c.frames[set] {
@@ -153,7 +153,7 @@ func (c *Cache) Lookup(addr uint64) *Line {
 // Peek returns the valid line containing addr without touching LRU or
 // counters, or nil.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *Cache) Peek(addr uint64) *Line {
 	set, tag := c.index(addr)
 	for i := range c.frames[set] {
@@ -192,7 +192,7 @@ func (c *Cache) Insert(addr uint64, state State) (*Line, *Victim) {
 // allocation-free form for the coherence hot path. It reports whether a
 // line was displaced; when it returns false, victim is untouched.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *Cache) InsertVictim(addr uint64, state State, victim *Victim) (*Line, bool) {
 	set, tag := c.index(addr)
 	frames := c.frames[set]
@@ -261,7 +261,7 @@ func (c *Cache) InsertVictim(addr uint64, state State, victim *Victim) (*Line, b
 // are dead. Use Invalidate when the caller needs the data for dirty
 // handling.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *Cache) Drop(addr uint64) State {
 	set, tag := c.index(addr)
 	for i := range c.frames[set] {

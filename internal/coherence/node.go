@@ -119,12 +119,12 @@ type Node struct {
 type fillOp uint8
 
 const (
-	opLoad      fillOp = iota // bind the word, install the L1D subline
-	opIFetch                  // install the L1I subline
-	opStore                   // store val into the owned line
-	opRMW                     // bind the old word, store mut(old)
-	opCopyOut                 // copy the whole line into buf (LoadLine)
-	opCopyIn                  // copy buf into the line at off (StoreBlock)
+	opLoad    fillOp = iota // bind the word, install the L1D subline
+	opIFetch                // install the L1I subline
+	opStore                 // store val into the owned line
+	opRMW                   // bind the old word, store mut(old)
+	opCopyOut               // copy the whole line into buf (LoadLine)
+	opCopyIn                // copy buf into the line at off (StoreBlock)
 )
 
 // fillState is the pooled per-depth state of one miss or upgrade: the bus
@@ -153,7 +153,7 @@ type fillState struct {
 // preSnoop revalidates an Upgr after arbitration: a queued RdX may have
 // stolen the Shared copy, degrading the upgrade to a full RdX fill.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (fs *fillState) preSnoop(t *bus.Transaction) {
 	if t.Kind != bus.Upgr {
 		return
@@ -167,7 +167,7 @@ func (fs *fillState) preSnoop(t *bus.Transaction) {
 
 // onData commits the cache-state change at the coherence point.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (fs *fillState) onData(t *bus.Transaction) {
 	if t.Kind == bus.Upgr {
 		cur := fs.n.L2.Peek(fs.addr)
@@ -184,7 +184,7 @@ func (fs *fillState) onData(t *bus.Transaction) {
 // commit performs the pending operation against the line now owned at the
 // coherence point.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (fs *fillState) commit(l2 *cache.Line) {
 	n := fs.n
 	switch fs.op {
@@ -219,12 +219,12 @@ func NewNode(id int, params Params, b *bus.Bus) *Node {
 	return n
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) wordOf(l *cache.Line, addr uint64) uint64 {
 	return mem.ReadWordFromLine(l.Data, addr%uint64(n.Params.L2Line))
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) setWord(l *cache.Line, addr uint64, v uint64) {
 	mem.WriteWordToLine(l.Data, addr%uint64(n.Params.L2Line), v)
 }
@@ -232,7 +232,7 @@ func (n *Node) setWord(l *cache.Line, addr uint64, v uint64) {
 // fillState returns the reusable miss state for the current fill depth,
 // building it (payload buffer, bound callbacks) on first touch.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) fillState() *fillState {
 	fs := n.fillStates[n.fillDepth]
 	if fs == nil {
@@ -253,7 +253,7 @@ func (n *Node) fillState() *fillState {
 // Signal issues an address-only protection-layer transaction (PadReq,
 // PadInv, PadUpd) on the node's behalf, reusing one transaction record.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) Signal(p *sim.Proc, kind bus.Kind, addr uint64) {
 	n.sigTxn = bus.Transaction{Kind: kind, Addr: addr, Src: n.ID, GID: n.GID}
 	n.Bus.Transact(p, &n.sigTxn)
@@ -262,7 +262,7 @@ func (n *Node) Signal(p *sim.Proc, kind bus.Kind, addr uint64) {
 // invalidateL1 drops every L1 subline of the L2 line at la (inclusion).
 // The L1s are tag-only, so Drop (no payload copy) is exact.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) invalidateL1(la uint64) {
 	for off := 0; off < n.Params.L2Line; off += n.Params.L1Line {
 		n.L1I.Drop(la + uint64(off))
@@ -270,18 +270,74 @@ func (n *Node) invalidateL1(la uint64) {
 	}
 }
 
+// fetchL1 counts an instruction fetch of addr and probes the L1I,
+// reporting a hit.
+//
+// senss-lint:hotpath
+func (n *Node) fetchL1(addr uint64) bool {
+	n.Stats.IFetches++
+	return n.L1I.Lookup(addr) != nil
+}
+
+// loadL1 counts a load of addr and probes the L1D; on a hit it returns
+// the word, bound at the coherence point.
+//
+// senss-lint:hotpath
+func (n *Node) loadL1(addr uint64) (uint64, bool) {
+	n.Stats.Loads++
+	if n.L1D.Lookup(addr) == nil {
+		return 0, false
+	}
+	return n.hitWord(addr), true
+}
+
+// hitWord reads the word at addr behind an L1D hit from the L2 copy that
+// inclusion guarantees.
+//
+// senss-lint:hotpath
+func (n *Node) hitWord(addr uint64) uint64 {
+	l2 := n.L2.Peek(addr)
+	if l2 == nil {
+		panic(fmt.Sprintf("coherence: inclusion violated at %#x on node %d", addr, n.ID))
+	}
+	return n.wordOf(l2, addr)
+}
+
+// PeekHit reports, touching nothing, whether an instruction fetch of
+// code (only when fetch is set) followed by a Load of addr would both hit
+// in L1, and the word that Load would return.
+//
+// senss-lint:hotpath
+func (n *Node) PeekHit(code uint64, fetch bool, addr uint64) (uint64, bool) {
+	if fetch && n.L1I.Peek(code) == nil {
+		return 0, false
+	}
+	if n.L1D.Peek(addr) == nil {
+		return 0, false
+	}
+	return n.hitWord(addr), true
+}
+
+// TakeHit performs, at the event where PeekHit just reported them, the
+// L1 hits of that fetch and Load with the very bookkeeping IFetch and
+// Load do — counters, LRU and hit statistics — and charges no latency:
+// the caller owes the Load's L1HitLat. It lets a wake continuation
+// (sim.Proc.SettleThen) retire a cached load without resuming the proc.
+//
+// senss-lint:hotpath
+func (n *Node) TakeHit(code uint64, fetch bool, addr uint64) {
+	if fetch {
+		n.fetchL1(code)
+	}
+	n.loadL1(addr)
+}
+
 // Load performs a data load of the aligned word at addr.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) Load(p *sim.Proc, addr uint64) uint64 {
 	p.Settle()
-	n.Stats.Loads++
-	if n.L1D.Lookup(addr) != nil {
-		l2 := n.L2.Peek(addr)
-		if l2 == nil {
-			panic(fmt.Sprintf("coherence: inclusion violated at %#x on node %d", addr, n.ID))
-		}
-		v := n.wordOf(l2, addr) // bind the value at the coherence point
+	if v, hit := n.loadL1(addr); hit {
 		p.Owe(n.Params.L1HitLat)
 		return v
 	}
@@ -301,11 +357,10 @@ func (n *Node) Load(p *sim.Proc, addr uint64) uint64 {
 // IFetch models an instruction fetch at addr. L1I hits are free (overlapped
 // with execution); misses go through the normal hierarchy.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) IFetch(p *sim.Proc, addr uint64) {
 	p.Settle()
-	n.Stats.IFetches++
-	if n.L1I.Lookup(addr) != nil {
+	if n.fetchL1(addr) {
 		return
 	}
 	if l2 := n.L2.Lookup(addr); l2 != nil {
@@ -321,7 +376,7 @@ func (n *Node) IFetch(p *sim.Proc, addr uint64) {
 
 // Store performs a data store of the aligned word at addr.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) Store(p *sim.Proc, addr uint64, val uint64) {
 	p.Settle()
 	n.Stats.Stores++
@@ -340,7 +395,7 @@ func (n *Node) Store(p *sim.Proc, addr uint64, val uint64) {
 // The mutation commits at the coherence point with the line in M, so it is
 // atomic with respect to every other node.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) RMW(p *sim.Proc, addr uint64, f func(uint64) uint64) uint64 {
 	p.Settle()
 	n.Stats.RMWs++
@@ -364,7 +419,7 @@ func (n *Node) RMW(p *sim.Proc, addr uint64, f func(uint64) uint64) uint64 {
 // commit directly, (line, false) for a Shared/Owned copy that needs a
 // bus upgrade, and (nil, false) on a miss.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) storeLookup(addr uint64) (*cache.Line, bool) {
 	l2 := n.L2.Lookup(addr)
 	if l2 == nil {
@@ -387,7 +442,7 @@ func (n *Node) storeLookup(addr uint64) (*cache.Line, bool) {
 // a full RdX fill on a miss, a BusUpgr for the Shared/Owned copy l2 —
 // and commits fs's pending operation at the coherence point.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) acquireModified(p *sim.Proc, addr uint64, l2 *cache.Line, fs *fillState) {
 	if l2 == nil {
 		n.fill(p, addr, bus.RdX, fs)
@@ -401,7 +456,7 @@ func (n *Node) acquireModified(p *sim.Proc, addr uint64, l2 *cache.Line, fs *fil
 // degrading to a full RdX (fs.preSnoop) if the copy is lost while waiting
 // for the bus.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) upgrade(p *sim.Proc, addr uint64, fs *fillState) {
 	fs.t.Kind = bus.Upgr
 	fs.t.Addr = n.L2.LineAddr(addr)
@@ -418,7 +473,7 @@ func (n *Node) upgrade(p *sim.Proc, addr uint64, fs *fillState) {
 // payload rides in the state's reusable buffer; commitFill copies it into
 // the L2 frame before the transaction returns.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) fill(p *sim.Proc, addr uint64, kind bus.Kind, fs *fillState) {
 	fs.t.Kind = kind
 	fs.t.Addr = n.L2.LineAddr(addr)
@@ -437,7 +492,7 @@ const maxFillDepth = 24
 // pending operation, and commits any dirty victim's bytes to memory. It
 // runs at the coherence point (bus held).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) commitFill(fs *fillState) {
 	t := &fs.t
 	state := cache.Modified
@@ -463,7 +518,7 @@ func (n *Node) commitFill(fs *fillState) {
 // postFill runs the protection hooks and the victim's timing writeback
 // after the fill transaction completed (bus released).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) postFill(p *sim.Proc, fs *fillState) {
 	if n.fillDepth >= maxFillDepth {
 		panic("coherence: fill recursion too deep (protection-layer loop?)")
@@ -494,7 +549,7 @@ func (n *Node) postFill(p *sim.Proc, fs *fillState) {
 
 // SnoopBus implements bus.Snooper: the MOESI snoop side.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) SnoopBus(t *bus.Transaction) {
 	if t.Src == n.ID {
 		return
@@ -556,7 +611,7 @@ func (n *Node) SnoopBus(t *bus.Transaction) {
 // transfer. With MOESI at most one M/O/E holder exists, so there is never
 // a second supplier.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) supply(t *bus.Transaction, l *cache.Line) {
 	if t.SupplierID != bus.MemorySupplier {
 		panic(fmt.Sprintf("coherence: two suppliers for %#x", t.Addr))
@@ -568,7 +623,7 @@ func (n *Node) supply(t *bus.Transaction, l *cache.Line) {
 // LoadLine reads a whole-line copy through the L2 (bypassing L1 — used by
 // the integrity layer for hash-tree nodes, which the paper keeps in L2).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) LoadLine(p *sim.Proc, addr uint64) []byte {
 	la := n.L2.LineAddr(addr)
 	//senss-lint:ignore hotpath the returned line copy crosses the API boundary; the integrity layer owns it
@@ -590,7 +645,7 @@ func (n *Node) LoadLine(p *sim.Proc, addr uint64) []byte {
 // single ownership acquisition — used by the integrity layer to patch a
 // child's hash tag inside its parent tree node.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (n *Node) StoreBlock(p *sim.Proc, addr uint64, data []byte) {
 	off := addr % uint64(n.Params.L2Line)
 	if int(off)+len(data) > n.Params.L2Line {

@@ -38,7 +38,7 @@ const BlocksPerLine = 4
 // pidBlock folds an originator PID and a block index into an AES block —
 // the "PID input" of Figure 2 that defeats Type 3 (spoofing) attacks.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func pidBlock(pid int, j int) aes.Block {
 	return aes.BlockFromUint64(uint64(pid), uint64(j))
 }
@@ -215,7 +215,7 @@ func NewSHU(pid int, params Params) *SHU {
 
 // session returns gid's table entry, nil when out of range or unoccupied.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s *SHU) session(gid int) *session {
 	if gid < 0 || gid >= MaxGroups {
 		return nil
@@ -384,7 +384,7 @@ func (s *SHU) Encrypt(gid int, plain []aes.Block) ([]aes.Block, error) {
 // EncryptInto is Encrypt writing the ciphertext into a caller-owned buffer
 // (len(cipher) == len(plain)) — the bus datapath's allocation-free form.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s *SHU) EncryptInto(gid int, plain, cipher []aes.Block) error {
 	ss := s.session(gid)
 	if ss == nil {
@@ -415,7 +415,7 @@ func (s *SHU) Observe(gid int, cipher []aes.Block, senderPID int) ([]aes.Block, 
 // buffer (len(plain) == len(cipher)) — the bus datapath's allocation-free
 // form.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s *SHU) ObserveInto(gid int, cipher []aes.Block, senderPID int, plain []aes.Block) error {
 	ss := s.session(gid)
 	if ss == nil {
@@ -443,7 +443,7 @@ func (s *SHU) ObserveInto(gid int, cipher []aes.Block, senderPID int, plain []ae
 // CBC chain. In AuthGF mode masks come from a counter (independent of the
 // traffic, hence precomputable) and the chain is a GHASH accumulator.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s *SHU) advance(ss *session, cipher []aes.Block, senderPID int) {
 	bank := ss.banks[ss.seq%uint64(len(ss.banks))]
 	for j := range cipher {
@@ -498,7 +498,7 @@ func LineToBlocks(line []byte) []aes.Block {
 // LineToBlocksInto splits a 64-byte line into a caller-owned block buffer —
 // the bus datapath's allocation-free form.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func LineToBlocksInto(line []byte, out []aes.Block) {
 	if len(line) != BlocksPerLine*aes.BlockSize || len(out) != BlocksPerLine {
 		panic(fmt.Sprintf("core: line of %d bytes into %d blocks", len(line), len(out)))

@@ -172,7 +172,7 @@ func (s *System) Establish(gid int, key aes.Block, members uint32, encIV, authIV
 // timingFor returns gid's mask-availability schedule, or nil when no such
 // group has been established (or gid is outside the group space).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s *System) timingFor(gid int) *groupTiming {
 	if gid < 0 || gid >= len(s.timing) {
 		return nil
@@ -314,7 +314,7 @@ func (s *System) OnTransaction(p *sim.Proc, t *bus.Transaction) uint64 {
 // now returns the current cycle from the proc or the engine (protocol-
 // level drives pass p == nil).
 //
-//senss-lint:ignore cycleacct read-only helper: observes the clock, charges nothing
+// senss-lint:ignore cycleacct read-only helper: observes the clock, charges nothing
 func (s *System) now(p *sim.Proc) uint64 {
 	if p != nil {
 		return p.Now()

@@ -43,14 +43,38 @@ type Port struct {
 	params Params
 
 	pc uint64 // byte position in the text region
+
+	// spin is the SpinUntil in progress; spinWake, bound once at Spawn,
+	// is its wake continuation.
+	spin     spinState
+	spinWake sim.Cont
 }
+
+// spinState is one SpinUntil: its operands and which wake comes next.
+type spinState struct {
+	addr, want, backoff uint64
+	next                spinLeg
+}
+
+// spinLeg names the event a spinning proc's next wake marks. A probe
+// that does not find want is three legs: the op gap ending in the probe,
+// the L1HitLat the probe leaves owed, and the backoff.
+type spinLeg uint8
+
+const (
+	spinOwed     spinLeg = iota // the last probe's owed latency ends
+	spinBoundary                // the backoff ends: the next op's gate and gap
+	spinProbe                   // the gap ends: the probe itself
+)
 
 // Spawn starts prog on a new proc of e bound to node. exit, when non-nil,
 // runs on that proc once prog returns, at the cycle its last operation
 // completes (any latency the node left owed is taken first).
 func Spawn(e *sim.Engine, name string, node *coherence.Node, params Params, prog Program, exit func()) {
 	e.Spawn(name, func(p *sim.Proc) {
-		prog(&Port{proc: p, node: node, params: params})
+		c := &Port{proc: p, node: node, params: params}
+		c.spinWake = c.spinStep
+		prog(c)
 		p.Settle()
 		if exit != nil {
 			exit()
@@ -67,6 +91,8 @@ func (c *Port) Now() uint64 { return c.proc.Now() }
 // step charges the per-op compute gap and the instruction-fetch model.
 // The gap sleep also takes the latency the previous operation left owed;
 // with no gap, that latency is settled on its own.
+//
+// senss-lint:hotpath
 func (c *Port) step() {
 	if c.params.Gate != nil {
 		c.params.Gate.check(c.proc)
@@ -76,20 +102,104 @@ func (c *Port) step() {
 	} else {
 		c.proc.Settle()
 	}
-	if c.params.IFetchBytes > 0 && c.params.CodeBytes > 0 {
-		line := uint64(c.node.Params.L1Line)
-		before := c.pc / line
-		c.pc = (c.pc + c.params.IFetchBytes) % c.params.CodeBytes
-		if c.pc/line != before {
-			c.node.IFetch(c.proc, c.params.CodeBase+(c.pc/line)*line)
+	c.fetch()
+}
+
+// fetch advances the instruction-fetch model by one operation.
+//
+// senss-lint:hotpath
+func (c *Port) fetch() {
+	pc, line, cross := c.nextFetch()
+	c.pc = pc
+	if cross {
+		c.node.IFetch(c.proc, line)
+	}
+}
+
+// nextFetch returns the text position after the next operation's fetch
+// and, when that fetch crosses into a new line, the line it fetches.
+//
+// senss-lint:hotpath
+func (c *Port) nextFetch() (pc, line uint64, cross bool) {
+	if c.params.IFetchBytes == 0 || c.params.CodeBytes == 0 {
+		return c.pc, 0, false
+	}
+	l := uint64(c.node.Params.L1Line)
+	pc = (c.pc + c.params.IFetchBytes) % c.params.CodeBytes
+	return pc, c.params.CodeBase + (pc/l)*l, pc/l != c.pc/l
+}
+
+// Load reads the aligned 8-byte word at addr.
+//
+// senss-lint:hotpath
+func (c *Port) Load(addr uint64) uint64 {
+	c.step()
+	return c.node.Load(c.proc, addr)
+}
+
+// SpinUntil spins until the word at addr reads want. It is exactly
+//
+//	for c.Load(addr) != want {
+//		c.Think(backoff)
+//	}
+//
+// — the same loads, latencies, cache and bus traffic and event order —
+// but each probe that hits L1 and reads something other than want runs
+// in engine context (sim.Proc.SettleThen), so the proc is not resumed for
+// it. The proc takes over at the exact boundary where the loop does more
+// than re-read a cached word: a closed Gate, an L1 miss, or the probe
+// that reads want.
+//
+// senss-lint:hotpath
+func (c *Port) SpinUntil(addr, want, backoff uint64) {
+	c.spin = spinState{addr: addr, want: want, backoff: backoff}
+	v := c.Load(addr)
+	for v != want {
+		c.spin.next = spinOwed
+		c.proc.SettleThen(c.spinWake)
+		if c.spin.next == spinBoundary {
+			v = c.Load(addr) // handed back at a closed gate
+		} else {
+			c.fetch() // handed back at a probe the continuation cannot take
+			v = c.node.Load(c.proc, addr)
 		}
 	}
 }
 
-// Load reads the aligned 8-byte word at addr.
-func (c *Port) Load(addr uint64) uint64 {
-	c.step()
-	return c.node.Load(c.proc, addr)
+// spinStep is SpinUntil's wake continuation: it plays the loop's legs in
+// engine context and hands the proc back, before touching anything, at
+// the first event the loop cannot take there.
+//
+// senss-lint:hotpath
+func (c *Port) spinStep() (uint64, bool) {
+	s := &c.spin
+	switch s.next {
+	case spinOwed:
+		if s.backoff > 0 {
+			s.next = spinBoundary
+			return s.backoff, true
+		}
+		fallthrough
+	case spinBoundary:
+		if g := c.params.Gate; g != nil && g.closed {
+			s.next = spinBoundary
+			return 0, false
+		}
+		if c.params.OpGap > 0 {
+			s.next = spinProbe
+			return c.params.OpGap, true
+		}
+	}
+	// The gap has ended: the probe.
+	s.next = spinProbe
+	pc, line, cross := c.nextFetch()
+	if v, hit := c.node.PeekHit(line, cross, s.addr); !hit || v == s.want {
+		return 0, false
+	}
+	c.pc = pc
+	c.node.TakeHit(line, cross, s.addr)
+	s.next = spinOwed
+	return c.node.Params.L1HitLat, true
 }
 
 // Store writes the aligned 8-byte word at addr.

@@ -40,6 +40,8 @@ func (g *Gate) NoteExit(e *sim.Engine) { g.quiesce.WakeAll(e) }
 // check parks the calling program while the gate is closed. Port calls it
 // before each operation. The gate is simulated state, so any latency the
 // program owes is taken before it is read.
+//
+// senss-lint:hotpath
 func (g *Gate) check(p *sim.Proc) {
 	p.Settle()
 	for g.closed {

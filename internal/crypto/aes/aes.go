@@ -37,7 +37,7 @@ type Block [BlockSize]byte
 // bus-encryption datapath, computed as two 64-bit XORs (byte order does
 // not matter to XOR, so the host's native little-endian loads serve).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (b Block) XOR(o Block) Block {
 	var r Block
 	le := binary.LittleEndian
@@ -64,7 +64,7 @@ func (b Block) String() string {
 // BlockFromUint64 packs two 64-bit words big-endian into a block.
 // Handy for folding PIDs and counters into cipher inputs.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func BlockFromUint64(hi, lo uint64) Block {
 	var b Block
 	binary.BigEndian.PutUint64(b[0:8], hi)
@@ -133,7 +133,7 @@ func New(key []byte) (*Cipher, error) {
 // NewFromBlock expands a Block-typed key. It cannot fail because a Block is
 // always KeySize bytes.
 //
-//senss-lint:ignore droppederr a Block is always KeySize bytes, the one condition New rejects
+// senss-lint:ignore droppederr a Block is always KeySize bytes, the one condition New rejects
 func NewFromBlock(key Block) *Cipher {
 	c, _ := New(key[:])
 	return c
@@ -173,7 +173,7 @@ func (c *Cipher) expand(key []byte) {
 // ShiftRows; with s_{c-r} and invSbox it is the inverse. The four box
 // loads are the only state-indexed memory accesses of the cipher.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func subShift(box *[256]byte, a, b, c, d uint32) uint32 {
 	return uint32(box[byte(a>>24)])<<24 |
 		uint32(box[byte(b>>16)])<<16 |
@@ -185,7 +185,7 @@ func subShift(box *[256]byte, a, b, c, d uint32) uint32 {
 // GF(2^8) with the AES polynomial, without branching: each byte's high
 // bit selects the reduction constant for that byte alone.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func xtime4(x uint32) uint32 {
 	return (x&0x7f7f7f7f)<<1 ^ (x>>7&0x01010101)*0x1b
 }
@@ -194,7 +194,7 @@ func xtime4(x uint32) uint32 {
 // FIPS-197 §4.2.1 form b_i = a_i ⊕ t ⊕ xtime(a_i ⊕ a_{i+1}), with
 // t = a0⊕a1⊕a2⊕a3, computed on all four rows at once.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func mixColumnWord(w uint32) uint32 {
 	x := w ^ bits.RotateLeft32(w, 8)
 	t := x ^ bits.RotateLeft32(x, 16)
@@ -211,7 +211,7 @@ func invMixColumnWord(w uint32) uint32 {
 
 // Encrypt computes the AES-128 encryption of src.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *Cipher) Encrypt(src Block) Block {
 	k := &c.enc
 	s0, s1, s2, s3 := columns(src)
@@ -252,7 +252,7 @@ func (c *Cipher) Decrypt(src Block) Block {
 
 // columns loads a block as four column words.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func columns(b Block) (s0, s1, s2, s3 uint32) {
 	be := binary.BigEndian
 	return be.Uint32(b[0:4]), be.Uint32(b[4:8]), be.Uint32(b[8:12]), be.Uint32(b[12:16])
@@ -260,7 +260,7 @@ func columns(b Block) (s0, s1, s2, s3 uint32) {
 
 // fromColumns stores four column words back into a block.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func fromColumns(s0, s1, s2, s3 uint32) Block {
 	var b Block
 	be := binary.BigEndian

@@ -44,7 +44,7 @@ func New(cipher crypto.BlockCipher, iv aes.Block) *MAC {
 
 // Update absorbs one input block into the chain and returns the new state.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (m *MAC) Update(in aes.Block) aes.Block {
 	m.state = m.cipher.Encrypt(m.state.XOR(in))
 	m.blocks++

@@ -25,7 +25,7 @@ import (
 // they allocate nothing, so the bus datapath may call Equal (the AES memo
 // compares its stored inputs here).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func Equal(a, b []byte) bool {
 	if len(a) != len(b) {
 		return false

@@ -19,7 +19,7 @@ type Element struct {
 
 // FromBytes loads a 16-byte string.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func FromBytes(b [16]byte) Element {
 	return Element{
 		Hi: binary.BigEndian.Uint64(b[0:8]),
@@ -40,7 +40,7 @@ func (e Element) IsZero() bool { return e.Hi == 0 && e.Lo == 0 }
 
 // Add is addition in GF(2^128): XOR.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (e Element) Add(o Element) Element {
 	return Element{Hi: e.Hi ^ o.Hi, Lo: e.Lo ^ o.Lo}
 }
@@ -53,7 +53,7 @@ func One() Element { return Element{Hi: 0x8000000000000000} }
 // of SP 800-38D): V iterates over doublings of y while bits of x select
 // additions, with the reduction polynomial R = 0xe1 || 0^120.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func Mul(x, y Element) Element {
 	var z Element
 	v := y
@@ -103,7 +103,7 @@ func (g *GHASH) Subkey() [16]byte { return g.h.Bytes() }
 
 // Update absorbs one 16-byte block.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (g *GHASH) Update(block [16]byte) {
 	g.y = Mul(g.y.Add(FromBytes(block)), g.h)
 }

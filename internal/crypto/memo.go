@@ -58,7 +58,7 @@ func (m *Memo) wipe() {
 // spread by a Fibonacci multiply, so structured inputs (counter-mode
 // blocks differing in their low bytes) still scatter.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func memoIndex(src *aes.Block) int {
 	h := binary.LittleEndian.Uint64(src[0:8]) ^ binary.LittleEndian.Uint64(src[8:16])
 	return int((h * 0x9e3779b97f4a7c15) >> (64 - memoBits))
@@ -83,7 +83,7 @@ func Memoize(c BlockCipher, m *Memo) BlockCipher {
 // Encrypt returns the stored result when src's slot holds src, and
 // otherwise computes it with the wrapped cipher and stores it.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (mc *memoCipher) Encrypt(src aes.Block) aes.Block {
 	if mc.m == nil {
 		return mc.c.Encrypt(src)

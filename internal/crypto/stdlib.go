@@ -36,7 +36,7 @@ func newStdlibCipher(key aes.Block) BlockCipher {
 
 // Encrypt computes AES-128 of src under the session key.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *stdlibCipher) Encrypt(src aes.Block) aes.Block {
 	if c.block == nil {
 		return aes.Block{}
@@ -48,7 +48,7 @@ func (c *stdlibCipher) Encrypt(src aes.Block) aes.Block {
 
 // Decrypt inverts Encrypt.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *stdlibCipher) Decrypt(src aes.Block) aes.Block {
 	if c.block == nil {
 		return aes.Block{}

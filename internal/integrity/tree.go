@@ -138,7 +138,7 @@ func New(engine *sim.Engine, dataBase, dataSize uint64, params Params) *Tree {
 
 // Covers reports whether addr belongs to the protected data region.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (t *Tree) Covers(addr uint64) bool {
 	return addr >= t.dataBase && addr < t.dataBase+t.dataSize
 }
@@ -146,7 +146,7 @@ func (t *Tree) Covers(addr uint64) bool {
 // levelOf returns which tree level a hash-line address belongs to, or -1
 // for data addresses.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (t *Tree) levelOf(addr uint64) int {
 	if addr < HashBase {
 		return -1
@@ -312,7 +312,7 @@ func (t *Tree) verify(p *sim.Proc, n *coherence.Node, addr uint64, data []byte) 
 // BeginUpdate marks addr as having an in-flight parent update. The memory
 // port wrapper calls it at the writeback commit point.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (t *Tree) BeginUpdate(addr uint64) {
 	if t.levelOf(addr) >= 0 || t.Covers(addr) {
 		t.pending[addr]++

@@ -111,7 +111,7 @@ func hotDirective(doc *ast.CommentGroup) (hot, cold bool) {
 		return false, false
 	}
 	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		text := commentText(c)
 		if text == "senss-lint:hotpath" {
 			hot = true
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/format"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -493,6 +494,72 @@ func TestNoVariableTimeCompareHelpers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestGofmtKeepsDirectives checks that gofmt cannot switch a directive
+// off. gofmt rewrites "//senss-lint:..." in a doc comment as
+// "// senss-lint:..." (the hyphen keeps it from being a Go directive), so
+// both spellings must mean the same: the source below, as written and as
+// go/format prints it, gives the same two hotpath findings — hot's
+// allocation and its call to the unannotated plain — and neither the
+// waived allocation nor the call to the coldpath function.
+func TestGofmtKeepsDirectives(t *testing.T) {
+	const src = `package fmtd
+
+// hot must not allocate.
+//
+//senss-lint:hotpath
+func hot(n int) []byte {
+	cold(n)
+	plain(n)
+	return make([]byte, n)
+}
+
+// waived allocates under a waiver that covers its whole declaration.
+//
+//senss-lint:hotpath
+//senss-lint:ignore hotpath the fixture's one audited allocation
+func waived(n int) []byte {
+	return make([]byte, n)
+}
+
+// cold is a sanctioned exit from hot code.
+//
+//senss-lint:coldpath runs once, off the hot path
+func cold(n int) []byte { return make([]byte, n) }
+
+// plain carries no annotation.
+func plain(n int) []byte { return make([]byte, n) }
+`
+	formatted, err := format.Source([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"hotpath", "ignore", "coldpath"} {
+		if !strings.Contains(string(formatted), "// senss-lint:"+d) {
+			t.Fatalf("gofmt no longer rewrites the %s directive; the fixture tests nothing:\n%s", d, formatted)
+		}
+	}
+	findings := func(name, src string) []string {
+		a := lint.AnalyzerHotpath()
+		a.Scope = nil
+		var out []string
+		for _, d := range lint.RunAnalyzers([]*lint.Analyzer{a}, []*lint.Package{writePackage(t, name, src)}) {
+			out = append(out, fmt.Sprintf("%d: [%s] %s", d.Pos.Line, d.Analyzer, d.Message))
+		}
+		return out
+	}
+	written, gofmted := findings("fmtd", src), findings("fmtd", string(formatted))
+	want := []string{
+		"8: [hotpath] hot function hot calls plain, which is not marked //senss-lint:hotpath (or coldpath)",
+		"9: [hotpath] make allocates in hot code",
+	}
+	if strings.Join(written, "\n") != strings.Join(want, "\n") {
+		t.Errorf("as written: findings\n%s\nwant\n%s", strings.Join(written, "\n"), strings.Join(want, "\n"))
+	}
+	if strings.Join(gofmted, "\n") != strings.Join(want, "\n") {
+		t.Errorf("after gofmt: findings\n%s\nwant\n%s", strings.Join(gofmted, "\n"), strings.Join(want, "\n"))
 	}
 }
 

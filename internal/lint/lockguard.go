@@ -199,7 +199,7 @@ func guardedbyDirective(groups ...*ast.CommentGroup) (string, token.Pos, bool) {
 			continue
 		}
 		for _, c := range g.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			text := commentText(c)
 			rest, ok := strings.CutPrefix(text, "senss-lint:guardedby")
 			if !ok {
 				continue

@@ -41,7 +41,19 @@ func nameListHas(names []string, a string) bool {
 // and //senss-lint:coldpath <reason> annotate functions for the hotpath
 // analyzer (see hotpath.go); coldpath waives the allocation discipline for
 // a whole function, so its written reason is mandatory and enforced here.
+//
+// gofmt does not treat these lines as Go directives (the hyphen in
+// "senss-lint" fails the //name:args form), so it rewrites one in a doc
+// comment as "// senss-lint:...". Every reader takes the directive from
+// commentText, which drops the space, so both spellings mean the same.
 const directivePrefix = "senss-lint:"
+
+// commentText returns a comment's text without its markers and without
+// the surrounding space.
+func commentText(c *ast.Comment) string {
+	text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
+	return strings.TrimSpace(strings.TrimSuffix(text, "*/"))
+}
 
 type supEntry struct {
 	analyzers []string
@@ -107,8 +119,7 @@ func collectSuppressions(pkg *Package, known map[string]bool) *suppressions {
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
-				text = strings.TrimSpace(strings.TrimSuffix(text, "*/"))
+				text := commentText(c)
 				if !strings.HasPrefix(text, directivePrefix) {
 					continue
 				}

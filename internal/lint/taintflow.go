@@ -295,7 +295,7 @@ func (w *taintWorld) collectSecretFields(pkg *Package, f *ast.File) {
 			return false
 		}
 		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			text := commentText(c)
 			if text == "senss-lint:secret" {
 				return true
 			}

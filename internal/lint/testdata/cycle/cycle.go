@@ -60,7 +60,7 @@ func Idle(p *Proc) uint64 { // want "holds the run token"
 
 // Observe is zero-cost by contract and carries the audit note: accepted.
 //
-//senss-lint:ignore cycleacct fixture: observation is cost-free by contract
+// senss-lint:ignore cycleacct fixture: observation is cost-free by contract
 func (h *silentHook) Observe(p *Proc, t *Transaction) uint64 {
 	if t.C2C {
 		return 0

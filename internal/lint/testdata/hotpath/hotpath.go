@@ -17,7 +17,7 @@ type stats struct {
 	hits, misses uint64
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s *stats) bump() { s.hits++ }
 
 // port mirrors the bus.MemoryPort shape: one interface, two
@@ -29,7 +29,7 @@ type port interface {
 // fastPort is the annotated implementation.
 type fastPort struct{ base uint64 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (p *fastPort) fetch(addr uint64) uint64 { return p.base + addr }
 
 // slowPort is deliberately unannotated: interface dispatch from hot code
@@ -41,16 +41,16 @@ func (p *slowPort) fetch(addr uint64) uint64 { return p.lines[addr] }
 // helper is unannotated module code: hot functions may not call it.
 func helper(x uint64) uint64 { return x * 2 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func hotHelper(x uint64) uint64 { return x + 1 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func sink(v any) {}
 
 // coldGrow is the sanctioned exit: first-touch growth with a written
 // reason. Its body is not checked.
 //
-//senss-lint:coldpath first-touch growth happens once per line, off the steady state
+// senss-lint:coldpath first-touch growth happens once per line, off the steady state
 func coldGrow(buf []byte) []byte { return append(buf, 0) }
 
 // --- clean twins -----------------------------------------------------
@@ -59,7 +59,7 @@ func coldGrow(buf []byte) []byte { return append(buf, 0) }
 // allowlisted externals, value composite literals, and an exempt panic
 // path keep the steady state allocation-free.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func cleanSteady(p *fastPort, s *stats, buf []byte) uint64 {
 	v := binary.LittleEndian.Uint64(buf)
 	v = bits.RotateLeft64(v, 8)
@@ -74,7 +74,7 @@ func cleanSteady(p *fastPort, s *stats, buf []byte) uint64 {
 
 // cleanColdCall exits through the coldpath hatch.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func cleanColdCall(buf []byte) []byte {
 	return coldGrow(buf)
 }
@@ -82,7 +82,7 @@ func cleanColdCall(buf []byte) []byte {
 // cleanWaiver shows the audited-waiver protocol: a deliberate exception
 // with a written reason is not reported.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func cleanWaiver(s *stats, xs []uint64) []uint64 {
 	//senss-lint:ignore hotpath amortized growth: the slice reaches steady-state capacity after warmup
 	xs = append(xs, s.hits)
@@ -91,7 +91,7 @@ func cleanWaiver(s *stats, xs []uint64) []uint64 {
 
 // --- planted violations ----------------------------------------------
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyAllocs(n int) []byte {
 	buf := make([]byte, n) // want "make allocates in hot code"
 	p := new(stats)        // want "new allocates in hot code"
@@ -100,62 +100,62 @@ func dirtyAllocs(n int) []byte {
 	return buf
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyCalls(s *stats) uint64 {
 	v := helper(s.hits) // want "calls helper, which is not marked"
 	fmt.Println(v)      // want "fmt.Println allocates in hot code"
 	return v
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyStrings(tag string, raw []byte) string {
 	s := tag + "!"   // want "string concatenation allocates"
 	b := string(raw) // want "string conversion allocates"
 	return s + b     // want "string concatenation allocates"
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyEscape() *stats {
 	return &stats{hits: 1} // want "composite literal escapes"
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyLiterals() {
 	_ = []uint64{1, 2}      // want "slice literal"
 	_ = map[uint64]uint64{} // want "map literal"
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyClosure(n uint64) func() uint64 {
 	f := func() uint64 { return helper(n) } // want "closure (func literal) allocates" want "calls helper"
 	return f
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyDeferLoop(s *stats) {
 	for i := 0; i < 4; i++ {
 		defer s.bump() // want "defer inside a loop allocates per iteration"
 	}
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyBoxing(s stats) any {
 	var sunk any = s // want "interface conversion boxes"
 	_ = sunk
 	return s // want "interface conversion boxes"
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyArgBoxing(s stats) {
 	sink(s) // want "interface conversion boxes"
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyIface(p port, addr uint64) uint64 {
 	return p.fetch(addr) // want "resolves to unannotated implementation(s): slowPort.fetch"
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyMapRange(m map[uint64]uint64) uint64 {
 	var sum uint64
 	for _, v := range m { // want "map iteration in hot code"
@@ -164,14 +164,14 @@ func dirtyMapRange(m map[uint64]uint64) uint64 {
 	return sum
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func dirtyGo() {
 	go hotHelper(1) // want "go statement in hot code"
 }
 
-//senss-lint:hotpath
-//senss-lint:coldpath a reason does not legitimize the double annotation
+// senss-lint:hotpath
+// senss-lint:coldpath a reason does not legitimize the double annotation
 func dirtyBoth() {} // want "marked both hotpath and coldpath"
 
-//senss-lint:coldpath // want `senss-lint:coldpath needs a written reason`
+// senss-lint:coldpath // want `senss-lint:coldpath needs a written reason`
 func coldNoReason() {}

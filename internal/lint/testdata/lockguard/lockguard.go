@@ -73,7 +73,7 @@ func (c *Counter) maybeBad(flag bool) {
 	c.n++ // want "not locked on every path"
 }
 
-//senss-lint:ignore lockguard constructor: the Counter has not escaped yet, no other goroutine can observe the write
+// senss-lint:ignore lockguard constructor: the Counter has not escaped yet, no other goroutine can observe the write
 func newCounter() *Counter {
 	c := &Counter{}
 	c.n = 42

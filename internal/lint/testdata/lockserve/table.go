@@ -39,7 +39,7 @@ type tableShard struct {
 
 // NewTable seeds the shard maps before the table escapes.
 //
-//senss-lint:ignore lockguard construction: the table has not escaped NewTable yet
+// senss-lint:ignore lockguard construction: the table has not escaped NewTable yet
 func NewTable(n int) *Table {
 	if n <= 0 {
 		n = 4

@@ -34,7 +34,7 @@ func Bare() {
 
 // A directive in the doc comment covers the whole declaration.
 //
-//senss-lint:ignore droppederr fixture: declaration-wide waiver
+// senss-lint:ignore droppederr fixture: declaration-wide waiver
 func DeclWide() {
 	mayFail()
 	mayFail()
@@ -42,7 +42,7 @@ func DeclWide() {
 
 // An unknown verb is malformed.
 //
-//senss-lint:suppress droppederr oops // want "malformed senss-lint directive"
+// senss-lint:suppress droppederr oops // want "malformed senss-lint directive"
 func Malformed() {
 	mayFail() // want "error result of mayFail is dropped"
 }

@@ -297,7 +297,7 @@ type integrityPort struct {
 
 // Fetch runs only for Rd/RdX transactions that memory supplies.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (p *integrityPort) Fetch(t *bus.Transaction, dst []byte) uint64 {
 	if t.Addr >= integrity.HashBase {
 		p.m.hashFetches++
@@ -305,7 +305,7 @@ func (p *integrityPort) Fetch(t *bus.Transaction, dst []byte) uint64 {
 	return p.inner.Fetch(t, dst)
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (p *integrityPort) Store(t *bus.Transaction, src []byte) uint64 {
 	if p.m.Tree != nil {
 		p.m.Tree.BeginUpdate(t.Addr)

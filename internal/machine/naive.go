@@ -29,7 +29,7 @@ func newNaiveHook(b *bus.Bus, cipher crypto.BlockCipher, aesLat uint64) *naiveHo
 
 // OnTransaction implements bus.SecurityHook.
 //
-//senss-lint:ignore cycleacct non-cache-to-cache transactions pass the naive channel uncharged by design
+// senss-lint:ignore cycleacct non-cache-to-cache transactions pass the naive channel uncharged by design
 func (h *naiveHook) OnTransaction(p *sim.Proc, t *bus.Transaction) uint64 {
 	if !t.CacheToCache() {
 		return 0

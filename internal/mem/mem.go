@@ -64,13 +64,13 @@ func New() *Store {
 
 // LineAddr returns the line-aligned address containing addr.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func LineAddr(addr uint64) uint64 { return addr &^ (LineSize - 1) }
 
 // line returns the line containing addr, allocating its page zeroed on
 // demand and recording the touch.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s *Store) line(addr uint64) *Line {
 	li := addr / LineSize
 	pi := li >> pageLineBits
@@ -99,7 +99,7 @@ func (s *Store) line(addr uint64) *Line {
 
 // ReadLine copies the line containing addr into dst.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s *Store) ReadLine(addr uint64, dst []byte) {
 	if len(dst) != LineSize {
 		panic(fmt.Sprintf("mem: ReadLine dst size %d", len(dst)))
@@ -110,7 +110,7 @@ func (s *Store) ReadLine(addr uint64, dst []byte) {
 
 // WriteLine overwrites the line containing addr with src.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (s *Store) WriteLine(addr uint64, src []byte) {
 	if len(src) != LineSize {
 		panic(fmt.Sprintf("mem: WriteLine src size %d", len(src)))
@@ -187,7 +187,7 @@ func checkAlign(addr uint64) {
 // ReadWordFromLine extracts the little-endian word at byte offset off of a
 // line buffer. Shared helper for caches and nodes.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func ReadWordFromLine(line []byte, off uint64) uint64 {
 	var v uint64
 	for i := 0; i < WordSize; i++ {
@@ -199,7 +199,7 @@ func ReadWordFromLine(line []byte, off uint64) uint64 {
 // WriteWordToLine stores a little-endian word at byte offset off of a line
 // buffer.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func WriteWordToLine(line []byte, off uint64, v uint64) {
 	for i := 0; i < WordSize; i++ {
 		line[off+uint64(i)] = byte(v >> (8 * i))

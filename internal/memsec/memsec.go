@@ -63,7 +63,7 @@ func newPadCache(capacity int) *padCache {
 	return &padCache{entries: make(map[uint64]padEntry), capacity: capacity}
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *padCache) get(addr uint64) (uint64, bool) {
 	e, ok := c.entries[addr]
 	if !ok {
@@ -75,7 +75,7 @@ func (c *padCache) get(addr uint64) (uint64, bool) {
 	return e.seq, true
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *padCache) put(addr, seq uint64) {
 	if e, ok := c.entries[addr]; ok {
 		e.seq = seq
@@ -104,7 +104,7 @@ func (c *padCache) put(addr, seq uint64) {
 	c.entries[addr] = padEntry{seq: seq, lru: c.tick}
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (c *padCache) drop(addr uint64) { delete(c.entries, addr) }
 
 // Layer is the memory-encryption layer. It wraps the raw backing store as
@@ -159,7 +159,7 @@ func New(backing *mem.Store, cipher crypto.BlockCipher, nprocs int, params Param
 // pad computes the OTP material for one line: four AES blocks of
 // AES_K(addr ‖ seq ‖ i).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (l *Layer) pad(addr, seq uint64, dst []byte) {
 	for i := 0; i*aes.BlockSize < len(dst); i++ {
 		b := l.cipher.Encrypt(aes.BlockFromUint64(addr, seq<<8|uint64(i)))
@@ -169,7 +169,7 @@ func (l *Layer) pad(addr, seq uint64, dst []byte) {
 
 // xorPad XORs the pad for (addr, seq) into buf in place.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (l *Layer) xorPad(addr, seq uint64, buf []byte) {
 	if cap(l.padScratch) < len(buf) {
 		//senss-lint:ignore hotpath first-touch growth: the scratch buffer reaches line size once and is reused
@@ -186,7 +186,7 @@ func (l *Layer) xorPad(addr, seq uint64, buf []byte) {
 // it (initial image lines are encrypted by EncryptAll; this covers
 // never-initialized zero lines).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (l *Layer) ensure(addr uint64) uint64 {
 	if s, ok := l.seq[addr]; ok {
 		return s
@@ -213,7 +213,7 @@ func (l *Layer) EncryptAll() {
 // charging AES latency only when the requester's pad entry is stale or
 // missing (SNC miss).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (l *Layer) Fetch(t *bus.Transaction, dst []byte) uint64 {
 	seq := l.ensure(t.Addr)
 	l.backing.ReadLine(t.Addr, dst)
@@ -248,7 +248,7 @@ func (l *Layer) Fetch(t *bus.Transaction, dst []byte) uint64 {
 // fresh pad, and refresh the writer's pad entry. Pad generation overlaps
 // the writeback, so no extra cycles are exposed.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (l *Layer) Store(t *bus.Transaction, src []byte) uint64 {
 	l.ensure(t.Addr)
 	l.seq[t.Addr]++

@@ -35,9 +35,7 @@ func (l *Lock) Acquire(c *cpu.Port) {
 		}
 		// Test-and-test-and-set: spin on local (cached, Shared) reads so
 		// the wait generates no bus traffic until the holder releases.
-		for c.Load(l.addr) != 0 {
-			c.Think(spinBackoff)
-		}
+		c.SpinUntil(l.addr, 0, spinBackoff)
 	}
 }
 
@@ -85,7 +83,5 @@ func (b *Barrier) Wait(c *cpu.Port, ctx *Context) {
 		c.Store(b.sense, ctx.sense) // release everyone
 		return
 	}
-	for c.Load(b.sense) != ctx.sense {
-		c.Think(spinBackoff)
-	}
+	c.SpinUntil(b.sense, ctx.sense, spinBackoff)
 }

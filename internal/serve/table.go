@@ -31,7 +31,7 @@ type tableShard struct {
 
 // NewTable builds an empty table of DefaultShards shards.
 //
-//senss-lint:ignore lockguard construction: the table has not escaped NewTable yet, so no other goroutine can observe the shard maps being seeded
+// senss-lint:ignore lockguard construction: the table has not escaped NewTable yet, so no other goroutine can observe the shard maps being seeded
 func NewTable() *Table {
 	t := &Table{}
 	for i := range t.shards {

@@ -70,14 +70,14 @@ type calQueue struct {
 
 // len returns the number of scheduled events.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *calQueue) len() int { return q.n }
 
 // push schedules ev. ev.at must be >= the cycle of the last popped event
 // (time never runs backwards), which keeps every push inside or beyond the
 // current window.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *calQueue) push(ev event) {
 	q.n++
 	if ev.at < q.base+wheelBuckets {
@@ -87,7 +87,7 @@ func (q *calQueue) push(ev event) {
 	q.overflowPush(ev)
 }
 
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *calQueue) bucketPush(ev event) {
 	i := ev.at & wheelMask
 	b := &q.buckets[i]
@@ -104,7 +104,7 @@ func (q *calQueue) bucketPush(ev event) {
 // peekAt returns the cycle of the next event without removing it, and
 // whether one exists. It never rotates the window and never moves cur.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *calQueue) peekAt() (uint64, bool) {
 	if q.inWheel > 0 {
 		return q.scanFrom(q.cur), true
@@ -119,7 +119,7 @@ func (q *calQueue) peekAt() (uint64, bool) {
 // from peekAt with no intervening push (peek and pop run in one dispatch
 // step of a single-threaded engine, so nothing can interleave).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *calQueue) popAt(at uint64) event {
 	if q.inWheel == 0 {
 		q.rotate()
@@ -144,7 +144,7 @@ func (q *calQueue) popAt(at uint64) event {
 // guarantees the wheel is nonempty; buckets below c are empty by the cur
 // invariant, so any set occupancy bit at or after c names the next cycle.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *calQueue) scanFrom(c uint64) uint64 {
 	end := q.base + wheelBuckets
 	for c < end {
@@ -162,7 +162,7 @@ func (q *calQueue) scanFrom(c uint64) uint64 {
 // overflow event that now fits. Only called when the wheel is empty, so no
 // bucket can hold events of two different cycles.
 //
-//senss-lint:coldpath window rotation: only far-future events (beyond 1024 cycles) ever trigger it
+// senss-lint:coldpath window rotation: only far-future events (beyond 1024 cycles) ever trigger it
 func (q *calQueue) rotate() {
 	q.base = q.overflow[0].at
 	q.cur = q.base
@@ -187,7 +187,7 @@ func overflowLess(a, b event) bool {
 // overflowPush is a hand-rolled sift-up so events stay values (container/heap
 // would box them through interface{}).
 //
-//senss-lint:coldpath overflow heap: only far-future events (beyond 1024 cycles) land here
+// senss-lint:coldpath overflow heap: only far-future events (beyond 1024 cycles) land here
 func (q *calQueue) overflowPush(ev event) {
 	h := append(q.overflow, ev)
 	i := len(h) - 1

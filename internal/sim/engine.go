@@ -31,6 +31,24 @@
 // (cycle, sequence) order. The code a proc runs while it owes must touch
 // no simulated state; Park, Now, Settle and the body's return take the
 // owed sleep first.
+//
+// A proc may go further and sleep through a continuation (SettleThen):
+// when its wake comes up, dispatch calls a Cont in engine context instead
+// of resuming the proc, and the Cont either returns the next sleep or
+// hands the proc back at that event. The invariant that keeps this exact:
+// the Cont touches only the state the proc itself would touch at that
+// event, and every sleep it returns is queued with a fresh sequence
+// number, drawn where the proc's own Sleep would draw it. A loop of short
+// sleeps split by cheap work — a spin-wait probing a cached word — then
+// retires in the identical (cycle, sequence) order without a coroutine
+// switch per wake. cpu.Port.SpinUntil runs every lock and barrier probe
+// that hits L1 this way; on the 4-processor golden cells, coroutine
+// resumes per retired memory op fell from
+//
+//	radix 1.24 → 0.41, barnes 1.27 → 0.36, lu 1.19 → 0.58,
+//	fft 1.04 → 0.83, ocean 0.98 → 0.92
+//
+// (DESIGN.md §16 has the table).
 package sim
 
 import (
@@ -77,12 +95,12 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated cycle.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (e *Engine) Now() uint64 { return e.now }
 
 // Schedule runs fn in engine context at absolute cycle at (>= Now).
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (e *Engine) Schedule(at uint64, fn func()) {
 	if at < e.now {
 		at = e.now
@@ -124,17 +142,27 @@ type Proc struct {
 	// resuming it.
 	twoLeg bool
 	leg    uint64
+	// k, set while the proc sleeps through a continuation (SettleThen),
+	// runs at each of its wakes in place of resuming it.
+	k Cont
 }
+
+// Cont is a wake continuation (Proc.SettleThen). It runs in engine
+// context at a proc's wake and returns either (d, true), to sleep the
+// proc d more cycles, or (_, false), to resume the proc at this event.
+type Cont func() (uint64, bool)
 
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string { return p.name }
 
 // Engine returns the owning engine.
+//
+// senss-lint:hotpath
 func (p *Proc) Engine() *Engine { return p.e }
 
 // Now returns the current simulated cycle, after taking any owed sleep.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (p *Proc) Now() uint64 {
 	p.Settle()
 	return p.e.now
@@ -182,7 +210,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // fn events run inline in whichever context dispatches; they are engine
 // context either way because their code never blocks or sleeps.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (e *Engine) dispatch(self *Proc) bool {
 	for {
 		at, ok := e.q.peekAt()
@@ -210,13 +238,14 @@ func (e *Engine) dispatch(self *Proc) bool {
 			ev.fn()
 			continue
 		}
-		if ev.p.twoLeg {
-			// The first leg of a two-leg sleep: queue the second with
-			// the sequence number the proc would draw on waking here.
-			ev.p.twoLeg = false
-			e.seq++
-			e.q.push(event{at: e.now + ev.p.leg, seq: e.seq, p: ev.p})
-			continue
+		if p := ev.p; p.twoLeg || p.k != nil {
+			if d, again := p.wake(); again {
+				// Queue the next sleep with the sequence number the
+				// proc would draw on waking here.
+				e.seq++
+				e.q.push(event{at: e.now + d, seq: e.seq, p: p})
+				continue
+			}
 		}
 		if ev.p == self {
 			return true
@@ -229,11 +258,28 @@ func (e *Engine) dispatch(self *Proc) bool {
 	}
 }
 
+// wake runs a proc's wake in engine context: the first leg of a two-leg
+// sleep yields the second, and a continuation decides for itself. It
+// returns the next sleep, or false when the proc must be resumed.
+//
+// senss-lint:hotpath
+func (p *Proc) wake() (uint64, bool) {
+	if p.twoLeg {
+		p.twoLeg = false
+		return p.leg, true
+	}
+	d, again := p.k()
+	if !again {
+		p.k = nil
+	}
+	return d, again
+}
+
 // Sleep suspends the proc for d simulated cycles (0 means yield to other
 // events at this cycle). A proc that owes a sleep takes both at once: the
 // owed wake becomes the first leg of a two-leg event and d the second.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (p *Proc) Sleep(d uint64) {
 	if p.owes {
 		p.owes = false
@@ -252,7 +298,7 @@ func (p *Proc) Sleep(d uint64) {
 // owed sleep. Until then the proc must touch no simulated state — its
 // clock still reads the cycle before the charge.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (p *Proc) Owe(d uint64) {
 	p.Settle()
 	e := p.e
@@ -263,7 +309,7 @@ func (p *Proc) Owe(d uint64) {
 
 // Settle takes any sleep the proc owes, as a plain Sleep would have.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (p *Proc) Settle() {
 	if p.owes {
 		p.owes = false
@@ -271,11 +317,36 @@ func (p *Proc) Settle() {
 	}
 }
 
+// SettleThen takes the proc's owed sleep through continuation k: at the
+// owed wake, and at every later wake k asks for, dispatch calls k in
+// engine context instead of resuming the proc. SettleThen returns at the
+// event where k hands the proc back. A proc that owes nothing runs k at
+// once, and sleeps only if k asks it to.
+//
+// k must touch only the state the proc itself would touch at each of
+// those events; the engine queues every sleep k returns exactly as the
+// proc's own Sleep would, so the whole loop retires as the proc sleeping
+// it would, minus one coroutine switch per wake.
+//
+// senss-lint:hotpath
+func (p *Proc) SettleThen(k Cont) {
+	if !p.owes {
+		d, again := k()
+		if !again {
+			return
+		}
+		p.Owe(d)
+	}
+	p.owes = false
+	p.k = k
+	p.suspend()
+}
+
 // suspend dispatches onward from the running proc, whose wake is already
 // queued (or which is parking), and yields unless that wake comes up
 // first.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (p *Proc) suspend() {
 	if !p.e.dispatch(p) && !p.yield(struct{}{}) {
 		panic(procAborted) // Abort stopped the coroutine: unwind the body
@@ -286,7 +357,7 @@ func (p *Proc) suspend() {
 // Queue or Engine.Unpark. If an Unpark at this cycle was already queued,
 // dispatch reaches it and the proc keeps running.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (p *Proc) Park() {
 	p.Settle()
 	p.suspend()
@@ -295,7 +366,7 @@ func (p *Proc) Park() {
 // Unpark schedules parked proc q to resume at the current cycle. It may be
 // called from engine context or from another running proc.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (e *Engine) Unpark(q *Proc) {
 	e.seq++
 	e.q.push(event{at: e.now, seq: e.seq, p: q})
@@ -318,6 +389,15 @@ func (l *LimitError) Error() string {
 	return fmt.Sprintf("sim: exceeded cycle limit %d (livelock?)", l.Limit)
 }
 
+// Resumes returns how many times the engine has resumed a proc's
+// coroutine: the host cost that owed sleeps and continuations save.
+func (e *Engine) Resumes() uint64 { return e.resumes }
+
+// Seq returns the engine's sequence counter: how many events have been
+// queued so far. Two runs that queue the same events in the same order
+// end with the same count.
+func (e *Engine) Seq() uint64 { return e.seq }
+
 // SetLimit aborts Run with a LimitError once simulated time passes limit
 // cycles. Zero disables the limit.
 func (e *Engine) SetLimit(limit uint64) { e.limit = limit }
@@ -326,7 +406,7 @@ func (e *Engine) SetLimit(limit uint64) { e.limit = limit }
 // *DeadlockError if procs are still alive with an empty event queue, and a
 // *LimitError if the cycle limit is exceeded.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (e *Engine) Run() error {
 	_, err := e.RunUntil(^uint64(0))
 	return err
@@ -345,7 +425,7 @@ func (e *Engine) Run() error {
 // A panic in a proc body (other than Abort's unwinding) propagates to
 // RunUntil's caller with its original value.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (e *Engine) RunUntil(deadline uint64) (done bool, err error) {
 	e.deadline = deadline
 	e.handoff = nil
@@ -407,7 +487,7 @@ func (e *Engine) Abort() {
 
 // liveNames names the still-live procs for the deadlock report.
 //
-//senss-lint:coldpath deadlock diagnostics: runs once, after the simulation is already dead
+// senss-lint:coldpath deadlock diagnostics: runs once, after the simulation is already dead
 func (e *Engine) liveNames() []string {
 	var names []string
 	for _, p := range e.procs {
@@ -426,7 +506,7 @@ type Queue struct {
 
 // Wait appends the calling proc and parks it until woken.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *Queue) Wait(p *Proc) {
 	//senss-lint:ignore hotpath amortized growth: the waiter list reaches steady-state capacity after warmup
 	q.waiters = append(q.waiters, p)
@@ -435,12 +515,12 @@ func (q *Queue) Wait(p *Proc) {
 
 // Len returns the number of parked waiters.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *Queue) Len() int { return len(q.waiters) }
 
 // WakeOne unparks the oldest waiter, if any, and reports whether one existed.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *Queue) WakeOne(e *Engine) bool {
 	if len(q.waiters) == 0 {
 		return false
@@ -454,7 +534,7 @@ func (q *Queue) WakeOne(e *Engine) bool {
 
 // WakeAll unparks every waiter in FIFO order.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (q *Queue) WakeAll(e *Engine) {
 	for _, p := range q.waiters {
 		e.Unpark(p)
@@ -470,7 +550,7 @@ type Mutex struct {
 
 // Lock acquires the mutex, parking the proc until it is granted.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (m *Mutex) Lock(p *Proc) {
 	for m.held {
 		m.q.Wait(p)
@@ -480,7 +560,7 @@ func (m *Mutex) Lock(p *Proc) {
 
 // Unlock releases the mutex and wakes the next waiter.
 //
-//senss-lint:hotpath
+// senss-lint:hotpath
 func (m *Mutex) Unlock(p *Proc) {
 	if !m.held {
 		panic("sim: unlock of unlocked mutex")

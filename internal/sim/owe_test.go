@@ -7,10 +7,13 @@ import (
 )
 
 // A oweStep is one scripted action of a fuzzed proc. The owed twin
-// interprets it with Owe where the plain twin sleeps.
+// interprets it with Owe where the plain twin sleeps, and with a wake
+// continuation where the plain twin loops over sleeps.
 type oweStep struct {
 	kind    int
 	a, b, c uint64
+	legs    []uint64 // stepCont, stepContNow: the sleeps the loop takes
+	haltLeg int      // the loop halts the engine at this wake; -1 = never
 }
 
 const (
@@ -21,6 +24,8 @@ const (
 	stepDouble         // Owe(a); Owe(b) | Sleep(a); Sleep(b); then Sleep(c)
 	stepObserve        // schedule an observer a cycles ahead
 	stepPlain          // Sleep(a)
+	stepCont           // Owe(a); SettleThen(k) | Sleep(a); wake, Sleep(leg)...; wake
+	stepContNow        // SettleThen(k) | wake, Sleep(leg)...; wake
 	numStepKinds
 )
 
@@ -54,7 +59,15 @@ func newOweScript(r *rand.Rand) oweScript {
 	for i := 0; i < n; i++ {
 		steps := make([]oweStep, r.Intn(40))
 		for k := range steps {
-			steps[k] = oweStep{kind: r.Intn(numStepKinds), a: oweDelay(r), b: oweDelay(r), c: oweDelay(r)}
+			steps[k] = oweStep{kind: r.Intn(numStepKinds), a: oweDelay(r), b: oweDelay(r), c: oweDelay(r), haltLeg: -1}
+			if kind := steps[k].kind; kind == stepCont || kind == stepContNow {
+				for j := r.Intn(8); j > 0; j-- {
+					steps[k].legs = append(steps[k].legs, oweDelay(r))
+				}
+				if r.Intn(8) == 0 {
+					steps[k].haltLeg = r.Intn(len(steps[k].legs) + 1)
+				}
+			}
 		}
 		s.procs = append(s.procs, steps)
 		var tail uint64
@@ -82,11 +95,12 @@ func newOweScript(r *rand.Rand) oweScript {
 	return s
 }
 
-// oweRec is one observable retirement: a proc finishing a step, or an
-// observer firing, at a cycle.
+// oweRec is one observable retirement: a proc finishing a step or
+// waking inside a continuation loop (leg > 0), or an observer firing, at
+// a cycle.
 type oweRec struct {
-	who, step int
-	cycle     uint64
+	who, step, leg int
+	cycle          uint64
 }
 
 // oweOutcome is everything a run of the script exposes.
@@ -110,7 +124,7 @@ func runOweScript(s oweScript, owed bool) oweOutcome {
 	observe := func(at uint64) {
 		id := nextObs
 		nextObs++
-		e.Schedule(at, func() { trace = append(trace, oweRec{-1, id, e.Now()}) })
+		e.Schedule(at, func() { trace = append(trace, oweRec{-1, id, 0, e.Now()}) })
 	}
 	charge := func(p *Proc, d uint64) {
 		if owed {
@@ -148,8 +162,39 @@ func runOweScript(s oweScript, owed bool) oweOutcome {
 					observe(e.now + st.a)
 				case stepPlain:
 					p.Sleep(st.a)
+				case stepCont, stepContNow:
+					// Each wake of the loop records itself and may halt
+					// the engine: the state the proc touches there.
+					wake := func(leg int) {
+						trace = append(trace, oweRec{i, k, leg + 1, e.now})
+						if leg == st.haltLeg {
+							e.Halt("halted in a continuation")
+						}
+					}
+					if st.kind == stepCont {
+						charge(p, st.a)
+					}
+					if owed {
+						leg := 0
+						p.SettleThen(func() (uint64, bool) {
+							wake(leg)
+							if leg == len(st.legs) {
+								return 0, false
+							}
+							leg++
+							return st.legs[leg-1], true
+						})
+					} else {
+						for leg := 0; ; leg++ {
+							wake(leg)
+							if leg == len(st.legs) {
+								break
+							}
+							p.Sleep(st.legs[leg])
+						}
+					}
 				}
-				trace = append(trace, oweRec{i, k, e.now}) // a read that settles nothing
+				trace = append(trace, oweRec{i, k, 0, e.now}) // a read that settles nothing
 			}
 			if tail > 0 {
 				charge(p, tail)
@@ -183,12 +228,15 @@ func runOweScript(s oweScript, owed bool) oweOutcome {
 	return out
 }
 
-// TestOweMatchesPlainSleeps is the exactness property behind Owe: fuzzed
-// procs whose sleeps are owed and later taken as two-leg events retire
-// every step and every fn event at the same cycle, in the same order, and
-// draw the same sequence numbers as a twin engine sleeping each leg
-// plainly — across random RunUntil slices (1-cycle ones included),
-// far-future sleeps, parks, a halt at a random cycle and a mid-run Abort.
+// TestOweMatchesPlainSleeps is the exactness property behind Owe and
+// SettleThen: fuzzed procs whose sleeps are owed and later taken as
+// two-leg events, or taken through a wake continuation, retire every step,
+// every continuation wake and every fn event at the same cycle, in the
+// same order, and draw the same sequence numbers as a twin engine
+// sleeping each leg plainly — across random RunUntil slices (1-cycle ones
+// included), far-future sleeps, parks, a halt at a random cycle or from
+// inside a continuation, and a mid-run Abort that can catch a proc
+// sleeping through one.
 func TestOweMatchesPlainSleeps(t *testing.T) {
 	fewer := 0
 	for seed := int64(1); seed <= 400; seed++ {
@@ -217,6 +265,54 @@ func TestOweMatchesPlainSleeps(t *testing.T) {
 	}
 	if fewer == 0 {
 		t.Error("no script saved a single coroutine resume")
+	}
+}
+
+// TestContinuationSpinCostsNoResume pins the point of SettleThen: a proc
+// that spins through a continuation — 3-cycle legs, each wake touching
+// its own state — while another proc computes in 1-cycle sleeps is
+// resumed only to start and to leave the spin, where the same spin slept
+// plainly costs one resume per wake.
+func TestContinuationSpinCostsNoResume(t *testing.T) {
+	const legs, compute = 200, 400 // the spin outlasts the computation
+	run := func(cont bool) (resumes, end uint64, wakes int) {
+		e := NewEngine()
+		e.Spawn("spinner", func(p *Proc) {
+			if cont {
+				p.Owe(3)
+				p.SettleThen(func() (uint64, bool) {
+					wakes++
+					return 3, wakes < legs
+				})
+				return
+			}
+			for wakes < legs {
+				p.Sleep(3)
+				wakes++
+			}
+		})
+		e.Spawn("compute", func(p *Proc) {
+			for i := 0; i < compute; i++ {
+				p.Sleep(1)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e.resumes, e.Now(), wakes
+	}
+	contResumes, contEnd, contWakes := run(true)
+	plainResumes, plainEnd, plainWakes := run(false)
+	if contEnd != plainEnd || contWakes != plainWakes || contWakes != legs {
+		t.Fatalf("continuation ended at %d after %d wakes, plain at %d after %d", contEnd, contWakes, plainEnd, plainWakes)
+	}
+	// Two start-ups and the spinner's hand-back at its last wake; the
+	// computing proc is never switched away from.
+	if contResumes != 3 {
+		t.Errorf("continuation spin: %d resumes, want 3", contResumes)
+	}
+	if plainResumes < contResumes+legs {
+		t.Errorf("plain spin: %d resumes, want at least %d", plainResumes, contResumes+legs)
 	}
 }
 

@@ -45,7 +45,7 @@ func NewRecorder(limit int) *Recorder { return &Recorder{Limit: limit} }
 
 // OnTransaction implements bus.SecurityHook (cost-free observation).
 //
-//senss-lint:ignore cycleacct the recorder observes without disturbing timing: zero cycles is its contract
+// senss-lint:ignore cycleacct the recorder observes without disturbing timing: zero cycles is its contract
 func (r *Recorder) OnTransaction(p *sim.Proc, t *bus.Transaction) uint64 {
 	if r.Limit > 0 && len(r.Events) >= r.Limit {
 		r.Dropped++
