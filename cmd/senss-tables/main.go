@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"senss"
@@ -62,37 +64,51 @@ func main() {
 
 	h := senss.NewHarnessOn(scale, f)
 	h.Crypto = *backend
+	if err := write(os.Stdout, h, *fig, *markdown); err != nil {
+		fmt.Fprintf(os.Stderr, "senss-tables: %v\n", err)
+		var usage usageError
+		if errors.As(err, &usage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// usageError is an unknown -fig value; it exits with status 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// write prints the tables that -fig selects to w.
+func write(w io.Writer, h *senss.Harness, fig string, markdown bool) error {
 	figures := []int{6, 7, 8, 9, 10, 11}
-	switch *fig {
+	switch fig {
 	case "all":
 	case "hw":
-		printHW()
-		return
+		printHW(w)
+		return nil
 	case "scale":
 		tables, err := h.Scalability()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "senss-tables: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		for _, t := range tables {
-			fmt.Println(render(t, *markdown))
+			fmt.Fprintln(w, render(t, markdown))
 		}
-		return
+		return nil
 	case "detect":
 		tables, err := h.DetectionLatency(6)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "senss-tables: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		for _, t := range tables {
-			fmt.Println(render(t, *markdown))
+			fmt.Fprintln(w, render(t, markdown))
 		}
-		return
+		return nil
 	default:
 		var n int
-		if _, err := fmt.Sscanf(*fig, "%d", &n); err != nil {
-			fmt.Fprintf(os.Stderr, "senss-tables: bad figure %q\n", *fig)
-			os.Exit(2)
+		if _, err := fmt.Sscanf(fig, "%d", &n); err != nil {
+			return usageError(fmt.Sprintf("bad figure %q", fig))
 		}
 		figures = []int{n}
 	}
@@ -100,16 +116,16 @@ func main() {
 	for _, n := range figures {
 		tables, err := h.Figure(n)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "senss-tables: figure %d: %v\n", n, err)
-			os.Exit(1)
+			return fmt.Errorf("figure %d: %v", n, err)
 		}
 		for _, t := range tables {
-			fmt.Println(render(t, *markdown))
+			fmt.Fprintln(w, render(t, markdown))
 		}
 	}
-	if *fig == "all" {
-		printHW()
+	if fig == "all" {
+		printHW(w)
 	}
+	return nil
 }
 
 // render picks the output format.
@@ -120,9 +136,9 @@ func render(t *senss.Table, markdown bool) string {
 	return t.Render()
 }
 
-func printHW() {
-	fmt.Println("§7.1 — SHU hardware overhead")
-	fmt.Println("----------------------------")
-	fmt.Println(core.ComputeHWCost())
-	fmt.Println()
+func printHW(w io.Writer) {
+	fmt.Fprintln(w, "§7.1 — SHU hardware overhead")
+	fmt.Fprintln(w, "----------------------------")
+	fmt.Fprintln(w, core.ComputeHWCost())
+	fmt.Fprintln(w)
 }
