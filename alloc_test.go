@@ -23,6 +23,7 @@ import (
 	"senss/internal/crypto/aes"
 	"senss/internal/mem"
 	"senss/internal/memsec"
+	"senss/internal/psync"
 	"senss/internal/rng"
 	"senss/internal/sim"
 )
@@ -131,6 +132,55 @@ func startSpinRig() *allocRig {
 	return rig
 }
 
+// startPsyncRig builds a two-node machine whose operation is one round
+// of psync traffic through cpu.Port: the driver takes and releases a
+// spinlock, then meets a responder at a two-party barrier, while the
+// responder, between barriers, holds the same lock for 50 cycles. The
+// lock is contended, so the round mixes failed and successful CAS
+// attempts, spin-waits on the lock word and on the barrier sense, and
+// the barrier's atomic Add.
+func startPsyncRig() *allocRig {
+	const lockAddr, barAddr, dataAddr = 0x1000, 0x2000, 0x3000
+	eng := sim.NewEngine()
+	b := bus.New(eng, allocTiming, &bus.SimpleMemory{Backing: mem.New()})
+	params := cpu.Params{OpGap: 1, CodeBase: 0x8000, CodeBytes: 2 << 10, IFetchBytes: 4}
+	lock := psync.NewLock(lockAddr)
+	bar := psync.NewBarrier(barAddr, 2)
+	rig := newAllocRig()
+	closeAt := 0 // the barrier episode after which the responder retires
+	cpu.Spawn(eng, "alloc-driver", coherence.NewNode(0, allocParams, b), params, func(c *cpu.Port) {
+		var ctx psync.Context
+		episodes := 0
+		for nops := range rig.work {
+			for i := 0; i < nops; i++ {
+				rig.op++
+				lock.Acquire(c)
+				c.Store(dataAddr, uint64(rig.op))
+				lock.Release(c)
+				bar.Wait(c, &ctx)
+				episodes++
+			}
+			rig.done <- struct{}{}
+		}
+		closeAt = episodes + 1
+		bar.Wait(c, &ctx)
+	}, nil)
+	cpu.Spawn(eng, "alloc-responder", coherence.NewNode(1, allocParams, b), params, func(c *cpu.Port) {
+		var ctx psync.Context
+		for episode := 1; ; episode++ {
+			bar.Wait(c, &ctx)
+			if episode == closeAt {
+				return
+			}
+			lock.Acquire(c)
+			c.Think(50)
+			lock.Release(c)
+		}
+	}, nil)
+	go func() { rig.fin <- eng.Run() }()
+	return rig
+}
+
 // run executes one batch of nops operations inside the simulation.
 func (r *allocRig) run(nops int) {
 	r.work <- nops
@@ -153,7 +203,7 @@ func steadyBody(p *sim.Proc, n *coherence.Node, op int) {
 	addr := 0x1000 + uint64(op%64)*64
 	n.Load(p, addr)
 	n.Store(p, addr, uint64(op))
-	n.RMW(p, addr, func(v uint64) uint64 { return v + 1 })
+	n.Add(p, addr, 1)
 }
 
 // missBody cycles a 64 KiB working set (1024 lines, 4× the L2) so every
@@ -260,6 +310,10 @@ func TestAllocBudgets(t *testing.T) {
 		// the handshake's line transfers use the pooled miss path: a
 		// hard zero.
 		{"spin_probe", "spin_probe", startSpinRig},
+		// psync locks and barriers commit their CAS and Add at the
+		// coherence point from operands in the pooled fill state: a hard
+		// zero.
+		{"psync_lock_barrier", "psync_lock_barrier", startPsyncRig},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

@@ -99,7 +99,7 @@ func buildQueueApp(m *senss.Machine) ([2]cpu.Program, uint64) {
 					return
 				}
 				c.Think(50) // "process" the item
-				c.RMW(drained, func(v uint64) uint64 { return v + 1 })
+				c.Add(drained, 1)
 			}
 		}
 	}

@@ -159,7 +159,7 @@ func TestLitmusAtomicity(t *testing.T) {
 			s.engine.Spawn(fmt.Sprintf("inc%d", i), func(p *sim.Proc) {
 				p.Sleep(uint64(i) * d)
 				for k := 0; k < 50; k++ {
-					s.nodes[i].RMW(p, litX, func(v uint64) uint64 { return v + 1 })
+					s.nodes[i].Add(p, litX, 1)
 				}
 			})
 		}

@@ -10,11 +10,12 @@
 // before any sleep, or the bus grant via Transaction.OnData for misses), so
 // in-flight requests can never install stale lines.
 //
-// Load, Store and RMW end with their trailing latency owed rather than
-// slept (sim.Proc.Owe): the value is already bound, so the caller's next
-// sleep — normally the CPU's compute gap — takes the charge in the same
-// coroutine switch. Load, Store, RMW and IFetch take any owed sleep on
-// entry, so back-to-back calls keep their plain-sleep timing.
+// Load, Store and the atomics (Add, CAS) end with their trailing latency
+// owed rather than slept (sim.Proc.Owe): the value is already bound, so
+// the caller's next sleep — normally the CPU's compute gap — takes the
+// charge in the same coroutine switch. Load, Store, the atomics and IFetch
+// take any owed sleep on entry, so back-to-back calls keep their
+// plain-sleep timing.
 package coherence
 
 import (
@@ -122,7 +123,8 @@ const (
 	opLoad    fillOp = iota // bind the word, install the L1D subline
 	opIFetch                // install the L1I subline
 	opStore                 // store val into the owned line
-	opRMW                   // bind the old word, store mut(old)
+	opAdd                   // bind the old word, store old+val
+	opCAS                   // bind the old word, store val if old == cmp
 	opCopyOut               // copy the whole line into buf (LoadLine)
 	opCopyIn                // copy buf into the line at off (StoreBlock)
 )
@@ -142,12 +144,12 @@ type fillState struct {
 
 	// The pending commit action and its operands.
 	op   fillOp
-	addr uint64              // word (or block) address of the operation
-	val  uint64              // opStore operand
-	mut  func(uint64) uint64 // opRMW mutator (caller-supplied)
-	buf  []byte              // opCopyOut dst / opCopyIn src
-	off  uint64              // opCopyIn line offset
-	res  uint64              // opLoad / opRMW result
+	addr uint64 // word (or block) address of the operation
+	val  uint64 // opStore word, opAdd delta, opCAS replacement
+	cmp  uint64 // opCAS expected word
+	buf  []byte // opCopyOut dst / opCopyIn src
+	off  uint64 // opCopyIn line offset
+	res  uint64 // opLoad result, or the old word of an atomic
 }
 
 // preSnoop revalidates an Upgr after arbitration: a queued RdX may have
@@ -195,9 +197,9 @@ func (fs *fillState) commit(l2 *cache.Line) {
 		n.L1I.InsertVictim(fs.addr, cache.Shared, &n.l1Victim)
 	case opStore:
 		n.setWord(l2, fs.addr, fs.val)
-	case opRMW:
+	case opAdd, opCAS:
 		fs.res = n.wordOf(l2, fs.addr)
-		n.setWord(l2, fs.addr, fs.mut(fs.res))
+		n.setWord(l2, fs.addr, atomicWord(fs.op, fs.res, fs.val, fs.cmp))
 	case opCopyOut:
 		copy(fs.buf, l2.Data)
 	case opCopyIn:
@@ -391,27 +393,55 @@ func (n *Node) Store(p *sim.Proc, addr uint64, val uint64) {
 	p.Owe(n.Params.StoreLat)
 }
 
-// RMW atomically applies f to the word at addr, returning the old value.
-// The mutation commits at the coherence point with the line in M, so it is
-// atomic with respect to every other node.
+// Add atomically adds delta to the word at addr, returning the old value.
 //
 // senss-lint:hotpath
-func (n *Node) RMW(p *sim.Proc, addr uint64, f func(uint64) uint64) uint64 {
+func (n *Node) Add(p *sim.Proc, addr, delta uint64) uint64 {
+	return n.rmw(p, addr, opAdd, delta, 0)
+}
+
+// CAS atomically stores new at addr if the word there equals old, and
+// returns the word it found (equal to old exactly when the swap happened).
+//
+// senss-lint:hotpath
+func (n *Node) CAS(p *sim.Proc, addr, old, new uint64) uint64 {
+	return n.rmw(p, addr, opCAS, new, old)
+}
+
+// rmw performs the atomic op with operands val and cmp (see atomicWord)
+// and returns the old word. The write commits at the coherence point with
+// the line in M, so it is atomic with respect to every other node.
+//
+// senss-lint:hotpath
+func (n *Node) rmw(p *sim.Proc, addr uint64, op fillOp, val, cmp uint64) uint64 {
 	p.Settle()
 	n.Stats.RMWs++
 	l2, owned := n.storeLookup(addr)
 	if owned {
 		old := n.wordOf(l2, addr)
-		n.setWord(l2, addr, f(old))
+		n.setWord(l2, addr, atomicWord(op, old, val, cmp))
 		p.Owe(n.Params.StoreLat + n.Params.RMWLat)
 		return old
 	}
 	fs := n.fillState()
-	fs.op, fs.addr, fs.mut = opRMW, addr, f
+	fs.op, fs.addr, fs.val, fs.cmp = op, addr, val, cmp
 	n.acquireModified(p, addr, l2, fs)
-	fs.mut = nil // drop the caller's closure for the GC
 	p.Owe(n.Params.StoreLat + n.Params.RMWLat)
 	return fs.res
+}
+
+// atomicWord is the word an atomic leaves at its address: old+val for
+// opAdd; for opCAS, val when old equals cmp and old otherwise.
+//
+// senss-lint:hotpath
+func atomicWord(op fillOp, old, val, cmp uint64) uint64 {
+	if op == opAdd {
+		return old + val
+	}
+	if old == cmp {
+		return val
+	}
+	return old
 }
 
 // storeLookup probes the L2 for write ownership, promoting E to M in

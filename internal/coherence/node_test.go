@@ -212,7 +212,7 @@ func TestRMWAtomicCounter(t *testing.T) {
 		n := s.nodes[i]
 		s.engine.Spawn("inc", func(p *sim.Proc) {
 			for k := 0; k < per; k++ {
-				n.RMW(p, counter, func(v uint64) uint64 { return v + 1 })
+				n.Add(p, counter, 1)
 			}
 		})
 	}
@@ -298,7 +298,7 @@ func TestRandomStressInvariants(t *testing.T) {
 					case 1:
 						n.Store(p, addr, r.Uint64())
 					case 2:
-						n.RMW(p, addr, func(v uint64) uint64 { return v ^ 1 })
+						n.Add(p, addr, 1)
 					}
 				}
 			})

@@ -208,29 +208,21 @@ func (c *Port) Store(addr uint64, val uint64) {
 	c.node.Store(c.proc, addr, val)
 }
 
-// RMW atomically applies f to the word at addr and returns the old value.
-func (c *Port) RMW(addr uint64, f func(uint64) uint64) uint64 {
-	c.step()
-	return c.node.RMW(c.proc, addr, f)
-}
-
 // Add atomically adds delta to the word at addr, returning the old value.
+//
+// senss-lint:hotpath
 func (c *Port) Add(addr uint64, delta uint64) uint64 {
-	return c.RMW(addr, func(v uint64) uint64 { return v + delta })
+	c.step()
+	return c.node.Add(c.proc, addr, delta)
 }
 
 // CAS atomically replaces old with new at addr if it matches, reporting
 // success.
+//
+// senss-lint:hotpath
 func (c *Port) CAS(addr uint64, old, new uint64) bool {
-	swapped := false
-	c.RMW(addr, func(v uint64) uint64 {
-		if v == old {
-			swapped = true
-			return new
-		}
-		return v
-	})
-	return swapped
+	c.step()
+	return c.node.CAS(c.proc, addr, old, new) == old
 }
 
 // Think charges n cycles of pure computation.

@@ -39,7 +39,7 @@ func TestOpsCounted(t *testing.T) {
 	_, n := runProgram(t, Params{}, func(c *Port) {
 		c.Store(0x100, 1)
 		c.Load(0x100)
-		c.RMW(0x100, func(v uint64) uint64 { return v + 1 })
+		c.Add(0x100, 1)
 	})
 	if ops := n.Stats.Loads + n.Stats.Stores + n.Stats.RMWs; ops != 3 {
 		t.Errorf("ops = %d, want 3", ops)
