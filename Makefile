@@ -47,7 +47,7 @@ race:
 	$(GO) test -race ./...
 
 # farm-race hammers the orchestration pool specifically: the worker
-# pool, cache, and manifest paths under the race detector with high
+# pool and the result cache under the race detector with a high
 # iteration count. Cheap enough to run on every change to internal/farm.
 farm-race:
 	$(GO) test -race -count=3 ./internal/farm

@@ -102,7 +102,7 @@ func timeSim(workload string, cfg senss.Config, iters int) (simTiming, error) {
 }
 
 // farmBenchReport is the BENCH_farm.json record: cold-cache serial vs
-// parallel wall-clock for the Figure 6 sweep, plus the warm-cache replay.
+// parallel wall-clock for Figure 6's jobs, plus the warm-cache replay.
 type farmBenchReport struct {
 	benchHeader
 	Size            string  `json:"size"`
@@ -115,8 +115,9 @@ type farmBenchReport struct {
 	WarmHitRate     float64 `json:"warm_hit_rate"`
 }
 
-// cmdBench times the test-scale Figure 6 sweep cold on one worker, cold
-// on one worker per GOMAXPROCS, and warm, and writes BENCH_farm.json.
+// cmdBench times Farm.Run over the test-scale Figure 6 jobs cold on one
+// worker, cold on one worker per GOMAXPROCS, and warm, and writes
+// BENCH_farm.json.
 func cmdBench(args []string) error {
 	if err := noArgs("bench", args); err != nil {
 		return err
@@ -129,15 +130,16 @@ func cmdBench(args []string) error {
 
 	// The job set is enumerated once; each phase gets a fresh
 	// memory-only farm so every timing starts cold.
-	jobs, err := senss.NewHarnessOn(senss.SizeTest, farm.NewMem(1)).FigureJobs(6)
+	fig, err := senss.NewHarness(senss.SizeTest).Figure("6")
 	if err != nil {
 		return err
 	}
+	jobs := fig.Jobs()
 
 	fmt.Fprintf(os.Stderr, "bench: %d jobs, cold serial...\n", len(jobs))
 	serial := farm.NewMem(1)
 	t0 := time.Now()
-	if err := serial.Warm(jobs); err != nil {
+	if _, err := serial.Run(jobs); err != nil {
 		return err
 	}
 	serialDur := time.Since(t0)
@@ -145,14 +147,14 @@ func cmdBench(args []string) error {
 	fmt.Fprintf(os.Stderr, "bench: cold parallel (%d workers)...\n", w)
 	par := farm.NewMem(w)
 	t0 = time.Now()
-	if err := par.Warm(jobs); err != nil {
+	if _, err := par.Run(jobs); err != nil {
 		return err
 	}
 	parallelDur := time.Since(t0)
 
 	before := par.Cache().Stats()
 	t0 = time.Now()
-	if err := par.Warm(jobs); err != nil {
+	if _, err := par.Run(jobs); err != nil {
 		return err
 	}
 	warmDur := time.Since(t0)

@@ -1,7 +1,8 @@
 // Command senss-farm inspects and maintains the internal/farm result
-// cache that senss-tables -cache-dir fills: it reports sweep manifests
-// and cache contents and garbage-collects stale entries. It is also the
-// one producer of the BENCH_*.json trajectory records (bench.go).
+// cache that senss-tables -cache-dir fills: it reports the cache contents
+// and how much of each figure's sweep the cache holds, and
+// garbage-collects stale entries. It is also the one producer of the
+// BENCH_*.json trajectory records (bench.go).
 //
 // Subcommands:
 //
@@ -13,8 +14,10 @@
 //	senss-farm bench-crypto [-quick] [-out BENCH_crypto.json]
 //	senss-farm bench-serve [-out BENCH_serve.json]
 //
-// Figure sweeps run through senss-tables, whose -cache-dir writes the
-// resumable sweep manifests that status reports.
+// Figure sweeps run through senss-tables. The cache is their only
+// record: status lists each figure's jobs at test and bench size and
+// counts those with a cache entry as done, and re-running an
+// interrupted sweep simulates only the pending ones.
 package main
 
 import (
@@ -24,6 +27,7 @@ import (
 	"io"
 	"os"
 
+	"senss"
 	"senss/internal/farm"
 )
 
@@ -67,10 +71,11 @@ func usage(w *os.File) {
 
 usage: senss-farm <status|gc|bench|bench-sim|bench-check|bench-crypto|bench-serve> [flags]
 
-  status  report sweep manifests and cache contents
+  status  report cache contents and, per figure and size, how many of
+          the sweep's jobs are cached (done) or still to simulate
   gc      remove stale/corrupt cache entries (-all wipes everything)
-  bench   measure cold serial vs parallel wall-clock for the Figure 6
-          sweep and write the BENCH_farm.json trajectory point
+  bench   measure cold serial vs parallel wall-clock for Figure 6's
+          jobs on the farm and write the BENCH_farm.json trajectory point
   bench-sim
           measure raw simulator throughput and allocation rate on the
           unprotected machine across every workload and write the
@@ -102,15 +107,25 @@ func cmdStatus(args []string) error {
 
 // statusReport is the -json document emitted by status.
 type statusReport struct {
-	CacheDir string          `json:"cache_dir"`
-	Version  string          `json:"version"`
-	Entries  int             `json:"entries"`
-	Invalid  int             `json:"invalid"`
-	Sweeps   []farm.Manifest `json:"sweeps"`
+	CacheDir string         `json:"cache_dir"`
+	Version  string         `json:"version"`
+	Entries  int            `json:"entries"`
+	Invalid  int            `json:"invalid"`
+	Figures  []figureStatus `json:"figures"`
 }
 
-// writeStatus reports the cache contents and sweep manifests of cacheDir
-// to w, as text or as one JSON document.
+// figureStatus counts one figure's sweep at one problem size: its
+// distinct jobs, those with a valid cache entry, and the rest.
+type figureStatus struct {
+	Figure  string `json:"figure"`
+	Size    string `json:"size"`
+	Jobs    int    `json:"jobs"`
+	Done    int    `json:"done"`
+	Pending int    `json:"pending"`
+}
+
+// writeStatus reports the cache contents of cacheDir and each figure's
+// sweep progress to w, as text or as one JSON document.
 func writeStatus(w io.Writer, cacheDir string, jsonOut bool) error {
 	c, err := farm.NewCache(cacheDir)
 	if err != nil {
@@ -120,34 +135,42 @@ func writeStatus(w io.Writer, cacheDir string, jsonOut bool) error {
 	if err != nil {
 		return err
 	}
-	manifests, err := farm.Manifests(cacheDir)
-	if err != nil {
-		return err
+	out := statusReport{CacheDir: cacheDir, Version: farm.CacheVersion, Entries: len(hashes), Invalid: invalid}
+	for _, size := range []struct {
+		name  string
+		scale senss.Size
+	}{{"test", senss.SizeTest}, {"bench", senss.SizeBench}} {
+		h := senss.NewHarnessOn(size.scale, farm.NewMem(1))
+		for _, name := range senss.FigureNames() {
+			f, err := h.Figure(name)
+			if err != nil {
+				return err
+			}
+			st := figureStatus{Figure: name, Size: size.name, Jobs: len(f.Jobs())}
+			for _, j := range f.Jobs() {
+				if c.Has(j.Hash()) {
+					st.Done++
+				}
+			}
+			st.Pending = st.Jobs - st.Done
+			out.Figures = append(out.Figures, st)
+		}
 	}
 	if jsonOut {
-		out := statusReport{CacheDir: cacheDir, Version: farm.CacheVersion, Entries: len(hashes), Invalid: invalid}
-		for _, m := range manifests {
-			out.Sweeps = append(out.Sweeps, *m)
-		}
 		return emitJSONTo(w, out)
 	}
 	fmt.Fprintf(w, "cache %s (version %s): %d valid entries, %d invalid/stale\n",
 		cacheDir, farm.CacheVersion, len(hashes), invalid)
-	if len(manifests) == 0 {
-		fmt.Fprintln(w, "no sweep manifests")
-		return nil
-	}
-	for _, m := range manifests {
-		done, failed, pending := m.Counts()
-		state := "complete"
-		if pending > 0 {
-			state = "resumable"
+	for _, st := range out.Figures {
+		state := "resumable"
+		switch st.Done {
+		case st.Jobs:
+			state = "complete"
+		case 0:
+			state = "not started"
 		}
-		if failed > 0 {
-			state = "has failures"
-		}
-		fmt.Fprintf(w, "  %-16s %3d jobs: %3d done, %d failed, %d pending  (%s)\n",
-			m.Sweep, len(m.Jobs), done, failed, pending, state)
+		fmt.Fprintf(w, "  fig %-5s %-5s %3d jobs: %3d done, %3d pending  (%s)\n",
+			st.Figure, st.Size, st.Jobs, st.Done, st.Pending, state)
 	}
 	return nil
 }
@@ -155,7 +178,7 @@ func writeStatus(w io.Writer, cacheDir string, jsonOut bool) error {
 func cmdGC(args []string) error {
 	fs := flag.NewFlagSet("senss-farm gc", flag.ExitOnError)
 	cacheDir := fs.String("cache-dir", ".senss-cache", "result cache directory")
-	all := fs.Bool("all", false, "remove every entry and manifest, not just stale/corrupt ones")
+	all := fs.Bool("all", false, "remove every entry, not just stale/corrupt ones")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

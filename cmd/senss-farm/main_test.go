@@ -7,15 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	"senss"
 	"senss/internal/farm"
 	"senss/internal/machine"
 	"senss/internal/stats"
 	"senss/internal/workload"
 )
 
-// seedCache populates dir with one valid entry, one garbage entry, and
-// the given manifests, returning the valid job's hash.
-func seedCache(t *testing.T, dir string, manifests ...farm.Manifest) string {
+// seedCache populates dir with one valid entry that belongs to no figure,
+// one garbage entry, and a stand-in result for each of the given jobs.
+func seedCache(t *testing.T, dir string, jobs ...farm.Job) {
 	t.Helper()
 	c, err := farm.NewCache(dir)
 	if err != nil {
@@ -23,77 +24,64 @@ func seedCache(t *testing.T, dir string, manifests ...farm.Manifest) string {
 	}
 	cfg := machine.DefaultConfig()
 	cfg.Seed = 7
-	j := farm.Job{Workload: "falseshare", Size: workload.SizeTest, Config: cfg, Figure: "test"}
-	if err := c.Put(j, j.Hash(), stats.Run{Cycles: 1234}); err != nil {
-		t.Fatal(err)
+	jobs = append(jobs, farm.Job{Workload: "falseshare", Size: workload.SizeTest, Config: cfg})
+	for _, j := range jobs {
+		if err := c.Put(j, j.Hash(), stats.Run{Cycles: 1234}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := os.WriteFile(dir+"/0123456789abcdef0123456789abcdef.json", []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range manifests {
-		data, err := m.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(farm.ManifestPath(dir, m.Sweep), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return j.Hash()
 }
 
-func manifestWith(sweep string, statuses ...string) farm.Manifest {
-	m := farm.Manifest{Sweep: sweep, Version: farm.CacheVersion}
-	for i, s := range statuses {
-		m.Jobs = append(m.Jobs, farm.ManifestEntry{
-			Hash:     strings.Repeat("0", 31) + string(rune('a'+i)),
-			Workload: "falseshare",
-			Status:   s,
-		})
+// testJobs lists a figure's jobs at test size.
+func testJobs(t *testing.T, name string) []farm.Job {
+	t.Helper()
+	f, err := senss.NewHarness(senss.SizeTest).Figure(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return m
+	return f.Jobs()
 }
 
-// TestStatusText pins the human-readable status report across cache and
-// manifest states.
+// TestStatusText pins the human-readable status report across cache
+// states: per figure and size, the jobs the cache holds are done.
 func TestStatusText(t *testing.T) {
 	cases := []struct {
 		name         string
 		seed         bool
-		manifests    []farm.Manifest
+		jobs         func(t *testing.T) []farm.Job
 		wantContains []string
 	}{
 		{
 			name: "empty cache",
 			wantContains: []string{
 				"0 valid entries, 0 invalid/stale",
-				"no sweep manifests",
+				"fig 6     test   40 jobs:   0 done,  40 pending  (not started)",
+				"fig scale bench  40 jobs:   0 done,  40 pending  (not started)",
 			},
 		},
 		{
-			name: "entries but no manifests",
+			name: "entries outside every figure",
 			seed: true,
 			wantContains: []string{
 				"1 valid entries, 1 invalid/stale",
-				"no sweep manifests",
+				"fig 11    test   16 jobs:   0 done,  16 pending  (not started)",
 			},
 		},
 		{
-			name: "manifest states",
+			name: "figure states",
 			seed: true,
-			manifests: []farm.Manifest{
-				manifestWith("fig6-done", farm.StatusDone, farm.StatusDone),
-				manifestWith("fig7-part", farm.StatusDone, farm.StatusPending),
-				manifestWith("fig8-bad", farm.StatusDone, farm.StatusFailed),
+			jobs: func(t *testing.T) []farm.Job {
+				return append(testJobs(t, "11"), testJobs(t, "6")[0])
 			},
 			wantContains: []string{
-				"1 valid entries, 1 invalid/stale",
-				"fig6-done",
-				"2 done, 0 failed, 0 pending  (complete)",
-				"fig7-part",
-				"1 done, 0 failed, 1 pending  (resumable)",
-				"fig8-bad",
-				"1 done, 1 failed, 0 pending  (has failures)",
+				"18 valid entries, 1 invalid/stale",
+				"fig 11    test   16 jobs:  16 done,   0 pending  (complete)",
+				"fig 11    bench  16 jobs:   0 done,  16 pending  (not started)",
+				"fig 6     test   40 jobs:   1 done,  39 pending  (resumable)",
+				"fig 7     test   25 jobs:   0 done,  25 pending  (not started)",
 			},
 		},
 	}
@@ -101,7 +89,11 @@ func TestStatusText(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			if tc.seed {
-				seedCache(t, dir, tc.manifests...)
+				var jobs []farm.Job
+				if tc.jobs != nil {
+					jobs = tc.jobs(t)
+				}
+				seedCache(t, dir, jobs...)
 			}
 			var buf bytes.Buffer
 			if err := writeStatus(&buf, dir, false); err != nil {
@@ -120,7 +112,7 @@ func TestStatusText(t *testing.T) {
 // machine-readable form.
 func TestStatusJSON(t *testing.T) {
 	dir := t.TempDir()
-	seedCache(t, dir, manifestWith("fig6-test", farm.StatusDone, farm.StatusPending))
+	seedCache(t, dir, testJobs(t, "11")[:3]...)
 	var buf bytes.Buffer
 	if err := writeStatus(&buf, dir, true); err != nil {
 		t.Fatal(err)
@@ -132,14 +124,20 @@ func TestStatusJSON(t *testing.T) {
 	if got.CacheDir != dir || got.Version != farm.CacheVersion {
 		t.Errorf("report header = %q/%q", got.CacheDir, got.Version)
 	}
-	if got.Entries != 1 || got.Invalid != 1 {
-		t.Errorf("entries=%d invalid=%d, want 1/1", got.Entries, got.Invalid)
+	if got.Entries != 4 || got.Invalid != 1 {
+		t.Errorf("entries=%d invalid=%d, want 4/1", got.Entries, got.Invalid)
 	}
-	if len(got.Sweeps) != 1 || got.Sweeps[0].Sweep != "fig6-test" {
-		t.Fatalf("sweeps = %+v", got.Sweeps)
+	if want := 2 * len(senss.FigureNames()); len(got.Figures) != want {
+		t.Fatalf("%d figure records, want %d: %+v", len(got.Figures), want, got.Figures)
 	}
-	done, failed, pending := got.Sweeps[0].Counts()
-	if done != 1 || failed != 0 || pending != 1 {
-		t.Errorf("counts = %d/%d/%d, want 1/0/1", done, failed, pending)
+	for _, st := range got.Figures {
+		wantDone := 0
+		if st.Figure == "11" && st.Size == "test" {
+			wantDone = 3
+		}
+		if st.Done != wantDone || st.Done+st.Pending != st.Jobs {
+			t.Errorf("fig %s %s: %d jobs, %d done, %d pending; want %d done",
+				st.Figure, st.Size, st.Jobs, st.Done, st.Pending, wantDone)
+		}
 	}
 }

@@ -4,9 +4,10 @@
 // Sweeps run on the internal/farm orchestration pool: independent
 // simulations execute concurrently (bounded by -workers) and results are
 // content-addressed, so identical configurations across figures simulate
-// once. With -cache-dir the results persist and a re-run assembles
-// tables without simulating at all. Output is byte-identical for any
-// worker count and cache temperature.
+// once. With -cache-dir the results persist: a re-run assembles the
+// tables without simulating at all, and a sweep that was interrupted
+// resumes, simulating only the jobs the cache lacks. Output is
+// byte-identical for any worker count and cache temperature.
 //
 // Examples:
 //
@@ -81,46 +82,31 @@ func (e usageError) Error() string { return string(e) }
 
 // write prints the tables that -fig selects to w.
 func write(w io.Writer, h *senss.Harness, fig string, markdown bool) error {
-	figures := []int{6, 7, 8, 9, 10, 11}
+	names := []string{fig}
 	switch fig {
 	case "all":
+		names = []string{"6", "7", "8", "9", "10", "11"}
 	case "hw":
 		printHW(w)
-		return nil
-	case "scale":
-		tables, err := h.Scalability()
-		if err != nil {
-			return err
-		}
-		for _, t := range tables {
-			fmt.Fprintln(w, render(t, markdown))
-		}
 		return nil
 	case "detect":
 		tables, err := h.DetectionLatency(6)
 		if err != nil {
 			return err
 		}
-		for _, t := range tables {
-			fmt.Fprintln(w, render(t, markdown))
-		}
+		printTables(w, tables, markdown)
 		return nil
-	default:
-		var n int
-		if _, err := fmt.Sscanf(fig, "%d", &n); err != nil {
-			return usageError(fmt.Sprintf("bad figure %q", fig))
-		}
-		figures = []int{n}
 	}
-
-	for _, n := range figures {
-		tables, err := h.Figure(n)
+	for _, name := range names {
+		f, err := h.Figure(name)
 		if err != nil {
-			return fmt.Errorf("figure %d: %v", n, err)
+			return usageError(err.Error())
 		}
-		for _, t := range tables {
-			fmt.Fprintln(w, render(t, markdown))
+		tables, err := f.Tables()
+		if err != nil {
+			return fmt.Errorf("figure %s: %v", name, err)
 		}
+		printTables(w, tables, markdown)
 	}
 	if fig == "all" {
 		printHW(w)
@@ -128,12 +114,15 @@ func write(w io.Writer, h *senss.Harness, fig string, markdown bool) error {
 	return nil
 }
 
-// render picks the output format.
-func render(t *senss.Table, markdown bool) string {
-	if markdown {
-		return t.Markdown()
+// printTables prints each table followed by a blank line.
+func printTables(w io.Writer, tables []*senss.Table, markdown bool) {
+	for _, t := range tables {
+		if markdown {
+			fmt.Fprintln(w, t.Markdown())
+		} else {
+			fmt.Fprintln(w, t.Render())
+		}
 	}
-	return t.Render()
 }
 
 func printHW(w io.Writer) {

@@ -10,24 +10,20 @@ import (
 	"senss/internal/workload"
 )
 
-// This file is the figure-regeneration harness: one function per figure of
-// the paper's evaluation (§7), each returning formatted tables with the
-// same rows/series the paper reports. cmd/senss-tables prints them;
-// bench_test.go wraps them as testing.B benchmarks. EXPERIMENTS.md records
-// paper-vs-measured values.
+// This file is the figure-regeneration harness for the paper's evaluation
+// (§7). Each figure is a value: the rows it reports (workloads, or
+// perturbation seeds for Figure 11), one machine configuration per
+// column, and the tables read off that grid. A figure lists its jobs; the
+// farm (DESIGN.md §10) runs the ones its cache lacks across its worker
+// pool, and the tables are then assembled from the cache. Identical
+// points across figures simulate once, a sweep that stopped part-way
+// resumes from what the cache holds, and the tables are byte-identical
+// for any worker count and any cache temperature. cmd/senss-tables
+// prints them; EXPERIMENTS.md records paper-vs-measured values.
 //
 // Problem and cache sizes are scaled together (DESIGN.md §2): the paper's
 // "1 MB / 4 MB L2" points map to capacities proportionate to the scaled
 // working sets, preserving which level the working set spills out of.
-//
-// Since the farm rewiring (DESIGN.md §10), every figure runs as a
-// two-pass sweep over internal/farm: a collection pass enumerates each
-// (workload, config) point without simulating, the farm executes the
-// deduplicated job set across its worker pool (each unique configuration
-// simulates exactly once per sweep — and once per cache lifetime when a
-// disk cache is attached), and the assembly pass rebuilds the tables
-// entirely from cache hits. Tables are therefore byte-identical for any
-// worker count and any cache temperature.
 
 // Harness runs experiment sweeps on a farm.
 type Harness struct {
@@ -42,13 +38,6 @@ type Harness struct {
 	Crypto string
 
 	farm *farm.Farm
-
-	// collecting/pending implement the two-pass sweep protocol: while
-	// collecting, run records jobs instead of simulating; figure is the
-	// provenance tag stamped on the jobs of the sweep in flight.
-	collecting bool
-	pending    []farm.Job
-	figure     string
 }
 
 // NewHarness creates a harness at the given problem scale over the
@@ -69,31 +58,12 @@ func NewHarnessOn(size Size, f *farm.Farm) *Harness {
 	}
 }
 
-// Farm exposes the harness's farm (cache statistics, worker count).
-func (h *Harness) Farm() *farm.Farm { return h.farm }
-
-// sizeName labels the problem scale in sweep names.
-func (h *Harness) sizeName() string {
-	if h.Size == SizeBench {
-		return "bench"
-	}
-	return "test"
-}
-
-// run routes one simulation point through the farm: during the
-// collection pass it records the job and returns a zero Run (the derived
-// metrics of the discarded first-pass tables are all zero-safe); during
-// assembly it is served from the farm's cache.
-func (h *Harness) run(name string, cfg Config) (Run, error) {
+// job is the farm job for one simulation point.
+func (h *Harness) job(name string, cfg Config) farm.Job {
 	if h.Crypto != "" && cfg.Security.Mode != machine.SecurityOff {
 		cfg.Security.Senss.Backend = h.Crypto
 	}
-	job := farm.Job{Workload: name, Size: h.Size, Config: cfg, Figure: h.figure}
-	if h.collecting {
-		h.pending = append(h.pending, job)
-		return Run{}, nil
-	}
-	return h.farm.Get(job)
+	return farm.Job{Workload: name, Size: h.Size, Config: cfg}
 }
 
 // baselineOf canonicalizes cfg into its insecure baseline: security off
@@ -109,37 +79,35 @@ func baselineOf(cfg Config) Config {
 	return base
 }
 
-// pair runs the canonical baseline and the secured variant.
+// pair returns the canonical baseline and the secured run of cfg,
+// simulating whichever the farm's cache lacks.
 func (h *Harness) pair(name string, cfg Config) (base, sec Run, err error) {
-	base, err = h.run(name, baselineOf(cfg))
+	base, err = h.farm.Get(h.job(name, baselineOf(cfg)))
 	if err != nil {
 		return base, sec, err
 	}
-	sec, err = h.run(name, cfg)
+	sec, err = h.farm.Get(h.job(name, cfg))
 	return base, sec, err
 }
 
-// collect performs the enumeration pass: fn runs with simulation
-// disabled, and every point it routes through run/pair is recorded.
-func (h *Harness) collect(tag string, fn func() ([]*Table, error)) []farm.Job {
-	h.figure = tag
-	h.collecting, h.pending = true, nil
-	_, _ = fn() // first-pass tables and errors are discarded; no simulation happens
-	h.collecting = false
-	jobs := h.pending
-	h.pending = nil
-	return jobs
+// jobSet collects jobs in the order they are listed, each content hash
+// once.
+type jobSet struct {
+	seen map[string]bool
+	jobs []farm.Job
 }
 
-// sweep is the two-pass figure protocol: collect the job set, execute it
-// as a named resumable sweep on the farm, then assemble the tables from
-// cache hits.
-func (h *Harness) sweep(tag string, fn func() ([]*Table, error)) ([]*Table, error) {
-	jobs := h.collect(tag, fn)
-	if _, _, err := h.farm.RunSweep(tag+"-"+h.sizeName(), jobs); err != nil {
-		return nil, err
+// addPair lists the canonical baseline and the secured run of cfg.
+func (s *jobSet) addPair(h *Harness, name string, cfg Config) {
+	if s.seen == nil {
+		s.seen = make(map[string]bool)
 	}
-	return fn()
+	for _, j := range []farm.Job{h.job(name, baselineOf(cfg)), h.job(name, cfg)} {
+		if k := j.Hash(); !s.seen[k] {
+			s.seen[k] = true
+			s.jobs = append(s.jobs, j)
+		}
+	}
 }
 
 // l2Bytes maps the paper's small (1 MB) and large (4 MB) L2 points to
@@ -187,264 +155,255 @@ func (h *Harness) senssConfig(procs int, bigL2 bool) Config {
 
 func pct(v float64) string { return fmt.Sprintf("%.3f", v) }
 
-// Figure6 regenerates Figure 6: % slowdown of SENSS over the baseline for
-// both L2 classes on 2 and 4 processors (authentication interval 100).
-func (h *Harness) Figure6() ([]*Table, error) { return h.sweep("fig6", h.figure6) }
-
-func (h *Harness) figure6() ([]*Table, error) {
-	var tables []*Table
-	for _, big := range []bool{false, true} {
-		t := &Table{
-			Title:   fmt.Sprintf("Figure 6 — %% slowdown, write-invalidate, %s", l2Label(big)),
-			Columns: []string{"benchmark", "2P", "4P"},
-		}
-		sums := make([]float64, 2)
-		for _, name := range h.Workloads {
-			row := []string{name}
-			for pi, procs := range []int{2, 4} {
-				base, sec, err := h.pair(name, h.senssConfig(procs, big))
-				if err != nil {
-					return nil, err
-				}
-				s := stats.SlowdownPct(base, sec)
-				sums[pi] += s
-				row = append(row, pct(s))
-			}
-			t.Add(row...)
-		}
-		n := float64(len(h.Workloads))
-		t.Add("average", pct(sums[0]/n), pct(sums[1]/n))
-		tables = append(tables, t)
-	}
-	return tables, nil
+// Figure is one evaluation figure as a value: the simulation jobs it
+// needs and how its tables are read off their results.
+type Figure struct {
+	farm   *farm.Farm
+	jobs   []farm.Job
+	tables func() ([]*Table, error)
 }
 
-// Figure7 regenerates Figure 7: % slowdown and % bus-activity increase as
-// the mask supply shrinks (perfect, 4, 2, 1) on 4 processors, large L2.
-func (h *Harness) Figure7() ([]*Table, error) { return h.sweep("fig7", h.figure7) }
+// Jobs lists the figure's simulation points, each configuration once.
+func (f *Figure) Jobs() []farm.Job { return f.jobs }
 
-func (h *Harness) figure7() ([]*Table, error) {
-	type maskPoint struct {
-		label   string
-		masks   int
-		perfect bool
+// Tables runs the figure's jobs on the farm — simulating only those its
+// cache lacks — and assembles the figure's tables from the results.
+func (f *Figure) Tables() ([]*Table, error) {
+	if _, err := f.farm.Run(f.jobs); err != nil {
+		return nil, err
 	}
-	points := []maskPoint{
-		{"perfect", 8, true}, {"4 masks", 4, false},
-		{"2 masks", 2, false}, {"1 mask", 1, false},
-	}
-	slow := &Table{
-		Title:   "Figure 7a — % slowdown vs number of masks (4P, 4M-class L2)",
-		Columns: []string{"benchmark", "perfect", "4 masks", "2 masks", "1 mask"},
-	}
-	traffic := &Table{
-		Title:   "Figure 7b — % bus activity increase vs number of masks (4P, 4M-class L2)",
-		Columns: []string{"benchmark", "perfect", "4 masks", "2 masks", "1 mask"},
-	}
-	sumsS := make([]float64, len(points))
-	sumsT := make([]float64, len(points))
-	for _, name := range h.Workloads {
-		rowS := []string{name}
-		rowT := []string{name}
-		for i, pt := range points {
+	return f.tables()
+}
+
+// FigureNames lists the names Harness.Figure accepts, in report order.
+func FigureNames() []string { return []string{"6", "7", "8", "9", "10", "11", "scale"} }
+
+// Figure returns a figure of the evaluation by name: "6" to "11" are the
+// paper's Figures 6-11 and "scale" is extension E2, Figure 6's
+// measurement extended to 8 and 16 processors.
+//
+// Figure 10 runs on the large L2 class: the paper runs it on its 1 MB
+// L2, which comfortably holds the SPLASH2 working sets, and at our scale
+// that capacity ratio corresponds to the large class (the small class
+// would overstate hash-tree cache pollution far beyond the paper's
+// regime).
+func (h *Harness) Figure(name string) (*Figure, error) {
+	var g grid
+	switch name {
+	case "6":
+		g = h.l2Grid("Figure 6 — %% slowdown, write-invalidate, %s", slowdown)
+	case "7":
+		var cols []column
+		for _, pt := range []struct {
+			label   string
+			masks   int
+			perfect bool
+		}{{"perfect", 8, true}, {"4 masks", 4, false}, {"2 masks", 2, false}, {"1 mask", 1, false}} {
 			cfg := h.senssConfig(4, true)
 			cfg.Security.Senss.Masks = pt.masks
 			cfg.Security.Senss.Perfect = pt.perfect
-			base, sec, err := h.pair(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			s := stats.SlowdownPct(base, sec)
-			tr := stats.TrafficIncreasePct(base, sec)
-			sumsS[i] += s
-			sumsT[i] += tr
-			rowS = append(rowS, pct(s))
-			rowT = append(rowT, pct(tr))
+			cols = append(cols, column{pt.label, cfg})
 		}
-		slow.Add(rowS...)
-		traffic.Add(rowT...)
-	}
-	n := float64(len(h.Workloads))
-	avgS := []string{"average"}
-	avgT := []string{"average"}
-	for i := range points {
-		avgS = append(avgS, pct(sumsS[i]/n))
-		avgT = append(avgT, pct(sumsT[i]/n))
-	}
-	slow.Add(avgS...)
-	traffic.Add(avgT...)
-	return []*Table{slow, traffic}, nil
-}
-
-// Figure8 regenerates Figure 8: % bus traffic increase for both L2 classes
-// on 2 and 4 processors (authentication interval 100).
-func (h *Harness) Figure8() ([]*Table, error) { return h.sweep("fig8", h.figure8) }
-
-func (h *Harness) figure8() ([]*Table, error) {
-	var tables []*Table
-	for _, big := range []bool{false, true} {
-		t := &Table{
-			Title:   fmt.Sprintf("Figure 8 — %% bus activity increase, %s", l2Label(big)),
-			Columns: []string{"benchmark", "2P", "4P"},
-		}
-		sums := make([]float64, 2)
-		for _, name := range h.Workloads {
-			row := []string{name}
-			for pi, procs := range []int{2, 4} {
-				base, sec, err := h.pair(name, h.senssConfig(procs, big))
-				if err != nil {
-					return nil, err
-				}
-				tr := stats.TrafficIncreasePct(base, sec)
-				sums[pi] += tr
-				row = append(row, pct(tr))
-			}
-			t.Add(row...)
-		}
-		n := float64(len(h.Workloads))
-		t.Add("average", pct(sums[0]/n), pct(sums[1]/n))
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
-
-// Figure9 regenerates Figure 9: % slowdown and % bus traffic increase as
-// the authentication interval shrinks (100, 32, 10, 1) on 4P, large L2.
-func (h *Harness) Figure9() ([]*Table, error) { return h.sweep("fig9", h.figure9) }
-
-func (h *Harness) figure9() ([]*Table, error) {
-	intervals := []int{100, 32, 10, 1}
-	slow := &Table{
-		Title:   "Figure 9a — % slowdown vs authentication interval (4P, 4M-class L2)",
-		Columns: []string{"benchmark", "100 txns", "32 txns", "10 txns", "1 txn"},
-	}
-	traffic := &Table{
-		Title:   "Figure 9b — % bus activity increase vs authentication interval (4P, 4M-class L2)",
-		Columns: []string{"benchmark", "100 txns", "32 txns", "10 txns", "1 txn"},
-	}
-	sumsS := make([]float64, len(intervals))
-	sumsT := make([]float64, len(intervals))
-	for _, name := range h.Workloads {
-		rowS := []string{name}
-		rowT := []string{name}
-		for i, interval := range intervals {
+		g = h.costGrid(cols,
+			"Figure 7a — % slowdown vs number of masks (4P, 4M-class L2)",
+			"Figure 7b — % bus activity increase vs number of masks (4P, 4M-class L2)")
+	case "8":
+		g = h.l2Grid("Figure 8 — %% bus activity increase, %s", traffic)
+	case "9":
+		var cols []column
+		for _, pt := range []struct {
+			label    string
+			interval int
+		}{{"100 txns", 100}, {"32 txns", 32}, {"10 txns", 10}, {"1 txn", 1}} {
 			cfg := h.senssConfig(4, true)
-			cfg.Security.Senss.AuthInterval = interval
-			base, sec, err := h.pair(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			s := stats.SlowdownPct(base, sec)
-			tr := stats.TrafficIncreasePct(base, sec)
-			sumsS[i] += s
-			sumsT[i] += tr
-			rowS = append(rowS, pct(s))
-			rowT = append(rowT, pct(tr))
+			cfg.Security.Senss.AuthInterval = pt.interval
+			cols = append(cols, column{pt.label, cfg})
 		}
-		slow.Add(rowS...)
-		traffic.Add(rowT...)
-	}
-	n := float64(len(h.Workloads))
-	avgS := []string{"average"}
-	avgT := []string{"average"}
-	for i := range intervals {
-		avgS = append(avgS, pct(sumsS[i]/n))
-		avgT = append(avgT, pct(sumsT[i]/n))
-	}
-	slow.Add(avgS...)
-	traffic.Add(avgT...)
-	return []*Table{slow, traffic}, nil
-}
-
-// Figure10 regenerates Figure 10: SENSS alone vs SENSS integrated with
-// memory encryption (perfect SNC, as §7.7) and CHash integrity.
-//
-// The paper runs this on its 1 MB L2, which comfortably holds the SPLASH2
-// working sets; at our scale that capacity ratio corresponds to the large
-// L2 class (the small class would overstate hash-tree cache pollution far
-// beyond the paper's regime).
-func (h *Harness) Figure10() ([]*Table, error) { return h.sweep("fig10", h.figure10) }
-
-func (h *Harness) figure10() ([]*Table, error) {
-	slow := &Table{
-		Title:   "Figure 10a — % slowdown, 1M-class L2 (4P)",
-		Columns: []string{"benchmark", "SENSS", "SENSS+Mem_OTP_CHash"},
-	}
-	traffic := &Table{
-		Title:   "Figure 10b — % bus activity increase, 1M-class L2 (4P)",
-		Columns: []string{"benchmark", "SENSS", "SENSS+Mem_OTP_CHash"},
-	}
-	var sumS, sumSI, sumT, sumTI float64
-	for _, name := range h.Workloads {
+		g = h.costGrid(cols,
+			"Figure 9a — % slowdown vs authentication interval (4P, 4M-class L2)",
+			"Figure 9b — % bus activity increase vs authentication interval (4P, 4M-class L2)")
+	case "10":
 		busCfg := h.senssConfig(4, true)
-		base, busRun, err := h.pair(name, busCfg)
-		if err != nil {
-			return nil, err
-		}
 		fullCfg := busCfg
 		fullCfg.Security.Mode = machine.SecurityBusMem
 		fullCfg.Security.Integrity = true
 		fullCfg.Security.Memsec.PerfectSNC = true
-		_, fullRun, err := h.pair(name, fullCfg)
-		if err != nil {
-			return nil, err
-		}
-		s := stats.SlowdownPct(base, busRun)
-		si := stats.SlowdownPct(base, fullRun)
-		tr := stats.TrafficIncreasePct(base, busRun)
-		tri := stats.TrafficIncreasePct(base, fullRun)
-		sumS += s
-		sumSI += si
-		sumT += tr
-		sumTI += tri
-		slow.Add(name, pct(s), pct(si))
-		traffic.Add(name, pct(tr), pct(tri))
+		g = h.costGrid([]column{{"SENSS", busCfg}, {"SENSS+Mem_OTP_CHash", fullCfg}},
+			"Figure 10a — % slowdown, 1M-class L2 (4P)",
+			"Figure 10b — % bus activity increase, 1M-class L2 (4P)")
+	case "11":
+		return h.variability(8), nil
+	case "scale":
+		cols := h.procColumns(true, 2, 4, 8, 16)
+		g = grid{h: h, rows: h.Workloads, tables: []gridTable{
+			{"Extension E2 — % slowdown vs processor count (SENSS, interval 100, 4M-class L2)", cols, slowdown, true},
+			{"Extension E2 — cache-to-cache share of bus transactions (baseline)", cols, c2cShare, false},
+		}}
+	default:
+		return nil, fmt.Errorf("senss: no figure %q (6-11 and scale available)", name)
 	}
-	n := float64(len(h.Workloads))
-	slow.Add("average", pct(sumS/n), pct(sumSI/n))
-	traffic.Add("average", pct(sumT/n), pct(sumTI/n))
-	return []*Table{slow, traffic}, nil
+	return &Figure{farm: h.farm, jobs: g.jobs(), tables: g.build}, nil
 }
 
-// Figure11 regenerates the §7.8 variability study: identical runs of the
-// false-sharing microbenchmark under small deterministic bus-timing
-// perturbations. The spread — including secure runs that beat the base —
-// is the paper's point about full-system simulation noise.
-func (h *Harness) Figure11(seeds int) ([]*Table, error) {
-	return h.sweep("fig11", func() ([]*Table, error) { return h.figure11(seeds) })
+// metric is what a table cell reports for one column's baseline and
+// secured runs.
+type metric int
+
+const (
+	slowdown metric = iota // % slowdown of the secured run over the baseline
+	traffic                // % bus-activity increase of the secured run
+	c2cShare               // the baseline's cache-to-cache share of bus transactions
+)
+
+// cell returns the metric's value and its printed form.
+func (m metric) cell(base, sec Run) (float64, string) {
+	switch m {
+	case slowdown:
+		v := stats.SlowdownPct(base, sec)
+		return v, pct(v)
+	case traffic:
+		v := stats.TrafficIncreasePct(base, sec)
+		return v, pct(v)
+	}
+	v := base.C2CShare() * 100
+	return v, fmt.Sprintf("%.1f%%", v)
 }
 
-func (h *Harness) figure11(seeds int) ([]*Table, error) {
-	t := &Table{
-		Title:   "Figure 11 / §7.8 — timing variability under ±3-cycle bus perturbation (falseshare, 4P)",
-		Columns: []string{"perturb seed", "base cycles", "senss cycles", "slowdown %"},
+// column is one column of a figure table: its header and the secured
+// configuration measured against its canonical baseline.
+type column struct {
+	label string
+	cfg   Config
+}
+
+// gridTable is one table of a grid figure: a metric read off a set of
+// columns, optionally closed by the column averages.
+type gridTable struct {
+	title   string
+	columns []column
+	metric  metric
+	average bool
+}
+
+// grid is a figure whose rows are workloads.
+type grid struct {
+	h      *Harness
+	rows   []string
+	tables []gridTable
+}
+
+// procColumns is SENSS at interval 100 on each processor count, at one
+// L2 class.
+func (h *Harness) procColumns(big bool, procs ...int) []column {
+	cols := make([]column, len(procs))
+	for i, p := range procs {
+		cols[i] = column{fmt.Sprintf("%dP", p), h.senssConfig(p, big)}
 	}
-	faster := 0
-	for seed := 0; seed < seeds; seed++ {
-		baseCfg := h.baseConfig(4, true)
-		baseCfg.PerturbMax = 3
-		baseCfg.PerturbSeed = uint64(seed + 1)
-		base, err := h.run("falseshare", baseCfg)
-		if err != nil {
-			return nil, err
-		}
-		secCfg := baseCfg
-		secCfg.Security.Mode = machine.SecurityBus
-		secCfg.Security.Senss.Perfect = true
-		secCfg.Security.Senss.AuthInterval = 100
-		sec, err := h.run("falseshare", secCfg)
-		if err != nil {
-			return nil, err
-		}
-		s := stats.SlowdownPct(base, sec)
-		if s < 0 {
-			faster++
-		}
-		t.Add(fmt.Sprintf("%d", seed+1),
-			fmt.Sprintf("%d", base.Cycles), fmt.Sprintf("%d", sec.Cycles), pct(s))
+	return cols
+}
+
+// l2Grid is the grid Figures 6 and 8 share — 2 and 4 processors at each
+// L2 class, one table per class — reading m; title formats the class.
+func (h *Harness) l2Grid(title string, m metric) grid {
+	g := grid{h: h, rows: h.Workloads}
+	for _, big := range []bool{false, true} {
+		g.tables = append(g.tables, gridTable{fmt.Sprintf(title, l2Label(big)), h.procColumns(big, 2, 4), m, true})
 	}
-	t.Add("secure<base", fmt.Sprintf("%d of %d seeds", faster, seeds), "", "")
-	return []*Table{t}, nil
+	return g
+}
+
+// costGrid reads slowdown and then traffic off the same columns, as
+// Figures 7, 9 and 10 do.
+func (h *Harness) costGrid(cols []column, slowTitle, trafficTitle string) grid {
+	return grid{h: h, rows: h.Workloads, tables: []gridTable{
+		{slowTitle, cols, slowdown, true},
+		{trafficTitle, cols, traffic, true},
+	}}
+}
+
+// jobs lists every (row, column) point of every table.
+func (g grid) jobs() []farm.Job {
+	var js jobSet
+	for _, t := range g.tables {
+		for _, name := range g.rows {
+			for _, c := range t.columns {
+				js.addPair(g.h, name, c.cfg)
+			}
+		}
+	}
+	return js.jobs
+}
+
+// build assembles the grid's tables from the farm's results.
+func (g grid) build() ([]*Table, error) {
+	var tables []*Table
+	for _, gt := range g.tables {
+		t := &Table{Title: gt.title, Columns: []string{"benchmark"}}
+		for _, c := range gt.columns {
+			t.Columns = append(t.Columns, c.label)
+		}
+		sums := make([]float64, len(gt.columns))
+		for _, name := range g.rows {
+			row := []string{name}
+			for i, c := range gt.columns {
+				base, sec, err := g.h.pair(name, c.cfg)
+				if err != nil {
+					return nil, err
+				}
+				v, text := gt.metric.cell(base, sec)
+				sums[i] += v
+				row = append(row, text)
+			}
+			t.Add(row...)
+		}
+		if gt.average {
+			avg := []string{"average"}
+			for _, sum := range sums {
+				avg = append(avg, pct(sum/float64(len(g.rows))))
+			}
+			t.Add(avg...)
+		}
+		tables = append(tables, t)
+	}
+	return tables, nil
+}
+
+// variability is Figure 11, the §7.8 variability study: identical runs of
+// the false-sharing microbenchmark under small deterministic bus-timing
+// perturbations, one row per perturbation seed. The spread — including
+// secure runs that beat the base — is the paper's point about
+// full-system simulation noise.
+func (h *Harness) variability(seeds int) *Figure {
+	cfgs := make([]Config, seeds)
+	var js jobSet
+	for i := range cfgs {
+		cfgs[i] = h.senssConfig(4, true)
+		cfgs[i].PerturbMax = 3
+		cfgs[i].PerturbSeed = uint64(i + 1)
+		js.addPair(h, "falseshare", cfgs[i])
+	}
+	tables := func() ([]*Table, error) {
+		t := &Table{
+			Title:   "Figure 11 / §7.8 — timing variability under ±3-cycle bus perturbation (falseshare, 4P)",
+			Columns: []string{"perturb seed", "base cycles", "senss cycles", "slowdown %"},
+		}
+		faster := 0
+		for _, cfg := range cfgs {
+			base, sec, err := h.pair("falseshare", cfg)
+			if err != nil {
+				return nil, err
+			}
+			s := stats.SlowdownPct(base, sec)
+			if s < 0 {
+				faster++
+			}
+			t.Add(fmt.Sprintf("%d", cfg.PerturbSeed),
+				fmt.Sprintf("%d", base.Cycles), fmt.Sprintf("%d", sec.Cycles), pct(s))
+		}
+		t.Add("secure<base", fmt.Sprintf("%d of %d seeds", faster, seeds), "", "")
+		return []*Table{t}, nil
+	}
+	return &Figure{farm: h.farm, jobs: js.jobs, tables: tables}
 }
 
 // DetectionLatency is an extension experiment (E1 in DESIGN.md): for each
@@ -523,95 +482,4 @@ func (h *Harness) injectDrop(interval int, seed uint64) (latency uint64, detecte
 	}
 	msgs := m.Senss.Stats.Messages
 	return msgs - uint64(drop.LandedSeq) - 1, true, nil
-}
-
-// Scalability is an extension experiment (E2): the paper evaluates 2-4
-// processors and observes that SENSS overhead grows with the
-// cache-to-cache share; its architecture targets up to 32. This sweep
-// extends the Figure 6 measurement to 8 and 16 processors.
-func (h *Harness) Scalability() ([]*Table, error) { return h.sweep("scaleE2", h.scalability) }
-
-func (h *Harness) scalability() ([]*Table, error) {
-	procsList := []int{2, 4, 8, 16}
-	slow := &Table{
-		Title:   "Extension E2 — % slowdown vs processor count (SENSS, interval 100, 4M-class L2)",
-		Columns: []string{"benchmark", "2P", "4P", "8P", "16P"},
-	}
-	share := &Table{
-		Title:   "Extension E2 — cache-to-cache share of bus transactions (baseline)",
-		Columns: []string{"benchmark", "2P", "4P", "8P", "16P"},
-	}
-	sums := make([]float64, len(procsList))
-	for _, name := range h.Workloads {
-		rowS := []string{name}
-		rowC := []string{name}
-		for i, procs := range procsList {
-			base, sec, err := h.pair(name, h.senssConfig(procs, true))
-			if err != nil {
-				return nil, err
-			}
-			s := stats.SlowdownPct(base, sec)
-			sums[i] += s
-			rowS = append(rowS, pct(s))
-			rowC = append(rowC, fmt.Sprintf("%.1f%%", base.C2CShare()*100))
-		}
-		slow.Add(rowS...)
-		share.Add(rowC...)
-	}
-	avg := []string{"average"}
-	for i := range procsList {
-		avg = append(avg, pct(sums[i]/float64(len(h.Workloads))))
-	}
-	slow.Add(avg...)
-	return []*Table{slow, share}, nil
-}
-
-// figureFn maps a figure number to its table generator and sweep tag.
-func (h *Harness) figureFn(n int) (fn func() ([]*Table, error), tag string, err error) {
-	switch n {
-	case 6:
-		return h.figure6, "fig6", nil
-	case 7:
-		return h.figure7, "fig7", nil
-	case 8:
-		return h.figure8, "fig8", nil
-	case 9:
-		return h.figure9, "fig9", nil
-	case 10:
-		return h.figure10, "fig10", nil
-	case 11:
-		return func() ([]*Table, error) { return h.figure11(8) }, "fig11", nil
-	}
-	return nil, "", fmt.Errorf("senss: no experiment for figure %d (6-11 available)", n)
-}
-
-// Figure returns the tables for a figure number (6-11).
-func (h *Harness) Figure(n int) ([]*Table, error) {
-	fn, tag, err := h.figureFn(n)
-	if err != nil {
-		return nil, err
-	}
-	return h.sweep(tag, fn)
-}
-
-// FigureJobs enumerates the deduplicated job set of a figure's sweep
-// without simulating anything — the farm CLI's warm/status planning
-// input.
-func (h *Harness) FigureJobs(n int) ([]farm.Job, error) {
-	fn, tag, err := h.figureFn(n)
-	if err != nil {
-		return nil, err
-	}
-	jobs := h.collect(tag, fn)
-	unique, _ := farm.Dedupe(jobs)
-	return unique, nil
-}
-
-// SweepTag returns the manifest sweep name a figure runs under.
-func (h *Harness) SweepTag(n int) (string, error) {
-	_, tag, err := h.figureFn(n)
-	if err != nil {
-		return "", err
-	}
-	return tag + "-" + h.sizeName(), nil
 }

@@ -1,8 +1,6 @@
 package senss
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,60 +17,51 @@ func renderAll(tables []*Table) string {
 	return b.String()
 }
 
+// figureTables runs one figure on h and renders its tables.
+func figureTables(t *testing.T, h *Harness, name string) string {
+	t.Helper()
+	fig, err := h.Figure(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := fig.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderAll(tables)
+}
+
 // runFigure6On regenerates the Figure 6 grid on a farm with the given
-// worker count and cache directory, returning the rendered tables and
-// the sweep manifest bytes.
-func runFigure6On(t *testing.T, workers int, dir string) (tables string, manifest []byte) {
+// worker count and cache directory, returning the rendered tables.
+func runFigure6On(t *testing.T, workers int, dir string) string {
 	t.Helper()
 	f, err := farm.New(farm.Options{Workers: workers, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHarnessOn(SizeTest, f)
-	out, err := h.Figure6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag, err := h.SweepTag(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(farm.ManifestPath(dir, tag))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return renderAll(out), data
+	return figureTables(t, NewHarnessOn(SizeTest, f), "6")
 }
 
 // TestFigure6DeterministicUnderConcurrency is the subsystem's
 // determinism proof: the full Figure 6 grid must produce byte-identical
-// tables and byte-identical sweep manifests whether it runs on one
-// worker, on eight, or entirely from a warm cache.
+// tables whether it runs on one worker, on eight, or entirely from a
+// warm cache.
 func TestFigure6DeterministicUnderConcurrency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
 	serialDir, parallelDir := t.TempDir(), t.TempDir()
 
-	serialTables, serialManifest := runFigure6On(t, 1, serialDir)
-	parallelTables, parallelManifest := runFigure6On(t, 8, parallelDir)
-
+	serialTables := runFigure6On(t, 1, serialDir)
+	parallelTables := runFigure6On(t, 8, parallelDir)
 	if serialTables != parallelTables {
 		t.Errorf("tables differ between workers=1 and workers=8:\n%s\nvs\n%s",
 			serialTables, parallelTables)
 	}
-	if string(serialManifest) != string(parallelManifest) {
-		t.Errorf("manifests differ between workers=1 and workers=8:\n%s\nvs\n%s",
-			serialManifest, parallelManifest)
-	}
 
 	// Warm replay: same directory, everything served from cache.
-	warmTables, warmManifest := runFigure6On(t, 8, parallelDir)
-	if warmTables != parallelTables {
+	if warmTables := runFigure6On(t, 8, parallelDir); warmTables != parallelTables {
 		t.Errorf("warm-cache tables differ from cold run")
-	}
-	if string(warmManifest) != string(parallelManifest) {
-		t.Errorf("warm-cache manifest differs from cold run")
 	}
 }
 
@@ -90,9 +79,7 @@ func TestFigure6WarmCacheSkipsSimulation(t *testing.T) {
 	}
 	h := NewHarnessOn(SizeTest, f)
 	h.Workloads = []string{"falseshare", "lockcontend"}
-	if _, err := h.Figure6(); err != nil {
-		t.Fatal(err)
-	}
+	figureTables(t, h, "6")
 	cold := f.Cache().Stats()
 
 	f2, err := farm.New(farm.Options{Workers: 4, CacheDir: dir})
@@ -101,9 +88,7 @@ func TestFigure6WarmCacheSkipsSimulation(t *testing.T) {
 	}
 	h2 := NewHarnessOn(SizeTest, f2)
 	h2.Workloads = []string{"falseshare", "lockcontend"}
-	if _, err := h2.Figure6(); err != nil {
-		t.Fatal(err)
-	}
+	figureTables(t, h2, "6")
 	warm := f2.Cache().Stats()
 	if warm.Misses != 0 {
 		t.Errorf("warm run missed %d times (cold stats %+v, warm stats %+v)",
@@ -126,9 +111,7 @@ func TestBaselineDedupeAcrossFigures(t *testing.T) {
 	h := NewHarnessOn(SizeTest, f)
 	h.Workloads = []string{"falseshare"}
 
-	if _, err := h.Figure6(); err != nil {
-		t.Fatal(err)
-	}
+	figureTables(t, h, "6")
 	after6 := f.Cache().Stats()
 	// Figure 6 on one workload: 2 L2 classes x 2 proc counts x (base, sec)
 	// = 8 unique jobs, all cold.
@@ -136,9 +119,7 @@ func TestBaselineDedupeAcrossFigures(t *testing.T) {
 		t.Errorf("figure 6 cold misses = %d, want 8", after6.Misses)
 	}
 
-	if _, err := h.Figure8(); err != nil {
-		t.Fatal(err)
-	}
+	figureTables(t, h, "8")
 	after8 := f.Cache().Stats()
 	// Figure 8 re-measures the same grid: zero new simulations.
 	if after8.Misses != after6.Misses {
@@ -146,9 +127,7 @@ func TestBaselineDedupeAcrossFigures(t *testing.T) {
 			after8.Misses-after6.Misses)
 	}
 
-	if _, err := h.Figure10(); err != nil {
-		t.Fatal(err)
-	}
+	figureTables(t, h, "10")
 	after10 := f.Cache().Stats()
 	// Figure 10 adds only the combined bus+memory+integrity arm (one new
 	// job); its baseline and SENSS arm are already cached.
@@ -171,11 +150,12 @@ func TestSweepResumesAfterInterruption(t *testing.T) {
 	}
 	h := NewHarnessOn(SizeTest, f)
 	h.Workloads = []string{"falseshare", "lockcontend"}
-	jobs, err := h.FigureJobs(6)
+	fig, err := h.Figure("6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Warm(jobs[:len(jobs)/2]); err != nil {
+	jobs := fig.Jobs()
+	if _, err := f.Run(jobs[:len(jobs)/2]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,29 +165,21 @@ func TestSweepResumesAfterInterruption(t *testing.T) {
 	}
 	h2 := NewHarnessOn(SizeTest, f2)
 	h2.Workloads = []string{"falseshare", "lockcontend"}
-	if _, err := h2.Figure6(); err != nil {
-		t.Fatal(err)
-	}
+	figureTables(t, h2, "6")
 	st := f2.Cache().Stats()
 	if int(st.Misses) != len(jobs)-len(jobs)/2 {
 		t.Errorf("resumed sweep simulated %d jobs, want %d (the un-warmed half)",
 			st.Misses, len(jobs)-len(jobs)/2)
 	}
 
-	// The manifest reflects a fully completed sweep.
-	tag, err := h2.SweepTag(6)
+	// The resumed sweep leaves every job of the figure cached on disk.
+	warm, err := farm.NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := farm.LoadManifest(dir, tag)
-	if err != nil || m == nil {
-		t.Fatalf("manifest missing after resume: %v", err)
-	}
-	if done, failed, pending := m.Counts(); failed != 0 || pending != 0 || done != len(m.Jobs) {
-		t.Errorf("resumed manifest counts = %d/%d/%d over %d jobs",
-			done, failed, pending, len(m.Jobs))
-	}
-	if _, err := os.Stat(filepath.Join(dir, m.Jobs[0].Hash+".json")); err != nil {
-		t.Errorf("cache entry for manifest job missing: %v", err)
+	for _, j := range jobs {
+		if !warm.Has(j.Hash()) {
+			t.Errorf("job %s has no cache entry after the resumed sweep", j)
+		}
 	}
 }

@@ -15,42 +15,46 @@ func TestHarnessAllFigures(t *testing.T) {
 	h.Workloads = []string{"falseshare", "lockcontend"}
 
 	cases := []struct {
-		fig    int
+		fig    string
 		tables int
 		title  string
 	}{
-		{6, 2, "Figure 6"},
-		{7, 2, "Figure 7"},
-		{8, 2, "Figure 8"},
-		{9, 2, "Figure 9"},
-		{10, 2, "Figure 10"},
-		{11, 1, "Figure 11"},
+		{"6", 2, "Figure 6"},
+		{"7", 2, "Figure 7"},
+		{"8", 2, "Figure 8"},
+		{"9", 2, "Figure 9"},
+		{"10", 2, "Figure 10"},
+		{"11", 1, "Figure 11"},
 	}
 	for _, c := range cases {
-		tables, err := h.Figure(c.fig)
+		fig, err := h.Figure(c.fig)
 		if err != nil {
-			t.Fatalf("figure %d: %v", c.fig, err)
+			t.Fatalf("figure %s: %v", c.fig, err)
+		}
+		tables, err := fig.Tables()
+		if err != nil {
+			t.Fatalf("figure %s: %v", c.fig, err)
 		}
 		if len(tables) != c.tables {
-			t.Fatalf("figure %d: %d tables, want %d", c.fig, len(tables), c.tables)
+			t.Fatalf("figure %s: %d tables, want %d", c.fig, len(tables), c.tables)
 		}
 		for _, tab := range tables {
 			if !strings.Contains(tab.Title, c.title) {
-				t.Errorf("figure %d: title %q", c.fig, tab.Title)
+				t.Errorf("figure %s: title %q", c.fig, tab.Title)
 			}
 			if len(tab.Rows) == 0 {
-				t.Errorf("figure %d: empty table", c.fig)
+				t.Errorf("figure %s: empty table", c.fig)
 			}
 			out := tab.Render()
 			if len(out) == 0 {
-				t.Errorf("figure %d: empty render", c.fig)
+				t.Errorf("figure %s: empty render", c.fig)
 			}
 		}
 		// Figures over the workload list carry an average row.
-		if c.fig >= 6 && c.fig <= 10 {
+		if c.fig != "11" {
 			last := tables[0].Rows[len(tables[0].Rows)-1]
 			if last[0] != "average" {
-				t.Errorf("figure %d: last row %q, want average", c.fig, last[0])
+				t.Errorf("figure %s: last row %q, want average", c.fig, last[0])
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"senss/internal/stats"
 )
 
-// CacheVersion stamps every on-disk entry and every manifest. It must
+// CacheVersion stamps every on-disk entry. It must
 // change whenever a cached result could disagree with what the current
 // build would compute: whenever a record of testdata/golden_cycles.json
 // changes (the suffix is its falseshare/base cycle count) or stats.Run
@@ -24,7 +24,6 @@ type entry struct {
 	Version  string    `json:"version"`
 	Hash     string    `json:"hash"`
 	Workload string    `json:"workload"`
-	Figure   string    `json:"figure,omitempty"`
 	Run      stats.Run `json:"run"`
 }
 
@@ -121,7 +120,7 @@ func (c *Cache) Put(j Job, hash string, run stats.Run) error {
 	if c.dir == "" {
 		return nil
 	}
-	e := entry{Version: CacheVersion, Hash: hash, Workload: j.Workload, Figure: j.Figure, Run: run}
+	e := entry{Version: CacheVersion, Hash: hash, Workload: j.Workload, Run: run}
 	data, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return fmt.Errorf("farm: encoding cache entry: %w", err)
@@ -153,7 +152,9 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // DiskEntries returns the hashes of the valid on-disk entries, in sorted
-// (directory) order, plus how many files were skipped as invalid.
+// (directory) order, plus how many files were skipped as invalid. Sweep
+// manifests (manifest-*.json), which older versions wrote beside the
+// entries, are neither.
 func (c *Cache) DiskEntries() (hashes []string, invalid int, err error) {
 	if c.dir == "" {
 		return nil, 0, nil
@@ -179,8 +180,8 @@ func (c *Cache) DiskEntries() (hashes []string, invalid int, err error) {
 
 // GC sweeps the cache directory: temp-file leftovers and invalid or
 // version-stale entries are always removed; all == true additionally
-// removes every valid entry and every sweep manifest. It returns how
-// many files were removed.
+// removes every valid entry and every sweep manifest an older version
+// left. It returns how many files were removed.
 func (c *Cache) GC(all bool) (removed int, err error) {
 	if c.dir == "" {
 		c.mu.Lock()

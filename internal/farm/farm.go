@@ -16,8 +16,12 @@ import (
 // substitute instrumented runners.
 type RunFunc func(Job) (stats.Run, error)
 
+// retries is the number of extra attempts a panicking or failing job
+// gets before its failure is recorded.
+const retries = 1
+
 // Options configure a Farm. The zero value is a sensible default:
-// GOMAXPROCS workers, memory-only cache, one retry after a panic.
+// GOMAXPROCS workers and a memory-only cache.
 type Options struct {
 	// Workers bounds how many simulations run concurrently; <= 0 selects
 	// runtime.GOMAXPROCS(0).
@@ -25,9 +29,6 @@ type Options struct {
 	// CacheDir is the on-disk result cache directory; "" keeps results
 	// in memory only (no files are ever written).
 	CacheDir string
-	// Retries is the number of extra attempts after a panicking or
-	// failing job; 0 selects the default of 1, negative disables retry.
-	Retries int
 	// Progress, when non-nil, receives live fleet progress and ETA.
 	Progress *Reporter
 }
@@ -36,7 +37,6 @@ type Options struct {
 // result cache.
 type Farm struct {
 	workers  int
-	retries  int
 	cache    *Cache
 	progress *Reporter
 	run      RunFunc
@@ -53,15 +53,8 @@ func New(opts Options) (*Farm, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	retries := opts.Retries
-	if retries == 0 {
-		retries = 1
-	} else if retries < 0 {
-		retries = 0
-	}
 	return &Farm{
 		workers:  workers,
-		retries:  retries,
 		cache:    cache,
 		progress: opts.Progress,
 		run:      func(j Job) (stats.Run, error) { return driver.Run(j.Workload, j.Size, j.Config) },
@@ -98,97 +91,10 @@ type Result struct {
 // first, misses fanned out across the worker pool — and returns every
 // result keyed by job hash. Individual job failures do not abort the
 // fleet; they are recorded per-result and folded into one deterministic
-// aggregate error.
+// aggregate error. Because every success is cached as it finishes, a
+// fleet that is interrupted and run again simulates only what it had
+// not finished.
 func (f *Farm) Run(jobs []Job) (map[string]Result, error) {
-	results, _ := f.runAll(jobs, nil)
-	return results, failureError(results)
-}
-
-// Warm ensures every job is computed and cached, discarding the results.
-func (f *Farm) Warm(jobs []Job) error {
-	_, err := f.Run(jobs)
-	return err
-}
-
-// Get returns the result of a single job, computing and caching it if
-// absent. Single-job lookups bypass the pool and the progress reporter.
-func (f *Farm) Get(j Job) (stats.Run, error) {
-	h := j.Hash()
-	if run, ok := f.cache.Get(h); ok {
-		return run, nil
-	}
-	res := f.runOne(j, h)
-	if res.Err != "" {
-		return res.Run, errors.New(res.Err)
-	}
-	return res.Run, nil
-}
-
-// RunSweep executes the jobs as a named, resumable sweep: a manifest in
-// the cache directory tracks per-job status and is rewritten atomically
-// after every completion. Re-running an interrupted sweep re-enumerates
-// the same jobs; those recorded done with live cache entries are served
-// without simulating. The returned manifest is in its final, canonical
-// (hash-sorted) form.
-func (f *Farm) RunSweep(sweep string, jobs []Job) (*Manifest, map[string]Result, error) {
-	unique, hashes := dedupe(jobs)
-	m := newManifest(sweep, unique, hashes)
-	dir := f.cache.Dir()
-
-	// Adopt completed work from a previous interrupted attempt. This is
-	// bookkeeping only — the content-addressed cache is what actually
-	// short-circuits the recompute — but it preserves failure records.
-	if prev, err := LoadManifest(dir, sweep); err == nil && prev != nil {
-		for _, pe := range prev.Jobs {
-			if pe.Status == StatusDone && f.cache.Has(pe.Hash) {
-				m.setStatus(pe.Hash, StatusDone, "")
-			}
-		}
-	}
-
-	var mu sync.Mutex
-	persist := func() {
-		if dir == "" {
-			return
-		}
-		// Incremental persistence is best-effort; the final write below
-		// is the one whose error is surfaced.
-		_ = m.write(dir)
-	}
-	persist()
-
-	results, _ := f.runAll(unique, func(res Result) {
-		mu.Lock()
-		if res.Err == "" {
-			m.setStatus(res.Hash, StatusDone, "")
-		} else {
-			m.setStatus(res.Hash, StatusFailed, res.Err)
-		}
-		persist()
-		mu.Unlock()
-	})
-
-	// Canonical final state (also covers cached results, which the
-	// callback path already marked done).
-	for h, res := range results {
-		if res.Err == "" {
-			m.setStatus(h, StatusDone, "")
-		} else {
-			m.setStatus(h, StatusFailed, res.Err)
-		}
-	}
-	if dir != "" {
-		if err := m.write(dir); err != nil {
-			return m, results, err
-		}
-	}
-	return m, results, failureError(results)
-}
-
-// runAll is the pool core: dedupe, cache check, bounded fan-out. onDone,
-// when non-nil, observes every result (cached ones immediately, computed
-// ones as they finish, from worker goroutines).
-func (f *Farm) runAll(jobs []Job, onDone func(Result)) (map[string]Result, []Job) {
 	unique, hashes := dedupe(jobs)
 	results := make(map[string]Result, len(unique))
 	var todo []Job
@@ -196,11 +102,7 @@ func (f *Farm) runAll(jobs []Job, onDone func(Result)) (map[string]Result, []Job
 	for i, j := range unique {
 		h := hashes[i]
 		if run, ok := f.cache.Get(h); ok {
-			res := Result{Job: j, Hash: h, Run: run, Cached: true}
-			results[h] = res
-			if onDone != nil {
-				onDone(res)
-			}
+			results[h] = Result{Job: j, Hash: h, Run: run, Cached: true}
 		} else {
 			todo = append(todo, j)
 			todoHashes = append(todoHashes, h)
@@ -228,9 +130,6 @@ func (f *Farm) runAll(jobs []Job, onDone func(Result)) (map[string]Result, []Job
 					mu.Lock()
 					results[t.hash] = res
 					mu.Unlock()
-					if onDone != nil {
-						onDone(res)
-					}
 					f.progress.JobDone(res.Err == "")
 				}
 			}()
@@ -242,7 +141,21 @@ func (f *Farm) runAll(jobs []Job, onDone func(Result)) (map[string]Result, []Job
 		wg.Wait()
 	}
 	f.progress.Finish()
-	return results, todo
+	return results, failureError(results)
+}
+
+// Get returns the result of a single job, computing and caching it if
+// absent. Single-job lookups bypass the pool and the progress reporter.
+func (f *Farm) Get(j Job) (stats.Run, error) {
+	h := j.Hash()
+	if run, ok := f.cache.Get(h); ok {
+		return run, nil
+	}
+	res := f.runOne(j, h)
+	if res.Err != "" {
+		return res.Run, errors.New(res.Err)
+	}
+	return res.Run, nil
 }
 
 // runOne executes one job with panic isolation and retry, caching the
@@ -250,7 +163,7 @@ func (f *Farm) runAll(jobs []Job, onDone func(Result)) (map[string]Result, []Job
 func (f *Farm) runOne(j Job, hash string) Result {
 	res := Result{Job: j, Hash: hash}
 	var err error
-	for attempt := 0; attempt <= f.retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		res.Attempts = attempt + 1
 		var run stats.Run
 		run, err = f.exec(j)

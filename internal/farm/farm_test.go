@@ -16,7 +16,7 @@ import (
 func testJob(seed uint64) Job {
 	cfg := machine.DefaultConfig()
 	cfg.Seed = seed
-	return Job{Workload: "falseshare", Size: workload.SizeTest, Config: cfg, Figure: "test"}
+	return Job{Workload: "falseshare", Size: workload.SizeTest, Config: cfg}
 }
 
 // countingRunner returns a fake runner that tallies executions per job
@@ -48,11 +48,6 @@ func TestHashStableAndDiscriminating(t *testing.T) {
 	c := testJob(2)
 	if a.Hash() == c.Hash() {
 		t.Fatal("distinct seeds collide")
-	}
-	d := a
-	d.Figure = "other"
-	if a.Hash() != d.Hash() {
-		t.Fatal("figure tag must not enter the hash (it is provenance only)")
 	}
 	e := a
 	e.Config.Security.Mode = machine.SecurityBus
@@ -146,11 +141,10 @@ func TestPersistentFailureConfined(t *testing.T) {
 	}
 }
 
-func TestErrorRetrySkippedWhenDisabled(t *testing.T) {
-	f, err := New(Options{Workers: 1, Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestErrorRetriedOnce: a job that keeps failing is attempted exactly
+// 1+retries times, and its result records the attempts and the error.
+func TestErrorRetriedOnce(t *testing.T) {
+	f := NewMem(1)
 	var calls sync.Map
 	f.SetRunner(func(j Job) (stats.Run, error) {
 		c, _ := calls.LoadOrStore(j.Hash(), new(atomic.Int64))
@@ -158,11 +152,15 @@ func TestErrorRetrySkippedWhenDisabled(t *testing.T) {
 		return stats.Run{}, fmt.Errorf("boom")
 	})
 	j := testJob(3)
-	if _, err := f.Run([]Job{j}); err == nil {
+	results, err := f.Run([]Job{j})
+	if err == nil {
 		t.Fatal("want error")
 	}
-	if n := callCount(&calls, j.Hash()); n != 1 {
-		t.Fatalf("Retries:-1 ran job %d times, want 1", n)
+	if n := callCount(&calls, j.Hash()); n != 1+retries {
+		t.Fatalf("failing job ran %d times, want %d", n, 1+retries)
+	}
+	if res := results[j.Hash()]; res.Attempts != 1+retries || res.Err != "boom" {
+		t.Errorf("result attempts=%d err=%q, want %d and \"boom\"", res.Attempts, res.Err, 1+retries)
 	}
 }
 
@@ -182,100 +180,6 @@ func TestGetComputesOnceThenHits(t *testing.T) {
 	}
 	if n := callCount(&calls, j.Hash()); n != 1 {
 		t.Fatalf("Get simulated %d times, want 1", n)
-	}
-}
-
-func TestRunSweepManifestAndResume(t *testing.T) {
-	dir := t.TempDir()
-	f, err := New(Options{Workers: 2, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls sync.Map
-	f.SetRunner(countingRunner(&calls))
-
-	jobs := []Job{testJob(1), testJob(2), testJob(3)}
-	m, results, err := f.RunSweep("resume-test", jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 || len(m.Jobs) != 3 {
-		t.Fatalf("results=%d manifest=%d, want 3", len(results), len(m.Jobs))
-	}
-	if done, failed, pending := m.Counts(); done != 3 || failed != 0 || pending != 0 {
-		t.Fatalf("counts = %d/%d/%d, want 3/0/0", done, failed, pending)
-	}
-
-	// A fresh farm over the same directory resumes: nothing re-simulates.
-	f2, err := New(Options{Workers: 2, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls2 sync.Map
-	f2.SetRunner(countingRunner(&calls2))
-	m2, results2, err := f2.RunSweep("resume-test", jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if n := callCount(&calls2, j.Hash()); n != 0 {
-			t.Errorf("resumed sweep re-simulated %s %d times", j, n)
-		}
-		if !results2[j.Hash()].Cached {
-			t.Errorf("resumed job %s not marked cached", j)
-		}
-	}
-
-	// Manifests from the cold and resumed runs are byte-identical.
-	b1, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := m2.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b1) != string(b2) {
-		t.Errorf("cold and resumed manifests differ:\n%s\nvs\n%s", b1, b2)
-	}
-
-	// The on-disk manifest round-trips.
-	loaded, err := LoadManifest(dir, "resume-test")
-	if err != nil || loaded == nil {
-		t.Fatalf("LoadManifest: %v, %v", loaded, err)
-	}
-	if len(loaded.Jobs) != 3 {
-		t.Fatalf("loaded manifest has %d jobs", len(loaded.Jobs))
-	}
-}
-
-func TestManifestIdenticalAcrossWorkerCounts(t *testing.T) {
-	jobs := make([]Job, 0, 12)
-	for seed := uint64(1); seed <= 12; seed++ {
-		jobs = append(jobs, testJob(seed))
-	}
-	var encodings []string
-	for _, workers := range []int{1, 8} {
-		dir := t.TempDir()
-		f, err := New(Options{Workers: workers, CacheDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var calls sync.Map
-		f.SetRunner(countingRunner(&calls))
-		m, _, err := f.RunSweep("det", jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := m.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		encodings = append(encodings, string(b))
-	}
-	if encodings[0] != encodings[1] {
-		t.Errorf("manifests differ between workers=1 and workers=8:\n%s\nvs\n%s",
-			encodings[0], encodings[1])
 	}
 }
 

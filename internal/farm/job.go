@@ -3,17 +3,19 @@
 // the fleet is concurrent — each simulation stays single-goroutine
 // deterministic), a two-layer result cache (in-memory map in front of an
 // on-disk directory with atomic writes and corruption-tolerant reads),
-// resumable sweep manifests, per-job panic isolation with retry, and a
-// progress/ETA reporter.
+// per-job panic isolation with one retry, and a progress/ETA reporter.
+// The cache is the only sweep record: a sweep that stops part-way is
+// resumed by running the same jobs again, and only the jobs without a
+// cache entry simulate.
 //
 // farm is an orchestration package: it sits on the nondeterm lint
 // allowlist (internal/lint/nondeterm.go), so goroutines, sync
 // primitives, and wall-clock reads are permitted here while remaining
 // banned in the simulator proper. The determinism boundary is enforced
-// structurally instead: everything observable — result maps, manifests,
-// the tables assembled from them — is keyed and ordered by job hash, so
-// sweep outputs are byte-identical regardless of worker count,
-// completion order, or cache temperature.
+// structurally instead: everything observable — result maps and the
+// tables assembled from them — is keyed by job hash, so sweep outputs
+// are byte-identical regardless of worker count, completion order, or
+// cache temperature.
 package farm
 
 import (
@@ -28,14 +30,12 @@ import (
 )
 
 // Job is one simulator run: a workload at a problem scale under a
-// machine configuration. Figure tags the sweep that requested the job
-// (provenance only — it does not enter the hash, so identical
-// configurations requested by different figures deduplicate to one run).
+// machine configuration. Identical jobs requested by different figures
+// share one hash, and so one run.
 type Job struct {
 	Workload string
 	Size     workload.Size
 	Config   machine.Config
-	Figure   string
 }
 
 // Hash returns the job's content address: hex SHA-256, truncated to 32
@@ -72,10 +72,6 @@ func (j Job) String() string {
 	}
 	return fmt.Sprintf("%s/%dP/%dB/%s", j.Workload, j.Config.Procs, j.Config.Coherence.L2Size, sec)
 }
-
-// Dedupe returns the jobs with duplicate content hashes removed,
-// preserving first-occurrence order.
-func Dedupe(jobs []Job) ([]Job, []string) { return dedupe(jobs) }
 
 // dedupe returns the jobs with duplicate hashes removed, preserving
 // first-occurrence order, paired with each survivor's hash.

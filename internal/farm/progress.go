@@ -9,8 +9,8 @@ import (
 
 // Reporter prints live fleet progress with an ETA. It reads the host
 // wall clock and therefore lives strictly on the host side of the
-// determinism boundary: nothing it produces feeds back into results,
-// caches, or manifests. All methods are safe on a nil receiver, so farm
+// determinism boundary: nothing it produces feeds back into results
+// or caches. All methods are safe on a nil receiver, so farm
 // internals call it unconditionally.
 type Reporter struct {
 	w io.Writer

@@ -51,7 +51,7 @@ func TestRunWorkloadUnknownName(t *testing.T) {
 
 func TestHarnessFigureUnknown(t *testing.T) {
 	h := NewHarness(SizeTest)
-	if _, err := h.Figure(5); err == nil {
+	if _, err := h.Figure("5"); err == nil {
 		t.Error("figure 5 is a config table, not an experiment")
 	}
 }
@@ -65,7 +65,11 @@ func TestFigure9Shape(t *testing.T) {
 	}
 	h := NewHarness(SizeTest)
 	h.Workloads = []string{"radix", "ocean"} // keep the test quick
-	tables, err := h.Figure9()
+	fig, err := h.Figure("9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := fig.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
