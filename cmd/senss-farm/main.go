@@ -17,7 +17,9 @@
 // Figure sweeps run through senss-tables. The cache is their only
 // record: status lists each figure's jobs at test and bench size and
 // counts those with a cache entry as done, and re-running an
-// interrupted sweep simulates only the pending ones.
+// interrupted sweep simulates only the pending ones. The jobs listed are
+// those of the default crypto backend; a sweep run with -crypto stdlib
+// caches its secured runs under other hashes.
 package main
 
 import (
@@ -72,7 +74,8 @@ func usage(w *os.File) {
 usage: senss-farm <status|gc|bench|bench-sim|bench-check|bench-crypto|bench-serve> [flags]
 
   status  report cache contents and, per figure and size, how many of
-          the sweep's jobs are cached (done) or still to simulate
+          the sweep's jobs are cached (done) or still to simulate; the
+          jobs are those of the default (ref) crypto backend
   gc      remove stale/corrupt cache entries (-all wipes everything)
   bench   measure cold serial vs parallel wall-clock for Figure 6's
           jobs on the farm and write the BENCH_farm.json trajectory point
@@ -140,7 +143,7 @@ func writeStatus(w io.Writer, cacheDir string, jsonOut bool) error {
 		name  string
 		scale senss.Size
 	}{{"test", senss.SizeTest}, {"bench", senss.SizeBench}} {
-		h := senss.NewHarnessOn(size.scale, farm.NewMem(1))
+		h := senss.NewHarness(size.scale)
 		for _, name := range senss.FigureNames() {
 			f, err := h.Figure(name)
 			if err != nil {

@@ -232,7 +232,7 @@ func (h *Harness) Figure(name string) (*Figure, error) {
 			"Figure 10a — % slowdown, 1M-class L2 (4P)",
 			"Figure 10b — % bus activity increase, 1M-class L2 (4P)")
 	case "11":
-		return h.variability(8), nil
+		return h.variability(), nil
 	case "scale":
 		cols := h.procColumns(true, 2, 4, 8, 16)
 		g = grid{h: h, rows: h.Workloads, tables: []gridTable{
@@ -373,7 +373,8 @@ func (g grid) build() ([]*Table, error) {
 // perturbations, one row per perturbation seed. The spread — including
 // secure runs that beat the base — is the paper's point about
 // full-system simulation noise.
-func (h *Harness) variability(seeds int) *Figure {
+func (h *Harness) variability() *Figure {
+	const seeds = 8
 	cfgs := make([]Config, seeds)
 	var js jobSet
 	for i := range cfgs {

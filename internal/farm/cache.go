@@ -59,9 +59,6 @@ func NewCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir, mem: make(map[string]stats.Run)}, nil
 }
 
-// Dir returns the backing directory ("" when memory-only).
-func (c *Cache) Dir() string { return c.dir }
-
 // path is the entry file for a job hash.
 func (c *Cache) path(hash string) string { return filepath.Join(c.dir, hash+".json") }
 
