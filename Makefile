@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet lint taintflow hotpath lockguard race farm-race serve-race oracle fuzz-smoke figures bench-sim bench-check bench-crypto bench-serve speed-smoke serve-smoke verify clean
+.PHONY: all build fmt test vet lint race farm-race serve-race oracle fuzz-smoke figures bench-sim bench-check bench-crypto bench-serve speed-smoke serve-smoke verify clean
 
 all: verify
 
@@ -21,27 +21,6 @@ vet:
 
 lint: build
 	$(GO) run ./cmd/senss-lint ./...
-
-# taintflow runs only the interprocedural secret-taint analyzer (the most
-# expensive rule) with vet-style exit codes: 0 clean, 1 findings. The
-# full `lint` target (and thus `verify`) already includes it.
-taintflow: build
-	$(GO) run ./cmd/senss-lint -analyzer taintflow ./...
-
-# hotpath runs only the allocation-and-escape discipline analyzer for
-# //senss-lint:hotpath code (DESIGN.md section 13). The full `lint`
-# target (and thus `verify`) already includes it; this target is the
-# fast loop while annotating or remediating hot code.
-hotpath: build
-	$(GO) run ./cmd/senss-lint -analyzer hotpath ./...
-
-# lockguard runs only the lock-discipline analyzer (guarded fields,
-# unlock paths, lock ordering, goroutine/blocking hygiene; DESIGN.md
-# section 17). The full `lint` target (and thus `verify`) already
-# includes it; this target is the fast loop while annotating
-# //senss-lint:guardedby fields or remediating concurrency findings.
-lockguard: build
-	$(GO) run ./cmd/senss-lint -analyzer lockguard ./...
 
 race:
 	$(GO) test -race ./...

@@ -278,7 +278,7 @@ func TestBusSteadyStateZeroAlloc(t *testing.T) {
 	perOp := measureAllocsPerOp(t, rig, 1024, 192)
 	if perOp != 0 {
 		t.Errorf("steady-state allocations = %v per op, want exactly 0 — "+
-			"a hot path regressed; run `make hotpath` and check recent waivers", perOp)
+			"a hot path regressed; run `go run ./cmd/senss-lint -analyzer hotpath ./...` and check recent waivers", perOp)
 	}
 }
 

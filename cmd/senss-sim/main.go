@@ -17,6 +17,7 @@ import (
 
 	"senss"
 	"senss/internal/crypto"
+	"senss/internal/machine"
 	"senss/internal/trace"
 )
 
@@ -72,20 +73,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "senss-sim: unknown authmode %q\n", *authmode)
 		os.Exit(2)
 	}
-	switch *mode {
-	case "base":
-		cfg.Security.Mode = senss.SecurityOff
-	case "senss":
-		cfg.Security.Mode = senss.SecurityBus
-	case "naive":
+	if *mode == "naive" {
+		// The §7.3 naive baseline is SENSS's bus mode with direct
+		// encryption in place of the mask pipeline.
 		cfg.Security.Mode = senss.SecurityBus
 		cfg.Security.Naive = true
-	case "senss+mem":
-		cfg.Security.Mode = senss.SecurityBusMem
-		cfg.Security.Integrity = *integrity
-	default:
-		fmt.Fprintf(os.Stderr, "senss-sim: unknown mode %q\n", *mode)
-		os.Exit(2)
+	} else {
+		m, err := machine.ParseSecurityMode(*mode)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "senss-sim: unknown mode %q\n", *mode)
+			os.Exit(2)
+		}
+		cfg.Security.Mode = m
+		cfg.Security.Integrity = m == senss.SecurityBusMem && *integrity
 	}
 
 	if *printConfig {

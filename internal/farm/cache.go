@@ -149,9 +149,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // DiskEntries returns the hashes of the valid on-disk entries, in sorted
-// (directory) order, plus how many files were skipped as invalid. Sweep
-// manifests (manifest-*.json), which older versions wrote beside the
-// entries, are neither.
+// (directory) order, plus how many files were skipped as invalid.
 func (c *Cache) DiskEntries() (hashes []string, invalid int, err error) {
 	if c.dir == "" {
 		return nil, 0, nil
@@ -162,7 +160,7 @@ func (c *Cache) DiskEntries() (hashes []string, invalid int, err error) {
 	}
 	for _, de := range ents {
 		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, "manifest-") {
+		if de.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
 		hash := strings.TrimSuffix(name, ".json")
@@ -177,8 +175,8 @@ func (c *Cache) DiskEntries() (hashes []string, invalid int, err error) {
 
 // GC sweeps the cache directory: temp-file leftovers and invalid or
 // version-stale entries are always removed; all == true additionally
-// removes every valid entry and every sweep manifest an older version
-// left. It returns how many files were removed.
+// removes every valid entry. Any other *.json file is an invalid entry.
+// It returns how many files were removed.
 func (c *Cache) GC(all bool) (removed int, err error) {
 	if c.dir == "" {
 		c.mu.Lock()
@@ -203,8 +201,6 @@ func (c *Cache) GC(all bool) (removed int, err error) {
 		switch {
 		case strings.Contains(name, ".tmp"):
 			drop = true // interrupted atomic write
-		case strings.HasPrefix(name, "manifest-") && strings.HasSuffix(name, ".json"):
-			drop = all
 		case strings.HasSuffix(name, ".json"):
 			hash := strings.TrimSuffix(name, ".json")
 			_, valid := c.readEntry(path, hash)

@@ -179,7 +179,8 @@ func TestGCSweepsStaleAndTemp(t *testing.T) {
 	if err := c.Put(j, j.Hash(), stats.Run{Cycles: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Seed debris: an interrupted temp file, garbage, a stale manifest.
+	// Seed debris: an interrupted temp file, garbage, and a sweep manifest
+	// an older version left, which is just another invalid entry.
 	for name, data := range map[string]string{
 		"deadbeef.json.tmp123":                  "partial",
 		"0123456789abcdef0123456789abcdef.json": "garbage",
@@ -193,8 +194,8 @@ func TestGCSweepsStaleAndTemp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
-		t.Errorf("gc removed %d files, want 2 (temp + garbage; manifests kept)", removed)
+	if removed != 3 {
+		t.Errorf("gc removed %d files, want 3 (temp + garbage + manifest)", removed)
 	}
 	if _, ok := c.Get(j.Hash()); !ok {
 		t.Fatal("gc destroyed a valid entry")
@@ -204,8 +205,8 @@ func TestGCSweepsStaleAndTemp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
-		t.Errorf("gc -all removed %d files, want 2 (entry + manifest)", removed)
+	if removed != 1 {
+		t.Errorf("gc -all removed %d files, want 1 (the entry)", removed)
 	}
 	c2, err := NewCache(dir)
 	if err != nil {

@@ -52,13 +52,15 @@ func TestGCTable(t *testing.T) {
 			},
 		},
 		{
-			name: "manifests and bystanders survive a conservative sweep",
+			name: "a leftover manifest is an invalid entry; bystanders survive",
 			debris: map[string]string{
 				"manifest-fig6-test.json": `{"sweep":"fig6-test"}`,
 				"README":                  "not cache data",
 			},
-			putValid: true,
-			wantKept: []string{"manifest-fig6-test.json", "README"},
+			putValid:    true,
+			wantRemoved: 1,
+			wantKept:    []string{"README"},
+			wantGone:    []string{"manifest-fig6-test.json"},
 		},
 		{
 			name: "all removes entries and manifests but not bystanders",

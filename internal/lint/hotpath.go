@@ -122,28 +122,33 @@ func hotDirective(doc *ast.CommentGroup) (hot, cold bool) {
 	return hot, cold
 }
 
-// hotChecker walks one hot function body.
+// hotChecker checks one hot function body.
 type hotChecker struct {
-	w         *hotWorld
-	fn        *Func
-	loopDepth int
+	w  *hotWorld
+	fn *Func
 }
 
 func (c *hotChecker) info() *types.Info { return c.fn.Pkg.Info }
 
 func (c *hotChecker) check() {
-	c.stmts(c.fn.Decl.Body.List)
+	c.body(c.fn.Decl.Body)
 }
 
-func (c *hotChecker) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		c.stmt(s)
+// body checks every node of a body's CFG, unreachable code included: the
+// rules are flow-insensitive.
+func (c *hotChecker) body(body *ast.BlockStmt) {
+	for _, b := range c.w.cfg(body, c.info()).Blocks {
+		for _, n := range b.Nodes {
+			c.node(n, b.LoopDepth)
+		}
 	}
 }
 
-func (c *hotChecker) stmt(s ast.Stmt) {
-	switch t := s.(type) {
-	case nil:
+// node checks one CFG node; loopDepth counts the loops around it.
+func (c *hotChecker) node(n ast.Node, loopDepth int) {
+	switch t := n.(type) {
+	case ast.Expr:
+		c.expr(t)
 	case *ast.AssignStmt:
 		for _, r := range t.Rhs {
 			c.expr(r)
@@ -155,10 +160,7 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 		// an interface-typed location allocates the interface payload.
 		if len(t.Lhs) == len(t.Rhs) {
 			for i := range t.Lhs {
-				if boxes(c.info().TypeOf(t.Lhs[i]), c.info().TypeOf(t.Rhs[i])) {
-					c.w.Reportf(t.Rhs[i].Pos(), "interface conversion boxes %s in hot code",
-						typeName(c.info().TypeOf(t.Rhs[i])))
-				}
+				c.checkBoxing(c.info().TypeOf(t.Lhs[i]), t.Rhs[i])
 			}
 		}
 	case *ast.DeclStmt:
@@ -172,10 +174,7 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 					c.expr(v)
 					if i < len(vs.Names) {
 						if obj := c.info().Defs[vs.Names[i]]; obj != nil {
-							if boxes(obj.Type(), c.info().TypeOf(v)) {
-								c.w.Reportf(v.Pos(), "interface conversion boxes %s in hot code",
-									typeName(c.info().TypeOf(v)))
-							}
+							c.checkBoxing(obj.Type(), v)
 						}
 					}
 				}
@@ -183,20 +182,6 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 		}
 	case *ast.ExprStmt:
 		c.expr(t.X)
-	case *ast.IfStmt:
-		c.stmt(t.Init)
-		c.expr(t.Cond)
-		c.stmts(t.Body.List)
-		c.stmt(t.Else)
-	case *ast.BlockStmt:
-		c.stmts(t.List)
-	case *ast.ForStmt:
-		c.stmt(t.Init)
-		c.expr(t.Cond)
-		c.stmt(t.Post)
-		c.loopDepth++
-		c.stmts(t.Body.List)
-		c.loopDepth--
 	case *ast.RangeStmt:
 		if tx := c.info().TypeOf(t.X); tx != nil {
 			if _, isMap := tx.Underlying().(*types.Map); isMap {
@@ -204,48 +189,16 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 			}
 		}
 		c.expr(t.X)
-		c.loopDepth++
-		c.stmts(t.Body.List)
-		c.loopDepth--
 	case *ast.ReturnStmt:
 		sig, _ := c.fn.Obj.Type().(*types.Signature)
 		for i, r := range t.Results {
 			c.expr(r)
-			if sig != nil && len(t.Results) == sig.Results().Len() && i < sig.Results().Len() {
-				if boxes(sig.Results().At(i).Type(), c.info().TypeOf(r)) {
-					c.w.Reportf(r.Pos(), "interface conversion boxes %s in hot code",
-						typeName(c.info().TypeOf(r)))
-				}
-			}
-		}
-	case *ast.SwitchStmt:
-		c.stmt(t.Init)
-		c.expr(t.Tag)
-		for _, cl := range t.Body.List {
-			if cc, ok := cl.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					c.expr(e)
-				}
-				c.stmts(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		c.stmt(t.Init)
-		c.stmt(t.Assign)
-		for _, cl := range t.Body.List {
-			if cc, ok := cl.(*ast.CaseClause); ok {
-				c.stmts(cc.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, cl := range t.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok {
-				c.stmt(cc.Comm)
-				c.stmts(cc.Body)
+			if sig != nil && len(t.Results) == sig.Results().Len() {
+				c.checkBoxing(sig.Results().At(i).Type(), r)
 			}
 		}
 	case *ast.DeferStmt:
-		if c.loopDepth > 0 {
+		if loopDepth > 0 {
 			c.w.Reportf(t.Defer, "defer inside a loop allocates per iteration in hot code")
 		}
 		c.call(t.Call)
@@ -256,13 +209,8 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 		c.expr(t.Chan)
 		c.expr(t.Value)
 		if ch, ok := c.info().TypeOf(t.Chan).Underlying().(*types.Chan); ok {
-			if boxes(ch.Elem(), c.info().TypeOf(t.Value)) {
-				c.w.Reportf(t.Value.Pos(), "interface conversion boxes %s in hot code",
-					typeName(c.info().TypeOf(t.Value)))
-			}
+			c.checkBoxing(ch.Elem(), t.Value)
 		}
-	case *ast.LabeledStmt:
-		c.stmt(t.Stmt)
 	case *ast.IncDecStmt:
 		c.expr(t.X)
 	}
@@ -297,8 +245,7 @@ func (c *hotChecker) expr(e ast.Expr) {
 		c.w.Reportf(t.Pos(), "closure (func literal) allocates in hot code; hoist it or restructure")
 		// The closure runs from hot code: its body is held to the same
 		// discipline.
-		inner := &hotChecker{w: c.w, fn: c.fn}
-		inner.stmts(t.Body.List)
+		c.body(t.Body)
 	case *ast.BinaryExpr:
 		c.expr(t.X)
 		c.expr(t.Y)
@@ -475,10 +422,14 @@ func (c *hotChecker) checkArgBoxing(call *ast.CallExpr, sig *types.Signature) {
 		case i < n:
 			pt = params.At(i).Type()
 		}
-		if boxes(pt, c.info().TypeOf(arg)) {
-			c.w.Reportf(arg.Pos(), "interface conversion boxes %s in hot code",
-				typeName(c.info().TypeOf(arg)))
-		}
+		c.checkBoxing(pt, arg)
+	}
+}
+
+// checkBoxing flags storing e into a dst-typed location when that boxes.
+func (c *hotChecker) checkBoxing(dst types.Type, e ast.Expr) {
+	if src := c.info().TypeOf(e); boxes(dst, src) {
+		c.w.Reportf(e.Pos(), "interface conversion boxes %s in hot code", typeName(src))
 	}
 }
 

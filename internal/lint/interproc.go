@@ -4,9 +4,9 @@ package lint
 // (taintflow, hotpath, lockguard; DESIGN.md §9). RunAnalyzers builds it
 // once per run and hands it to every RunModule analyzer on its
 // ModulePass: the function and named-type index, the one interface
-// resolver, static callee lookup, and the bounded quiet-fixpoint-then-
-// report driver. Each analyzer keeps its own lattice, transfer code, and
-// statement walker.
+// resolver, static callee lookup, the bounded quiet-fixpoint-then-report
+// driver, and each function body's control-flow graph (cfg.go). Each
+// analyzer keeps only its own lattice and transfer code.
 
 import (
 	"go/ast"
@@ -47,6 +47,9 @@ type index struct {
 	// must not be judged. The ./... run remains the authority.
 	loaded     map[string]bool
 	modulePath string
+	// cfgs holds each function or func-literal body's graph, built on
+	// first use and shared by every analyzer and fixpoint round.
+	cfgs map[*ast.BlockStmt]*CFG
 }
 
 // newIndex indexes every function body and named type of pkgs.
@@ -56,6 +59,7 @@ func newIndex(pkgs []*Package) *index {
 		funcs:     make(map[*types.Func]*Func),
 		implCache: make(map[*types.Func][]*types.Func),
 		loaded:    make(map[string]bool),
+		cfgs:      make(map[*ast.BlockStmt]*CFG),
 	}
 	if len(pkgs) > 0 {
 		x.Fset = pkgs[0].Fset
@@ -99,6 +103,17 @@ func newIndex(pkgs []*Package) *index {
 		return x.order[i].Decl.Pos() < x.order[j].Decl.Pos()
 	})
 	return x
+}
+
+// cfg returns the control-flow graph of body, a function or func-literal
+// body type-checked into info.
+func (x *index) cfg(body *ast.BlockStmt, info *types.Info) *CFG {
+	g := x.cfgs[body]
+	if g == nil {
+		g = buildCFG(body, info)
+		x.cfgs[body] = g
+	}
+	return g
 }
 
 // unloadedModulePkg reports whether pkgPath is a module package outside

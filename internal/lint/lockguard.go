@@ -253,7 +253,7 @@ func (w *lockWorld) collectStructGuards(pkg *Package, ts *ast.TypeSpec, st *ast.
 		if guardName == "" {
 			continue // bare directive: suppress.go reports it
 		}
-		guard, rw, ok := w.resolveGuard(pkg, st, guardName)
+		guard, rw, ok := resolveGuard(pkg.Info.Defs[ts.Name].Type(), guardName)
 		if !ok {
 			w.Reportf(pos, "guardedby %q names no sync.Mutex or sync.RWMutex field in %s", guardName, owner)
 			continue
@@ -275,34 +275,12 @@ func (w *lockWorld) collectStructGuards(pkg *Package, ts *ast.TypeSpec, st *ast.
 	}
 }
 
-// resolveGuard finds the (possibly dotted) mutex field path inside the
-// struct and reports whether it is an RWMutex. The first segment is
-// resolved on the declaration's AST (so the guard var is the same
-// object use sites resolve to); nested segments walk the type.
-func (w *lockWorld) resolveGuard(pkg *Package, st *ast.StructType, path string) (*types.Var, bool, bool) {
-	segs := strings.Split(path, ".")
+// resolveGuard walks the (possibly dotted) mutex field path from the
+// struct type t and reports whether it ends at an RWMutex. Field objects
+// are the ones use sites resolve to.
+func resolveGuard(t types.Type, path string) (*types.Var, bool, bool) {
 	var v *types.Var
-	for _, field := range st.Fields.List {
-		for _, name := range field.Names {
-			if name.Name == segs[0] {
-				v, _ = pkg.Info.Defs[name].(*types.Var)
-			}
-		}
-	}
-	if v == nil {
-		return nil, false, false
-	}
-	if len(segs) == 1 {
-		rw, ok := isMutexType(v.Type())
-		return v, rw, ok
-	}
-	return w.resolveGuardType(v.Type(), segs[1:])
-}
-
-// resolveGuardType walks the remaining path segments on the type level.
-func (w *lockWorld) resolveGuardType(t types.Type, segs []string) (*types.Var, bool, bool) {
-	var v *types.Var
-	for _, seg := range segs {
+	for _, seg := range strings.Split(path, ".") {
 		st, ok := t.Underlying().(*types.Struct)
 		if !ok {
 			return nil, false, false
@@ -489,93 +467,48 @@ func (w *lockWorld) addEdge(from, to string, pos token.Pos) {
 	}
 }
 
-// reportCycles finds strongly connected components of the annotated
-// lock-order graph and reports each cycle once, anchored at its
-// earliest recorded edge.
+// reportCycles reports each cycle of the annotated lock-order graph
+// once: a strongly connected component (classes that reach each other,
+// or one class with a self edge), anchored at its earliest recorded edge.
 func (w *lockWorld) reportCycles() {
-	// Tarjan over sorted class names for determinism.
+	reaches := make(map[string]map[string]bool)
 	var classes []string
-	seen := map[string]bool{}
-	for from, tos := range w.edges {
-		if !seen[from] {
-			seen[from] = true
-			classes = append(classes, from)
-		}
-		for to := range tos {
-			if !seen[to] {
-				seen[to] = true
-				classes = append(classes, to)
+	for from := range w.edges {
+		seen := make(map[string]bool)
+		stack := []string{from}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for to := range w.edges[v] {
+				if !seen[to] {
+					seen[to] = true
+					stack = append(stack, to)
+				}
 			}
 		}
+		reaches[from] = seen
+		classes = append(classes, from)
 	}
 	sort.Strings(classes)
-
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	var sccs [][]string
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		var succs []string
-		for to := range w.edges[v] {
-			succs = append(succs, to)
+	reported := make(map[string]bool)
+	for _, v := range classes {
+		if reported[v] || !reaches[v][v] {
+			continue
 		}
-		sort.Strings(succs)
-		for _, to := range succs {
-			if _, visited := index[to]; !visited {
-				strongconnect(to)
-				if low[to] < low[v] {
-					low[v] = low[to]
-				}
-			} else if onStack[to] && index[to] < low[v] {
-				low[v] = index[to]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				n := len(stack) - 1
-				u := stack[n]
-				stack = stack[:n]
-				onStack[u] = false
+		// Every class on a cycle has an outgoing edge, so classes lists
+		// the whole component, in sorted order.
+		inSCC := func(u string) bool { return reaches[v][u] && reaches[u][v] }
+		var scc []string
+		for _, u := range classes {
+			if inSCC(u) {
 				scc = append(scc, u)
-				if u == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, c := range classes {
-		if _, visited := index[c]; !visited {
-			strongconnect(c)
-		}
-	}
-
-	for _, scc := range sccs {
-		if len(scc) == 1 {
-			if _, hasSelf := w.edges[scc[0]][scc[0]]; !hasSelf {
-				continue
+				reported[u] = true
 			}
 		}
-		sort.Strings(scc)
-		// Anchor: the earliest edge position inside the component.
 		pos := token.NoPos
-		inSCC := map[string]bool{}
-		for _, c := range scc {
-			inSCC[c] = true
-		}
 		for _, from := range scc {
 			for to, p := range w.edges[from] {
-				if inSCC[to] && (pos == token.NoPos || p < pos) {
+				if inSCC(to) && (pos == token.NoPos || p < pos) {
 					pos = p
 				}
 			}

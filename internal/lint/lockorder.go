@@ -2,8 +2,9 @@ package lint
 
 // lockorder holds lockguard's engine: the per-function blocking and
 // acquisition summaries, their propagation to a module fixpoint, and the
-// path-sensitive lock-set walk that checks guarded accesses, unlock
-// discipline, ordering edges, and blocking hygiene (DESIGN.md §17).
+// path-sensitive lock-set analysis over each body's CFG that checks
+// guarded accesses, unlock discipline, ordering edges, and blocking
+// hygiene (DESIGN.md §17).
 
 import (
 	"fmt"
@@ -27,15 +28,6 @@ var blockingExternalFuncs = map[string]bool{
 	"(net/http.Flusher).Flush":        true,
 }
 
-// terminatingFuncs end the goroutine: paths through them need no
-// release check. Keyed by types.Func.FullName.
-var terminatingFuncs = map[string]bool{
-	"os.Exit":     true,
-	"log.Fatal":   true,
-	"log.Fatalf":  true,
-	"log.Fatalln": true,
-}
-
 // computeSummaries records, for every module function, whether its own
 // statements (excluding go statements and func-literal bodies, which the
 // walk models at their use sites) can block, and which annotated lock
@@ -48,45 +40,17 @@ func (w *lockWorld) computeSummaries() {
 		acq := make(map[string]bool)
 		cl := make(map[*types.Func]bool)
 		blocking := false
-		var scan func(n ast.Node) bool
-		scan = func(n ast.Node) bool {
+		scan := func(n ast.Node) bool {
 			switch t := n.(type) {
-			case *ast.GoStmt, *ast.FuncLit:
-				// A goroutine's blocking does not block its creator; a
-				// literal's body blocks only when invoked, which the walk
-				// models in place.
-				return false
-			case *ast.SelectStmt:
-				hasDefault := false
-				for _, c := range t.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-						hasDefault = true
-					}
-				}
-				if !hasDefault {
-					blocking = true
-				}
-				// Comm clauses' channel ops are governed by the select;
-				// only their bodies are scanned independently.
-				for _, c := range t.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok {
-						for _, s := range cc.Body {
-							ast.Inspect(s, scan)
-						}
-					}
-				}
+			case *ast.FuncLit:
+				// A literal's body blocks only when invoked, which the
+				// walk models in place.
 				return false
 			case *ast.SendStmt:
 				blocking = true
 			case *ast.UnaryExpr:
 				if t.Op == token.ARROW {
 					blocking = true
-				}
-			case *ast.RangeStmt:
-				if typ := info.TypeOf(t.X); typ != nil {
-					if _, isCh := typ.Underlying().(*types.Chan); isCh {
-						blocking = true
-					}
 				}
 			case *ast.CallExpr:
 				if op, ok := w.asMutexOp(info, t); ok {
@@ -108,7 +72,29 @@ func (w *lockWorld) computeSummaries() {
 			}
 			return true
 		}
-		ast.Inspect(fn.Decl.Body, scan)
+		for _, b := range w.cfg(fn.Decl.Body, info).Blocks {
+			for _, n := range b.Nodes {
+				switch t := n.(type) {
+				case *ast.GoStmt, *ast.ForStmt:
+					// A goroutine's blocking does not block its creator; a
+					// for loop's parts are nodes of their own.
+					continue
+				case *ast.SelectStmt:
+					blocking = blocking || selectWaits(t)
+					continue
+				case *ast.RangeStmt:
+					if typ := info.TypeOf(t.X); typ != nil {
+						_, isCh := typ.Underlying().(*types.Chan)
+						blocking = blocking || isCh
+					}
+					n = t.X
+				}
+				// A comm clause's channel op is governed by its select.
+				if n != b.Comm {
+					ast.Inspect(n, scan)
+				}
+			}
+		}
 		w.blocking[fn.Obj] = blocking
 		w.acquires[fn.Obj] = acq
 		callees[fn.Obj] = cl
@@ -174,6 +160,17 @@ func (s *lockState) hasDeferred(key string) bool {
 	return false
 }
 
+// deferRelease schedules a deferred release; scheduling the same one
+// again (a defer in a loop) adds nothing the exit check could tell apart.
+func (s *lockState) deferRelease(d defUnlock) {
+	for _, have := range s.deferred {
+		if have == d {
+			return
+		}
+	}
+	s.deferred = append(s.deferred, d)
+}
+
 func (s *lockState) clone() *lockState {
 	c := &lockState{}
 	c.held = append(c.held, s.held...)
@@ -193,7 +190,7 @@ func (s *lockState) sig() string {
 	return strings.Join(parts, "|")
 }
 
-// maxLockStates bounds the per-point path explosion; beyond it the walk
+// maxLockStates bounds the per-point path explosion; beyond it the join
 // keeps the first distinct states (the module's functions stay far
 // below this).
 const maxLockStates = 12
@@ -206,45 +203,51 @@ func cloneStates(states []*lockState) []*lockState {
 	return out
 }
 
-func unionStates(groups ...[]*lockState) []*lockState {
+// unionStates is lockguard's join: the distinct states of a then b,
+// capped at maxLockStates. It clones, never aliases, so a transfer may
+// mutate what it is handed.
+func unionStates(a, b []*lockState) []*lockState {
 	var out []*lockState
 	seen := make(map[string]bool)
-	for _, g := range groups {
-		for _, s := range g {
-			sig := s.sig()
-			if seen[sig] {
-				continue
-			}
-			seen[sig] = true
-			// Clone, never alias: the walk mutates states in place, and a
-			// kept pointer shared with a saved snapshot (a loop's entry
-			// states, a branch join) would smear later mutations into it.
-			out = append(out, s.clone())
-			if len(out) == maxLockStates {
-				return out
-			}
+	for _, s := range append(a[:len(a):len(a)], b...) {
+		sig := s.sig()
+		if seen[sig] {
+			continue
+		}
+		seen[sig] = true
+		out = append(out, s.clone())
+		if len(out) == maxLockStates {
+			break
 		}
 	}
 	return out
 }
 
-// breakFrame collects the states flowing out of break/continue for the
-// innermost breakable construct.
-type breakFrame struct {
-	isLoop    bool
-	breaks    []*lockState
-	continues []*lockState
+// sameStates reports whether a and b hold the same distinct states.
+func sameStates(a, b []*lockState) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	sigs := make(map[string]bool, len(a))
+	for _, s := range a {
+		sigs[s.sig()] = true
+	}
+	for _, s := range b {
+		if !sigs[s.sig()] {
+			return false
+		}
+	}
+	return true
 }
 
-// lockWalker runs the path-sensitive walk over one function (or one
+// lockWalker runs the lock-set analysis over one function (or one
 // func-literal body, in capture or inherit mode).
 type lockWalker struct {
 	w    *lockWorld
 	fn   *Func // enclosing declared function (requirement hoist root)
-	pkg  *Package
 	info *types.Info
-	// states is the live set of abstract lock states; nil means the
-	// current point is unreachable (all paths returned or died).
+	// states is the live set of abstract lock states at the node being
+	// transferred.
 	states []*lockState
 	// baseline keys were held when this walker started: literal bodies
 	// inherit them and must not be blamed for releasing at their returns.
@@ -256,41 +259,78 @@ type lockWalker struct {
 	// noBlock suppresses blocking checks for the channel op of a select
 	// comm clause (the select itself is judged instead).
 	noBlock bool
-	frames  []*breakFrame
+	// emit is set on the one pass over the fixed-point in-states: only
+	// that pass reports, records requirements and lock-order edges, and
+	// analyzes func-literal bodies.
+	emit bool
 }
 
-// analyze runs the walk over fn's body.
+// analyze runs the analysis over fn's body.
 func (w *lockWorld) analyze(fn *Func) {
-	lw := &lockWalker{
-		w:        w,
-		fn:       fn,
-		pkg:      fn.Pkg,
-		info:     fn.Pkg.Info,
-		states:   []*lockState{{}},
-		baseline: make(map[string]bool),
-	}
-	lw.walkBody(fn.Decl.Body, fn.Decl.Body.Rbrace)
+	lw := &lockWalker{w: w, fn: fn, info: fn.Pkg.Info}
+	lw.body(fn.Decl.Body, []*lockState{{}})
 }
 
-// subWalker builds a walker for a func-literal body.
-func (lw *lockWalker) subWalker(states []*lockState, capture string) *lockWalker {
-	base := make(map[string]bool)
-	for _, s := range states {
+// sub analyzes a func-literal body entered with the given states.
+func (lw *lockWalker) sub(body *ast.BlockStmt, entry []*lockState, capture string) {
+	(&lockWalker{w: lw.w, fn: lw.fn, info: lw.info, capture: capture}).body(body, entry)
+}
+
+// body solves the lock sets of a body's CFG from entry, then replays
+// each reachable block from its fixed-point in-state with emit on, and
+// release-checks the states that fall off the end at the closing brace.
+func (lw *lockWalker) body(body *ast.BlockStmt, entry []*lockState) {
+	lw.baseline = make(map[string]bool)
+	for _, s := range entry {
 		for _, h := range s.held {
-			base[h.key] = true
+			lw.baseline[h.key] = true
 		}
 	}
-	return &lockWalker{
-		w: lw.w, fn: lw.fn, pkg: lw.pkg, info: lw.info,
-		states: states, baseline: base, capture: capture,
+	g := lw.w.cfg(body, lw.info)
+	in, reached := solve(g, entry, func(b *Block, s []*lockState) []*lockState {
+		return lw.block(b, s, false)
+	}, unionStates, sameStates)
+	for _, b := range g.Blocks {
+		if !reached[b.Index] {
+			continue
+		}
+		lw.block(b, in[b.Index], true)
+		if b == g.End {
+			lw.releaseCheck(body.Rbrace)
+		}
 	}
 }
 
-// walkBody walks a function body and release-checks live fall-through
-// states at endPos (the implicit return of void functions).
-func (lw *lockWalker) walkBody(body *ast.BlockStmt, endPos token.Pos) {
-	lw.walkStmt(body)
-	lw.releaseCheck(endPos)
+// block transfers b's nodes from a copy of in and returns the out-state.
+func (lw *lockWalker) block(b *Block, in []*lockState, emit bool) []*lockState {
+	lw.states, lw.emit = cloneStates(in), emit
+	for _, n := range b.Nodes {
+		lw.noBlock = n == b.Comm
+		lw.node(n)
+	}
+	lw.noBlock = false
+	return lw.states
+}
+
+// reportf records a finding on the emitting pass.
+func (lw *lockWalker) reportf(pos token.Pos, format string, args ...any) {
+	if lw.emit {
+		lw.w.reportf(pos, format, args...)
+	}
+}
+
+// require grows fn's requires-lock summary on the emitting pass.
+func (lw *lockWalker) require(req lockReq) {
+	if lw.emit {
+		lw.w.addRequire(lw.fn.Obj, req)
+	}
+}
+
+// edge records a lock-order edge on the emitting pass.
+func (lw *lockWalker) edge(from, to string, pos token.Pos) {
+	if lw.emit {
+		lw.w.addEdge(from, to, pos)
+	}
 }
 
 // releaseCheck reports held, non-deferred, non-baseline locks at a
@@ -304,21 +344,17 @@ func (lw *lockWalker) releaseCheck(pos token.Pos) {
 			// The acquisition is in the finding's own file, so its base
 			// name keeps the message the same on every checkout.
 			at := lw.w.Fset.Position(h.pos)
-			lw.w.reportf(pos, "%s is locked but not released on this return path (%s at %s:%d:%d)",
+			lw.reportf(pos, "%s is locked but not released on this return path (%s at %s:%d:%d)",
 				h.disp, h.kind, filepath.Base(at.Filename), at.Line, at.Column)
 		}
 	}
 }
 
-func (lw *lockWalker) walkStmt(stmt ast.Stmt) {
-	if stmt == nil || lw.states == nil {
-		return
-	}
-	switch t := stmt.(type) {
-	case *ast.BlockStmt:
-		for _, s := range t.List {
-			lw.walkStmt(s)
-		}
+// node is lockguard's transfer for one CFG node.
+func (lw *lockWalker) node(n ast.Node) {
+	switch t := n.(type) {
+	case ast.Expr:
+		lw.walkExpr(t)
 	case *ast.ExprStmt:
 		lw.walkExpr(t.X)
 	case *ast.AssignStmt:
@@ -355,21 +391,6 @@ func (lw *lockWalker) walkStmt(stmt ast.Stmt) {
 			lw.walkExpr(r)
 		}
 		lw.releaseCheck(t.Pos())
-		lw.states = nil
-	case *ast.IfStmt:
-		lw.walkStmt(t.Init)
-		lw.walkExpr(t.Cond)
-		entry := lw.states
-		thenOut := lw.withStates(cloneStates(entry), func() { lw.walkStmt(t.Body) })
-		elseStates := cloneStates(entry)
-		elseOut := elseStates
-		if t.Else != nil {
-			elseOut = lw.withStates(elseStates, func() { lw.walkStmt(t.Else) })
-		}
-		lw.states = unionStates(thenOut, elseOut)
-	case *ast.ForStmt:
-		lw.walkStmt(t.Init)
-		lw.walkLoop(t.Cond, t.Body, t.Post, t.Cond == nil)
 	case *ast.RangeStmt:
 		lw.walkExpr(t.X)
 		if typ := lw.info.TypeOf(t.X); typ != nil {
@@ -377,217 +398,66 @@ func (lw *lockWalker) walkStmt(stmt ast.Stmt) {
 				lw.checkBlocking(t.Pos(), "a range over a channel")
 			}
 		}
-		lw.walkLoop(nil, t.Body, nil, false)
-	case *ast.SwitchStmt:
-		lw.walkStmt(t.Init)
-		lw.walkExpr(t.Tag)
-		lw.walkCases(t.Body, false)
-	case *ast.TypeSwitchStmt:
-		lw.walkStmt(t.Init)
-		lw.walkStmt(t.Assign)
-		lw.walkCases(t.Body, false)
 	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range t.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
+		if selectWaits(t) {
 			lw.checkBlocking(t.Pos(), "a blocking select")
 		}
-		lw.walkSelect(t)
-	case *ast.BranchStmt:
-		lw.walkBranch(t)
-	case *ast.LabeledStmt:
-		lw.walkStmt(t.Stmt)
-	case *ast.EmptyStmt:
 	}
 }
 
-// withStates runs f with the given states installed and returns the
-// states f left behind.
-func (lw *lockWalker) withStates(states []*lockState, f func()) []*lockState {
-	save := lw.states
-	lw.states = states
-	f()
-	out := lw.states
-	lw.states = save
-	return out
-}
-
-// walkLoop walks a loop body twice — the second pass, entered with the
-// union of entry and first-iteration exit, is what catches a Lock that
-// survives into the next iteration — then joins entry, body-exit, and
-// break states. Infinite loops (no condition) exit only through breaks.
-func (lw *lockWalker) walkLoop(cond ast.Expr, body *ast.BlockStmt, post ast.Stmt, infinite bool) {
-	frame := &breakFrame{isLoop: true}
-	lw.frames = append(lw.frames, frame)
-	if cond != nil {
-		lw.walkExpr(cond)
-	}
-	entry := cloneStates(lw.states)
-	for pass := 0; pass < 2; pass++ {
-		lw.walkStmt(body)
-		lw.states = unionStates(lw.states, frame.continues)
-		frame.continues = nil
-		lw.walkStmt(post)
-		if pass == 0 {
-			lw.states = unionStates(entry, lw.states)
-			if cond != nil {
-				lw.walkExpr(cond)
-			}
+// selectWaits reports whether a select has no default clause.
+func selectWaits(s *ast.SelectStmt) bool {
+	for _, c := range s.Body.List {
+		if c.(*ast.CommClause).Comm == nil {
+			return false
 		}
 	}
-	if infinite {
-		lw.states = frame.breaks
-	} else {
-		lw.states = unionStates(entry, lw.states, frame.breaks)
-	}
-	lw.frames = lw.frames[:len(lw.frames)-1]
-}
-
-// walkCases walks switch/type-switch clauses, each from the shared
-// entry, and joins their exits (plus the entry when no default exists).
-func (lw *lockWalker) walkCases(body *ast.BlockStmt, _ bool) {
-	frame := &breakFrame{}
-	lw.frames = append(lw.frames, frame)
-	entry := lw.states
-	hasDefault := false
-	var outs [][]*lockState
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		out := lw.withStates(cloneStates(entry), func() {
-			for _, e := range cc.List {
-				lw.walkExpr(e)
-			}
-			for _, s := range cc.Body {
-				lw.walkStmt(s)
-			}
-		})
-		outs = append(outs, out)
-	}
-	lw.frames = lw.frames[:len(lw.frames)-1]
-	joined := frame.breaks
-	for _, o := range outs {
-		joined = unionStates(joined, o)
-	}
-	if !hasDefault {
-		joined = unionStates(joined, entry)
-	}
-	lw.states = joined
-}
-
-// walkSelect walks each comm clause from the shared entry; the clause's
-// channel op itself is exempt from blocking checks (the select was
-// already judged) and the exits are joined.
-func (lw *lockWalker) walkSelect(sel *ast.SelectStmt) {
-	frame := &breakFrame{}
-	lw.frames = append(lw.frames, frame)
-	entry := lw.states
-	var outs [][]*lockState
-	for _, c := range sel.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		out := lw.withStates(cloneStates(entry), func() {
-			save := lw.noBlock
-			lw.noBlock = true
-			lw.walkStmt(cc.Comm)
-			lw.noBlock = save
-			for _, s := range cc.Body {
-				lw.walkStmt(s)
-			}
-		})
-		outs = append(outs, out)
-	}
-	lw.frames = lw.frames[:len(lw.frames)-1]
-	joined := frame.breaks
-	for _, o := range outs {
-		joined = unionStates(joined, o)
-	}
-	lw.states = joined
-}
-
-func (lw *lockWalker) walkBranch(t *ast.BranchStmt) {
-	switch t.Tok {
-	case token.BREAK:
-		for i := len(lw.frames) - 1; i >= 0; i-- {
-			lw.frames[i].breaks = append(lw.frames[i].breaks, cloneStates(lw.states)...)
-			break
-		}
-		lw.states = nil
-	case token.CONTINUE:
-		for i := len(lw.frames) - 1; i >= 0; i-- {
-			if lw.frames[i].isLoop {
-				lw.frames[i].continues = append(lw.frames[i].continues, cloneStates(lw.states)...)
-				break
-			}
-		}
-		lw.states = nil
-	case token.GOTO, token.FALLTHROUGH:
-		// Neither appears in the analyzed layers; keep states flowing.
-	}
+	return true
 }
 
 // walkDefer handles defer statements: mutex unlocks register as
-// scheduled releases; literal bodies are walked (state changes
+// scheduled releases; literal bodies are analyzed (state changes
 // discarded) so guarded accesses inside cleanup closures are still
-// checked, then scanned for direct unlocks. The walk comes first: the
-// closure's own Unlock is the deferred release, not a second one.
+// checked, then scanned for direct unlocks. The analysis comes first:
+// the closure's own Unlock is the deferred release, not a second one.
 func (lw *lockWalker) walkDefer(t *ast.DeferStmt) {
-	if op, ok := lw.w.asMutexOp(lw.info, t.Call); ok {
-		if op.method == "Unlock" || op.method == "RUnlock" {
-			kind := lockWrite
-			if op.method == "RUnlock" {
-				kind = lockRead
-			}
-			for _, s := range lw.states {
-				s.deferred = append(s.deferred, defUnlock{key: op.key, kind: kind})
-			}
-		}
-		return
-	}
+	var calls []*ast.CallExpr // the calls whose releases the defer schedules
 	if lit, ok := ast.Unparen(t.Call.Fun).(*ast.FuncLit); ok {
-		sub := lw.subWalker(cloneStates(lw.states), lw.capture)
-		sub.frames = nil
-		sub.walkStmt(lit.Body)
+		if lw.emit {
+			lw.sub(lit.Body, lw.states, lw.capture)
+		}
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if _, isLit := n.(*ast.FuncLit); isLit {
-				return false
+			if call, isCall := n.(*ast.CallExpr); isCall {
+				calls = append(calls, call)
 			}
-			call, isCall := n.(*ast.CallExpr)
-			if !isCall {
-				return true
-			}
-			if op, isOp := lw.w.asMutexOp(lw.info, call); isOp && (op.method == "Unlock" || op.method == "RUnlock") {
-				kind := lockWrite
-				if op.method == "RUnlock" {
-					kind = lockRead
-				}
-				for _, s := range lw.states {
-					s.deferred = append(s.deferred, defUnlock{key: op.key, kind: kind})
-				}
-			}
-			return true
+			_, isLit := n.(*ast.FuncLit)
+			return !isLit
 		})
-		return
+	} else if _, ok := lw.w.asMutexOp(lw.info, t.Call); ok {
+		calls = append(calls, t.Call)
+	} else {
+		// Deferred plain call: arguments are evaluated now; the call
+		// itself runs at exit under unknowable lock state, so only the
+		// operands are checked.
+		if fun, ok := ast.Unparen(t.Call.Fun).(*ast.SelectorExpr); ok {
+			lw.walkExpr(fun.X)
+		}
+		for _, a := range t.Call.Args {
+			lw.walkExpr(a)
+		}
 	}
-	// Deferred plain call: arguments are evaluated now; the call itself
-	// runs at exit under unknowable lock state, so only the operands are
-	// checked.
-	if fun, ok := ast.Unparen(t.Call.Fun).(*ast.SelectorExpr); ok {
-		lw.walkExpr(fun.X)
-	}
-	for _, a := range t.Call.Args {
-		lw.walkExpr(a)
+	for _, call := range calls {
+		op, ok := lw.w.asMutexOp(lw.info, call)
+		if !ok || op.method != "Unlock" && op.method != "RUnlock" {
+			continue
+		}
+		d := defUnlock{key: op.key, kind: lockWrite}
+		if op.method == "RUnlock" {
+			d.kind = lockRead
+		}
+		for _, s := range lw.states {
+			s.deferRelease(d)
+		}
 	}
 }
 
@@ -599,8 +469,9 @@ func (lw *lockWalker) walkGo(t *ast.GoStmt) {
 		for _, a := range t.Call.Args {
 			lw.walkExpr(a)
 		}
-		sub := lw.subWalker([]*lockState{{}}, "a go statement")
-		sub.walkBody(lit.Body, lit.Body.Rbrace)
+		if lw.emit {
+			lw.sub(lit.Body, []*lockState{{}}, "a go statement")
+		}
 		return
 	}
 	if fun, ok := ast.Unparen(t.Call.Fun).(*ast.SelectorExpr); ok {
@@ -620,7 +491,7 @@ func (lw *lockWalker) walkGo(t *ast.GoStmt) {
 			if !ok {
 				continue
 			}
-			lw.w.reportf(t.Pos(), "call to %s in a go statement requires %s.%s to be held (it guards %s), which cannot cross a goroutine boundary",
+			lw.reportf(t.Pos(), "call to %s in a go statement requires %s.%s to be held (it guards %s), which cannot cross a goroutine boundary",
 				funcDisplay(callee), disp, req.guard, req.field)
 		}
 	}
@@ -665,7 +536,7 @@ func (lw *lockWalker) guardOf(sel *ast.SelectorExpr) *guardInfo {
 }
 
 func (lw *lockWalker) walkExpr(e ast.Expr) {
-	if e == nil || lw.states == nil {
+	if e == nil {
 		return
 	}
 	switch t := e.(type) {
@@ -721,56 +592,42 @@ func (lw *lockWalker) walkExpr(e ast.Expr) {
 	case *ast.FuncLit:
 		// A literal reaching here is stored, returned, or otherwise
 		// escapes: its body runs outside this critical section.
-		sub := lw.subWalker([]*lockState{{}}, "an escaping func literal")
-		sub.walkBody(t.Body, t.Body.Rbrace)
+		if lw.emit {
+			lw.sub(t.Body, []*lockState{{}}, "an escaping func literal")
+		}
 	}
 }
 
 // checkGuarded enforces rule 1 at one guarded-field access.
 func (lw *lockWalker) checkGuarded(sel *ast.SelectorExpr, g *guardInfo, write bool) {
 	lw.walkExpr(sel.X)
-	if lw.states == nil {
-		return
-	}
 	key, disp, root, simple, ok := lw.w.canonExpr(lw.info, sel.X)
 	if !ok {
 		return
 	}
-	reqKey := key + "." + g.name
 	fieldDisp := disp + "." + sel.Sel.Name
 	lockDisp := disp + "." + g.name
-	heldAll, heldAny, readOnly := true, false, false
-	for _, s := range lw.states {
-		h := s.holds(reqKey)
-		if h == nil {
-			heldAll = false
-			continue
-		}
-		heldAny = true
-		if h.kind != lockWrite {
-			readOnly = true
-		}
-	}
+	heldAll, heldAny, readOnly := lw.held(key + "." + g.name)
 	verb, noun := "read", "read"
 	if write {
 		verb, noun = "written", "write"
 	}
 	if lw.capture != "" {
 		if !heldAll {
-			lw.w.reportf(sel.Sel.Pos(), "%s is guarded by %q but captured in %s without %s held",
+			lw.reportf(sel.Sel.Pos(), "%s is guarded by %q but captured in %s without %s held",
 				fieldDisp, g.name, lw.capture, lockDisp)
 		}
 		return
 	}
 	if heldAll {
 		if write && readOnly {
-			lw.w.reportf(sel.Sel.Pos(), "%s is guarded by %q but written with only RLock held (Lock required)",
+			lw.reportf(sel.Sel.Pos(), "%s is guarded by %q but written with only RLock held (Lock required)",
 				fieldDisp, g.name)
 		}
 		return
 	}
 	if !heldAny && simple && lw.callerIndex(root) != -2 {
-		lw.w.addRequire(lw.fn.Obj, lockReq{
+		lw.require(lockReq{
 			index: lw.callerIndex(root),
 			guard: g.name,
 			write: write,
@@ -780,12 +637,28 @@ func (lw *lockWalker) checkGuarded(sel *ast.SelectorExpr, g *guardInfo, write bo
 		return
 	}
 	if heldAny {
-		lw.w.reportf(sel.Sel.Pos(), "%s is guarded by %q but not locked on every path to this %s (%s may be unlocked here)",
+		lw.reportf(sel.Sel.Pos(), "%s is guarded by %q but not locked on every path to this %s (%s may be unlocked here)",
 			fieldDisp, g.name, noun, lockDisp)
 		return
 	}
-	lw.w.reportf(sel.Sel.Pos(), "%s is guarded by %q but %s without %s held",
+	lw.reportf(sel.Sel.Pos(), "%s is guarded by %q but %s without %s held",
 		fieldDisp, g.name, verb, lockDisp)
+}
+
+// held reports whether every state, and whether any, holds key, and
+// whether some holding state has only the read side.
+func (lw *lockWalker) held(key string) (all, any, readOnly bool) {
+	all = true
+	for _, s := range lw.states {
+		h := s.holds(key)
+		if h == nil {
+			all = false
+			continue
+		}
+		any = true
+		readOnly = readOnly || h.kind != lockWrite
+	}
+	return all, any, readOnly
 }
 
 // callerIndex maps a variable to this function's requirement index:
@@ -817,7 +690,7 @@ func (lw *lockWalker) checkBlocking(pos token.Pos, what string) {
 			if h.class == "" {
 				continue
 			}
-			lw.w.reportf(pos, "%s is held across %s", h.disp, what)
+			lw.reportf(pos, "%s is held across %s", h.disp, what)
 		}
 	}
 }
@@ -855,17 +728,6 @@ func (lw *lockWalker) handleCall(call *ast.CallExpr) {
 		lw.applyMutexOp(op, call.Pos())
 		return
 	}
-	// panic ends the path without a release check: the goroutine is dead
-	// and deferred unlocks run during unwinding anyway.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := lw.info.Uses[id].(*types.Builtin); isB && b.Name() == "panic" {
-			for _, a := range call.Args {
-				lw.walkExpr(a)
-			}
-			lw.states = nil
-			return
-		}
-	}
 	if fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		lw.walkExpr(fun.X)
 	}
@@ -875,18 +737,15 @@ func (lw *lockWalker) handleCall(call *ast.CallExpr) {
 			// callback: it inherits the current lock set (state changes
 			// discarded). Goroutine hand-offs are modeled at go
 			// statements and stored literals.
-			sub := lw.subWalker(cloneStates(lw.states), lw.capture)
-			sub.walkBody(lit.Body, lit.Body.Rbrace)
+			if lw.emit {
+				lw.sub(lit.Body, lw.states, lw.capture)
+			}
 			continue
 		}
 		lw.walkExpr(a)
 	}
 	callee := staticCallee(lw.info, call)
 	if callee == nil {
-		return
-	}
-	if terminatingFuncs[callee.FullName()] {
-		lw.states = nil
 		return
 	}
 	if _, inMod := lw.w.funcs[callee]; inMod {
@@ -917,7 +776,7 @@ func (lw *lockWalker) handleCall(call *ast.CallExpr) {
 					continue
 				}
 				for _, c := range classes {
-					lw.w.addEdge(h.class, c, call.Pos())
+					lw.edge(h.class, c, call.Pos())
 				}
 			}
 		}
@@ -938,29 +797,17 @@ func (lw *lockWalker) checkRequirements(call *ast.CallExpr, callee *types.Func) 
 		if !ok {
 			continue
 		}
-		reqKey := key + "." + req.guard
-		heldAll, heldAny, readOnly := true, false, false
-		for _, s := range lw.states {
-			h := s.holds(reqKey)
-			if h == nil {
-				heldAll = false
-				continue
-			}
-			heldAny = true
-			if h.kind != lockWrite {
-				readOnly = true
-			}
-		}
+		heldAll, heldAny, readOnly := lw.held(key + "." + req.guard)
 		if heldAll && (!req.write || !readOnly) {
 			continue
 		}
 		if heldAll && req.write && readOnly {
-			lw.w.reportf(call.Pos(), "call to %s requires the write lock on %s.%s (it writes %s), but only RLock is held",
+			lw.reportf(call.Pos(), "call to %s requires the write lock on %s.%s (it writes %s), but only RLock is held",
 				funcDisplay(callee), disp, req.guard, req.field)
 			continue
 		}
 		if !heldAny && simple && lw.capture == "" && lw.callerIndex(root) != -2 {
-			lw.w.addRequire(lw.fn.Obj, lockReq{
+			lw.require(lockReq{
 				index: lw.callerIndex(root),
 				guard: req.guard,
 				write: req.write,
@@ -969,7 +816,7 @@ func (lw *lockWalker) checkRequirements(call *ast.CallExpr, callee *types.Func) 
 			})
 			continue
 		}
-		lw.w.reportf(call.Pos(), "call to %s requires %s.%s to be held (it guards %s)",
+		lw.reportf(call.Pos(), "call to %s requires %s.%s to be held (it guards %s)",
 			funcDisplay(callee), disp, req.guard, req.field)
 	}
 }
@@ -985,13 +832,13 @@ func (lw *lockWalker) applyMutexOp(op mutexOp, pos token.Pos) {
 		}
 		for _, s := range lw.states {
 			if s.holds(op.key) != nil {
-				lw.w.reportf(pos, "second %s of %s on this path would deadlock", op.method, op.disp)
+				lw.reportf(pos, "second %s of %s on this path would deadlock", op.method, op.disp)
 				continue
 			}
 			if op.class != "" {
 				for _, h := range s.held {
 					if h.class != "" {
-						lw.w.addEdge(h.class, op.class, pos)
+						lw.edge(h.class, op.class, pos)
 					}
 				}
 			}
@@ -1005,18 +852,18 @@ func (lw *lockWalker) applyMutexOp(op mutexOp, pos token.Pos) {
 		for _, s := range lw.states {
 			h := s.holds(op.key)
 			if h == nil {
-				lw.w.reportf(pos, "%s of %s but it is not locked on this path", op.method, op.disp)
+				lw.reportf(pos, "%s of %s but it is not locked on this path", op.method, op.disp)
 				continue
 			}
 			if h.kind != need {
 				if need == lockWrite {
-					lw.w.reportf(pos, "Unlock of %s but only RLock is held (RUnlock required)", op.disp)
+					lw.reportf(pos, "Unlock of %s but only RLock is held (RUnlock required)", op.disp)
 				} else {
-					lw.w.reportf(pos, "RUnlock of %s but Lock is held (Unlock required)", op.disp)
+					lw.reportf(pos, "RUnlock of %s but Lock is held (Unlock required)", op.disp)
 				}
 			}
 			if s.hasDeferred(op.key) {
-				lw.w.reportf(pos, "%s of %s but a deferred release is already scheduled (double unlock)", op.method, op.disp)
+				lw.reportf(pos, "%s of %s but a deferred release is already scheduled (double unlock)", op.method, op.disp)
 			}
 			for i := range s.held {
 				if s.held[i].key == op.key {

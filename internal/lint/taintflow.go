@@ -358,6 +358,8 @@ type fstate struct {
 	// paramIdx maps the function's own parameters to their bit index.
 	paramIdx map[types.Object]int
 	changed  bool
+	// report is set on the reporting round's last sweep.
+	report bool
 }
 
 // analyze runs the flow-insensitive intraprocedural pass over fn to a
@@ -380,13 +382,18 @@ func (w *taintWorld) analyze(fn *Func) {
 		st.env[p] = v
 	}
 	// Local fixpoint: loop-carried taint needs another sweep; the
-	// environment only grows, so this terminates quickly.
-	for iter := 0; iter < 20; iter++ {
+	// environment only grows, so this terminates quickly. On the
+	// reporting round one more sweep reports against the settled
+	// environment.
+	converge(20, func() bool {
 		st.changed = false
-		st.stmts(fn.Decl.Body.List)
-		if !st.changed {
-			break
-		}
+		st.body(fn.Decl.Body)
+		return st.changed
+	})
+	if w.reporting {
+		st.report = true
+		st.body(fn.Decl.Body)
+		st.checkCaseCompares(fn.Decl.Body)
 	}
 }
 
@@ -554,7 +561,7 @@ func (s *fstate) eval(e ast.Expr) tval {
 		// The closure body runs in (a superset of) this environment:
 		// analyze it inline so captured secrets keep flowing. The closure
 		// value itself is not taint.
-		s.stmts(t.Body.List)
+		s.body(t.Body)
 		return tval{}
 	case *ast.CallExpr:
 		return s.call(t, 1)[0]
@@ -634,7 +641,7 @@ func (s *fstate) call(call *ast.CallExpr, n int) []tval {
 	if isCompareCall(callee) {
 		for i, a := range args {
 			if avals[i].c && materialTaintType(info.TypeOf(a)) {
-				s.w.reportf(call.Pos(), "secret material compared with %s; use ct.Equal (constant time)", callee.Name())
+				s.reportf(call.Pos(), "secret material compared with %s; use ct.Equal (constant time)", callee.Name())
 				break
 			}
 		}
@@ -753,22 +760,24 @@ func (s *fstate) builtin(call *ast.CallExpr, name string) tval {
 
 // checkCompare reports a variable-time comparison of secret material.
 func (s *fstate) checkCompare(b *ast.BinaryExpr, x, y tval) {
-	if !s.reportingOn() {
-		return
-	}
 	info := s.info()
 	if (x.c && materialTaintType(info.TypeOf(b.X))) || (y.c && materialTaintType(info.TypeOf(b.Y))) {
-		s.w.reportf(b.OpPos, "secret material compared with %s; use ct.Equal (constant time)", b.Op)
+		s.reportf(b.OpPos, "secret material compared with %s; use ct.Equal (constant time)", b.Op)
 	}
 }
 
-func (s *fstate) reportingOn() bool { return s.w.reporting }
+// reportf records a finding on the reporting sweep.
+func (s *fstate) reportf(pos token.Pos, format string, args ...any) {
+	if s.report {
+		s.w.Reportf(pos, format, args...)
+	}
+}
 
 // checkSinkArg reports secret byte material anywhere inside a sink
 // argument (the value may be wrapped in a composite literal or
 // conversion, so the whole subtree is scanned).
 func (s *fstate) checkSinkArg(call *ast.CallExpr, arg ast.Expr, sink string) {
-	if !s.reportingOn() {
+	if !s.report {
 		return
 	}
 	info := s.info()
@@ -797,7 +806,7 @@ func (s *fstate) checkSinkArg(call *ast.CallExpr, arg ast.Expr, sink string) {
 		return true
 	})
 	if found {
-		s.w.reportf(call.Pos(), "secret material flows into %s; redact it (ct.Fingerprint) or drop it", sink)
+		s.reportf(call.Pos(), "secret material flows into %s; redact it (ct.Fingerprint) or drop it", sink)
 	}
 }
 
@@ -884,56 +893,36 @@ func materialTaintType(t types.Type) bool {
 	return false
 }
 
-// --- statement walking ---
-
-func (s *fstate) stmts(list []ast.Stmt) {
-	for _, st := range list {
-		s.stmt(st)
+// body sweeps every node of a body's CFG, unreachable code included:
+// the environment only grows, so no node needs a path-specific state.
+func (s *fstate) body(body *ast.BlockStmt) {
+	for _, b := range s.w.cfg(body, s.info()).Blocks {
+		for _, n := range b.Nodes {
+			s.node(n)
+		}
 	}
 }
 
-func (s *fstate) stmt(st ast.Stmt) {
-	switch t := st.(type) {
-	case nil:
+// node is taintflow's transfer for one CFG node.
+func (s *fstate) node(n ast.Node) {
+	switch t := n.(type) {
+	case ast.Expr:
+		s.eval(t)
 	case *ast.AssignStmt:
 		s.assign(t)
 	case *ast.DeclStmt:
-		if gd, ok := t.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				if len(vs.Values) == 1 && len(vs.Names) > 1 {
-					if call, ok := vs.Values[0].(*ast.CallExpr); ok {
-						vals := s.call(call, len(vs.Names))
-						for i, name := range vs.Names {
-							s.merge(s.info().Defs[name], vals[i])
-						}
-						return
-					}
-				}
+		// var x, y = v... binds like x, y := v....
+		for _, spec := range t.Decl.(*ast.GenDecl).Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
+				lhs := make([]ast.Expr, len(vs.Names))
 				for i, name := range vs.Names {
-					if i < len(vs.Values) {
-						s.merge(s.info().Defs[name], s.eval(vs.Values[i]))
-					}
+					lhs[i] = name
 				}
+				s.assign(&ast.AssignStmt{Lhs: lhs, Tok: token.DEFINE, Rhs: vs.Values})
 			}
 		}
 	case *ast.ExprStmt:
 		s.eval(t.X)
-	case *ast.IfStmt:
-		s.stmt(t.Init)
-		s.eval(t.Cond)
-		s.stmts(t.Body.List)
-		s.stmt(t.Else)
-	case *ast.BlockStmt:
-		s.stmts(t.List)
-	case *ast.ForStmt:
-		s.stmt(t.Init)
-		s.eval(t.Cond)
-		s.stmt(t.Post)
-		s.stmts(t.Body.List)
 	case *ast.RangeStmt:
 		v := s.eval(t.X)
 		if t.Key != nil {
@@ -942,39 +931,8 @@ func (s *fstate) stmt(st ast.Stmt) {
 		if t.Value != nil {
 			s.assignExpr(t.Value, v)
 		}
-		s.stmts(t.Body.List)
 	case *ast.ReturnStmt:
 		s.recordReturn(t)
-	case *ast.SwitchStmt:
-		s.stmt(t.Init)
-		s.eval(t.Tag)
-		for _, c := range t.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					// A case clause against a switch tag is a comparison.
-					if tag := t.Tag; tag != nil {
-						s.checkCaseCompare(tag, e)
-					}
-					s.eval(e)
-				}
-				s.stmts(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		s.stmt(t.Init)
-		s.stmt(t.Assign)
-		for _, c := range t.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.stmts(cc.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range t.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				s.stmt(cc.Comm)
-				s.stmts(cc.Body)
-			}
-		}
 	case *ast.DeferStmt:
 		s.eval(t.Call)
 	case *ast.GoStmt:
@@ -982,23 +940,31 @@ func (s *fstate) stmt(st ast.Stmt) {
 	case *ast.SendStmt:
 		s.eval(t.Chan)
 		s.eval(t.Value)
-	case *ast.LabeledStmt:
-		s.stmt(t.Stmt)
 	case *ast.IncDecStmt:
 		s.eval(t.X)
 	}
 }
 
-// checkCaseCompare treats `switch tag { case e }` as tag == e.
-func (s *fstate) checkCaseCompare(tag, e ast.Expr) {
-	if !s.reportingOn() {
-		return
-	}
+// checkCaseCompares treats every `switch tag { case e }` in body, func
+// literals included, as tag == e.
+func (s *fstate) checkCaseCompares(body *ast.BlockStmt) {
 	info := s.info()
-	tv, ev := s.eval(tag), s.eval(e)
-	if (tv.c && materialTaintType(info.TypeOf(tag))) || (ev.c && materialTaintType(info.TypeOf(e))) {
-		s.w.reportf(e.Pos(), "secret material compared with case clause; use ct.Equal (constant time)")
-	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		sw, ok := n.(*ast.SwitchStmt)
+		if !ok || sw.Tag == nil {
+			return true
+		}
+		tv := s.eval(sw.Tag)
+		tagLeaks := tv.c && materialTaintType(info.TypeOf(sw.Tag))
+		for _, c := range sw.Body.List {
+			for _, e := range c.(*ast.CaseClause).List {
+				if ev := s.eval(e); tagLeaks || ev.c && materialTaintType(info.TypeOf(e)) {
+					s.reportf(e.Pos(), "secret material compared with case clause; use ct.Equal (constant time)")
+				}
+			}
+		}
+		return true
+	})
 }
 
 // assign handles every AssignStmt shape: parallel, multi-value call,

@@ -3,11 +3,10 @@ package lint
 // taintzero implements the path-sensitive half of the taintflow analyzer:
 // every function that acquires a secret through an acquire-flagged origin
 // (taintOrigins) must erase it on every return path — including the error
-// paths a happy-path zeroize wipe misses. The check is deliberately
-// syntactic: it walks the statement tree with a tiny abstract state
-// (acquired / zeroized / escaped) and merges branches conservatively, so
-// a finding always names a concrete return that can leave the secret live
-// in memory.
+// paths a happy-path zeroize wipe misses. The check is a forward dataflow
+// analysis over the function's CFG (cfg.go) with a two-bit state
+// (zeroized, escaped) whose join is AND on both: a finding names a return
+// that some path reaches with the secret live in memory.
 //
 // Recognized erasures:
 //
@@ -45,12 +44,16 @@ type acquiredSecret struct {
 	what string
 }
 
-// zstate is the abstract state of one control-flow path.
+// zstate is the abstract state of the tracked secret at one program
+// point. Before the acquisition there is nothing to erase, so the entry
+// state counts as zeroized; the acquisition clears both bits.
 type zstate struct {
-	acq bool // the acquisition site has executed
 	z   bool // the secret has been erased (or a deferred erase is armed)
 	esc bool // the secret escaped to longer-lived storage
 }
+
+// live reports whether the secret may still be in memory unerased.
+func (st zstate) live() bool { return !st.z && !st.esc }
 
 // checkZeroize enforces zeroize-on-all-paths for every acquire-flagged
 // origin binding in fn. Runs only during the reporting pass.
@@ -58,14 +61,22 @@ func (w *taintWorld) checkZeroize(fn *Func) {
 	if !w.reporting {
 		return
 	}
-	secrets := w.findAcquisitions(fn)
-	for _, sec := range secrets {
-		zw := &zeroWalker{w: w, fn: fn, sec: sec}
-		st, falls := zw.stmts(fn.Decl.Body.List, zstate{})
-		if falls && st.acq && !st.z && !st.esc {
-			w.reportf(fn.Decl.Body.Rbrace,
-				"%s %q is not zeroized before the function returns; call ct.Zero on every path",
-				sec.what, objName(sec.obj))
+	g := w.cfg(fn.Decl.Body, fn.Pkg.Info)
+	for _, sec := range w.findAcquisitions(fn) {
+		zc := &zeroChecker{w: w, fn: fn, sec: sec}
+		in, reached := solve(g, zstate{z: true, esc: true},
+			func(b *Block, st zstate) zstate { return zc.block(b, st, false) },
+			func(a, b zstate) zstate { return zstate{z: a.z && b.z, esc: a.esc && b.esc} },
+			func(a, b zstate) bool { return a == b })
+		for _, b := range g.Blocks {
+			if !reached[b.Index] {
+				continue
+			}
+			if out := zc.block(b, in[b.Index], true); b == g.End && out.live() {
+				w.reportf(fn.Decl.Body.Rbrace,
+					"%s %q is not zeroized before the function returns; call ct.Zero on every path",
+					sec.what, objName(sec.obj))
+			}
 		}
 	}
 }
@@ -120,17 +131,17 @@ func objName(obj types.Object) string {
 	return obj.Name()
 }
 
-// zeroWalker carries one (function, secret) path walk.
-type zeroWalker struct {
+// zeroChecker carries one (function, secret) analysis.
+type zeroChecker struct {
 	w   *taintWorld
 	fn  *Func
 	sec acquiredSecret
 }
 
-func (zw *zeroWalker) info() *types.Info { return zw.fn.Pkg.Info }
+func (zc *zeroChecker) info() *types.Info { return zc.fn.Pkg.Info }
 
 // mentions reports whether e references the tracked secret object.
-func (zw *zeroWalker) mentions(e ast.Node) bool {
+func (zc *zeroChecker) mentions(e ast.Node) bool {
 	if e == nil {
 		return false
 	}
@@ -143,7 +154,7 @@ func (zw *zeroWalker) mentions(e ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if zw.info().Uses[id] == zw.sec.obj || zw.info().Defs[id] == zw.sec.obj {
+		if zc.info().Uses[id] == zc.sec.obj || zc.info().Defs[id] == zc.sec.obj {
 			found = true
 			return false
 		}
@@ -155,13 +166,13 @@ func (zw *zeroWalker) mentions(e ast.Node) bool {
 // isZeroizeCall recognizes a call erasing the secret: a function named
 // like an eraser whose receiver or arguments mention the secret, or one
 // of the builtin erasure forms (clear, full-length copy from zeros).
-func (zw *zeroWalker) isZeroizeCall(call *ast.CallExpr) bool {
+func (zc *zeroChecker) isZeroizeCall(call *ast.CallExpr) bool {
 	var name string
 	var recv ast.Expr
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if b, ok := zw.info().Uses[fun].(*types.Builtin); ok {
-			return zw.isBuiltinErase(b.Name(), call)
+		if b, ok := zc.info().Uses[fun].(*types.Builtin); ok {
+			return zc.isBuiltinErase(b.Name(), call)
 		}
 		name = fun.Name
 	case *ast.SelectorExpr:
@@ -173,11 +184,11 @@ func (zw *zeroWalker) isZeroizeCall(call *ast.CallExpr) bool {
 	if !zeroizerNames[name] {
 		return false
 	}
-	if recv != nil && zw.mentions(recv) {
+	if recv != nil && zc.mentions(recv) {
 		return true
 	}
 	for _, a := range call.Args {
-		if zw.mentions(a) {
+		if zc.mentions(a) {
 			return true
 		}
 	}
@@ -189,12 +200,12 @@ func (zw *zeroWalker) isZeroizeCall(call *ast.CallExpr) bool {
 // full-length zero source. A copy from anything else — including the
 // secret itself (copy(secret, secret[8:])) — is data movement, not
 // erasure, and isZeroSource rejects it.
-func (zw *zeroWalker) isBuiltinErase(name string, call *ast.CallExpr) bool {
+func (zc *zeroChecker) isBuiltinErase(name string, call *ast.CallExpr) bool {
 	switch name {
 	case "clear":
-		return len(call.Args) == 1 && zw.mentions(call.Args[0])
+		return len(call.Args) == 1 && zc.mentions(call.Args[0])
 	case "copy":
-		return len(call.Args) == 2 && zw.mentions(call.Args[0]) && zw.isZeroSource(call.Args[1])
+		return len(call.Args) == 2 && zc.mentions(call.Args[0]) && zc.isZeroSource(call.Args[1])
 	}
 	return false
 }
@@ -204,21 +215,21 @@ func (zw *zeroWalker) isBuiltinErase(name string, call *ast.CallExpr) bool {
 // and a buffer following the zero-naming convention (an identifier or
 // field whose name contains "zero") is accepted with sizing owned by the
 // surrounding code.
-func (zw *zeroWalker) isZeroSource(e ast.Expr) bool {
+func (zc *zeroChecker) isZeroSource(e ast.Expr) bool {
 	switch src := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return strings.Contains(strings.ToLower(src.Name), "zero")
 	case *ast.SelectorExpr:
 		return strings.Contains(strings.ToLower(src.Sel.Name), "zero")
 	case *ast.SliceExpr:
-		return zw.isZeroSource(src.X)
+		return zc.isZeroSource(src.X)
 	case *ast.CallExpr:
 		fn, ok := ast.Unparen(src.Fun).(*ast.Ident)
 		if !ok || fn.Name != "make" || len(src.Args) < 2 {
 			return false
 		}
 		ln, ok := ast.Unparen(src.Args[1]).(*ast.CallExpr)
-		if !ok || len(ln.Args) != 1 || !zw.mentions(ln.Args[0]) {
+		if !ok || len(ln.Args) != 1 || !zc.mentions(ln.Args[0]) {
 			return false
 		}
 		lf, ok := ast.Unparen(ln.Fun).(*ast.Ident)
@@ -228,8 +239,8 @@ func (zw *zeroWalker) isZeroSource(e ast.Expr) bool {
 }
 
 // isZeroRange recognizes `for i := range secret { secret[i] = 0 }`.
-func (zw *zeroWalker) isZeroRange(r *ast.RangeStmt) bool {
-	if !zw.mentions(r.X) || len(r.Body.List) != 1 {
+func (zc *zeroChecker) isZeroRange(r *ast.RangeStmt) bool {
+	if !zc.mentions(r.X) || len(r.Body.List) != 1 {
 		return false
 	}
 	as, ok := r.Body.List[0].(*ast.AssignStmt)
@@ -237,7 +248,7 @@ func (zw *zeroWalker) isZeroRange(r *ast.RangeStmt) bool {
 		return false
 	}
 	idx, ok := as.Lhs[0].(*ast.IndexExpr)
-	if !ok || !zw.mentions(idx.X) {
+	if !ok || !zc.mentions(idx.X) {
 		return false
 	}
 	if lit, ok := as.Rhs[0].(*ast.BasicLit); ok && lit.Value == "0" {
@@ -252,7 +263,7 @@ func (zw *zeroWalker) isZeroRange(r *ast.RangeStmt) bool {
 // body statement storing zero through that index. (An empty secret skips
 // the body, but then there is nothing left to erase, so the loop is still
 // a complete erasure.)
-func (zw *zeroWalker) isZeroFor(f *ast.ForStmt) bool {
+func (zc *zeroChecker) isZeroFor(f *ast.ForStmt) bool {
 	init, ok := f.Init.(*ast.AssignStmt)
 	if !ok || init.Tok != token.DEFINE || len(init.Lhs) != 1 || len(init.Rhs) != 1 {
 		return false
@@ -269,7 +280,7 @@ func (zw *zeroWalker) isZeroFor(f *ast.ForStmt) bool {
 		return false
 	}
 	bound, ok := ast.Unparen(cond.Y).(*ast.CallExpr)
-	if !ok || len(bound.Args) != 1 || !zw.mentions(bound.Args[0]) {
+	if !ok || len(bound.Args) != 1 || !zc.mentions(bound.Args[0]) {
 		return false
 	}
 	if fn, ok := ast.Unparen(bound.Fun).(*ast.Ident); !ok || fn.Name != "len" {
@@ -287,7 +298,7 @@ func (zw *zeroWalker) isZeroFor(f *ast.ForStmt) bool {
 		return false
 	}
 	idx, ok := as.Lhs[0].(*ast.IndexExpr)
-	if !ok || !zw.mentions(idx.X) || !isIdentNamed(idx.Index, iv.Name) {
+	if !ok || !zc.mentions(idx.X) || !isIdentNamed(idx.Index, iv.Name) {
 		return false
 	}
 	lit, ok := as.Rhs[0].(*ast.BasicLit)
@@ -301,178 +312,67 @@ func isIdentNamed(e ast.Expr, name string) bool {
 	return ok && id.Name == name
 }
 
-// stmts walks a statement list, returning the outgoing state and whether
-// control can fall off the end.
-func (zw *zeroWalker) stmts(list []ast.Stmt, st zstate) (zstate, bool) {
-	for _, s := range list {
-		var falls bool
-		st, falls = zw.stmt(s, st)
-		if !falls {
-			return st, false
-		}
-	}
-	return st, true
-}
-
-// merge joins two fall-through branch states.
-func merge(a, b zstate) zstate {
-	return zstate{
-		acq: a.acq || b.acq,
-		z:   a.z && b.z,
-		esc: a.esc && b.esc,
-	}
-}
-
-func (zw *zeroWalker) stmt(s ast.Stmt, st zstate) (zstate, bool) {
-	switch t := s.(type) {
-	case nil:
-		return st, true
-	case *ast.AssignStmt:
-		if t == zw.sec.stmt {
-			st.acq, st.z, st.esc = true, false, false
-			return st, true
-		}
-		// A store of the secret into a field, map entry, or element
-		// escapes it; rebinding the name to something fresh is ignored
-		// (aliases are not tracked).
-		for i, lhs := range t.Lhs {
-			if i < len(t.Rhs) && zw.mentions(t.Rhs[i]) || len(t.Rhs) == 1 && zw.mentions(t.Rhs[0]) {
-				switch ast.Unparen(lhs).(type) {
-				case *ast.SelectorExpr, *ast.IndexExpr:
-					st.esc = true
+// block is taintzero's transfer over one CFG block; emit reports the
+// returns that leave the secret live.
+func (zc *zeroChecker) block(b *Block, st zstate, emit bool) zstate {
+	for _, n := range b.Nodes {
+		switch t := n.(type) {
+		case *ast.AssignStmt:
+			if t == zc.sec.stmt {
+				st = zstate{}
+				continue
+			}
+			// A store of the secret into a field, map entry, or element
+			// escapes it; rebinding the name to something fresh is ignored
+			// (aliases are not tracked).
+			for i, lhs := range t.Lhs {
+				if i < len(t.Rhs) && zc.mentions(t.Rhs[i]) || len(t.Rhs) == 1 && zc.mentions(t.Rhs[0]) {
+					switch ast.Unparen(lhs).(type) {
+					case *ast.SelectorExpr, *ast.IndexExpr:
+						st.esc = true
+					}
 				}
 			}
-		}
-		// secret = T{} (empty composite) counts as erasure.
-		if len(t.Lhs) == 1 && len(t.Rhs) == 1 {
-			if id, ok := ast.Unparen(t.Lhs[0]).(*ast.Ident); ok && zw.mentions(id) {
-				if cl, ok := t.Rhs[0].(*ast.CompositeLit); ok && len(cl.Elts) == 0 {
-					st.z = true
+			// secret = T{} (empty composite) counts as erasure.
+			if len(t.Lhs) == 1 && len(t.Rhs) == 1 {
+				if id, ok := ast.Unparen(t.Lhs[0]).(*ast.Ident); ok && zc.mentions(id) {
+					if cl, ok := t.Rhs[0].(*ast.CompositeLit); ok && len(cl.Elts) == 0 {
+						st.z = true
+					}
 				}
 			}
-		}
-		return st, true
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(t.X).(*ast.CallExpr); ok && zw.isZeroizeCall(call) {
-			st.z = true
-		}
-		return st, true
-	case *ast.DeferStmt:
-		if zw.isZeroizeCall(t.Call) {
-			st.z = true
-		}
-		return st, true
-	case *ast.ReturnStmt:
-		if st.acq && !st.z && !st.esc && !zw.returnsSecret(t) {
-			zw.w.reportf(t.Pos(),
-				"%s %q is not zeroized on this return path; call ct.Zero before returning (error paths too)",
-				zw.sec.what, objName(zw.sec.obj))
-		}
-		return st, false
-	case *ast.BlockStmt:
-		return zw.stmts(t.List, st)
-	case *ast.IfStmt:
-		st, _ = zw.stmt(t.Init, st)
-		bodySt, bodyFalls := zw.stmts(t.Body.List, st)
-		elseSt, elseFalls := st, true
-		if t.Else != nil {
-			elseSt, elseFalls = zw.stmt(t.Else, st)
-		}
-		switch {
-		case bodyFalls && elseFalls:
-			return merge(bodySt, elseSt), true
-		case bodyFalls:
-			return bodySt, true
-		case elseFalls:
-			return elseSt, true
-		default:
-			return st, false
-		}
-	case *ast.ForStmt:
-		if zw.isZeroFor(t) {
-			st.z = true
-			return st, true
-		}
-		st, _ = zw.stmt(t.Init, st)
-		// The body may run zero times: its erasures do not count after
-		// the loop, but its returns are still checked.
-		zw.stmts(t.Body.List, st)
-		return st, true
-	case *ast.RangeStmt:
-		if zw.isZeroRange(t) {
-			st.z = true
-			return st, true
-		}
-		zw.stmts(t.Body.List, st)
-		return st, true
-	case *ast.SwitchStmt:
-		return zw.caseBodies(t.Body, st, t.Body != nil && hasDefault(t.Body))
-	case *ast.TypeSwitchStmt:
-		return zw.caseBodies(t.Body, st, t.Body != nil && hasDefault(t.Body))
-	case *ast.SelectStmt:
-		return zw.caseBodies(t.Body, st, true)
-	case *ast.LabeledStmt:
-		return zw.stmt(t.Stmt, st)
-	case *ast.BranchStmt:
-		// break/continue/goto leave this straight-line path; the loop or
-		// label context re-checks from the conservative pre-state.
-		return st, false
-	default:
-		return st, true
-	}
-}
-
-// caseBodies merges the states of every case clause. Without a default
-// the switch may match nothing, so the incoming state joins the merge.
-func (zw *zeroWalker) caseBodies(body *ast.BlockStmt, st zstate, exhaustive bool) (zstate, bool) {
-	if body == nil {
-		return st, true
-	}
-	merged := st
-	haveMerged := !exhaustive
-	anyFalls := !exhaustive
-	for _, c := range body.List {
-		var caseBody []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			caseBody = cc.Body
-		case *ast.CommClause:
-			caseBody = cc.Body
-		default:
-			continue
-		}
-		cs, falls := zw.stmts(caseBody, st)
-		if !falls {
-			continue
-		}
-		anyFalls = true
-		if !haveMerged {
-			merged, haveMerged = cs, true
-		} else {
-			merged = merge(merged, cs)
+		case *ast.ExprStmt:
+			if call, ok := ast.Unparen(t.X).(*ast.CallExpr); ok && zc.isZeroizeCall(call) {
+				st.z = true
+			}
+		case *ast.DeferStmt:
+			if zc.isZeroizeCall(t.Call) {
+				st.z = true
+			}
+		case *ast.ForStmt:
+			if zc.isZeroFor(t) {
+				st.z = true
+			}
+		case *ast.RangeStmt:
+			if zc.isZeroRange(t) {
+				st.z = true
+			}
+		case *ast.ReturnStmt:
+			if emit && st.live() && !zc.returnsSecret(t) {
+				zc.w.reportf(t.Pos(),
+					"%s %q is not zeroized on this return path; call ct.Zero before returning (error paths too)",
+					zc.sec.what, objName(zc.sec.obj))
+			}
 		}
 	}
-	if !anyFalls {
-		return st, false
-	}
-	return merged, true
-}
-
-// hasDefault reports whether a switch body carries a default clause.
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
+	return st
 }
 
 // returnsSecret reports whether the return transfers the secret to the
 // caller (any mention in a result expression counts as ownership moving).
-func (zw *zeroWalker) returnsSecret(ret *ast.ReturnStmt) bool {
+func (zc *zeroChecker) returnsSecret(ret *ast.ReturnStmt) bool {
 	for _, r := range ret.Results {
-		if zw.mentions(r) {
+		if zc.mentions(r) {
 			return true
 		}
 	}

@@ -373,3 +373,57 @@ func use() {
 	_ = Bad{}.z
 	_ = Bad{}.mu
 }
+
+// breakOuterBad leaves the locked loop body with a labeled break out of
+// a switch: the lock is still held after the loop.
+func breakOuterBad(c *Counter, xs []int) {
+outer:
+	for _, x := range xs {
+		c.mu.Lock()
+		switch x {
+		case 0:
+			break outer
+		}
+		c.n += x
+		c.mu.Unlock()
+	}
+	return // want "not released on this return path"
+}
+
+// breakOuterClean unlocks before the labeled break.
+func breakOuterClean(c *Counter, xs []int) {
+outer:
+	for _, x := range xs {
+		c.mu.Lock()
+		switch x {
+		case 0:
+			c.mu.Unlock()
+			break outer
+		}
+		c.n += x
+		c.mu.Unlock()
+	}
+}
+
+// gotoBad jumps past the Unlock.
+func gotoBad(c *Counter) {
+	c.mu.Lock()
+	if c.n > 0 {
+		goto done
+	}
+	c.mu.Unlock()
+done:
+	return // want "not released on this return path"
+}
+
+// gotoClean unlocks before the goto.
+func gotoClean(c *Counter) {
+	c.mu.Lock()
+	if c.n > 0 {
+		c.mu.Unlock()
+		goto done
+	}
+	c.mu.Unlock()
+done:
+	return
+}

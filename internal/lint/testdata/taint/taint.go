@@ -168,3 +168,57 @@ func LeakCopyNotZero(data, scratch []byte) ([]byte, error) {
 	clear(key)
 	return out, nil
 }
+
+// LeakSwitchBreak breaks out of one switch case before the wipe: the
+// break reaches the return after the switch with the key live.
+func LeakSwitchBreak(data []byte) error {
+	key := unwrapSessionKey()
+	switch len(data) {
+	case 0:
+		break
+	default:
+		wipe(key)
+	}
+	return nil // want `not zeroized on this return path`
+}
+
+// CleanSwitchBreak wipes before the break.
+func CleanSwitchBreak(data []byte) error {
+	key := unwrapSessionKey()
+	switch len(data) {
+	case 0:
+		wipe(key)
+		break
+	default:
+		wipe(key)
+	}
+	return nil
+}
+
+// LeakLoopBreak acquires in a loop and breaks out of it on one branch
+// without the wipe the other branch does before it returns.
+func LeakLoopBreak(data []byte) error {
+	for len(data) > 0 {
+		key := unwrapSessionKey()
+		if len(data) > 16 {
+			break
+		}
+		wipe(key)
+		return nil
+	}
+	return nil // want `not zeroized on this return path`
+}
+
+// CleanLoopBreak wipes on the break branch too.
+func CleanLoopBreak(data []byte) error {
+	for len(data) > 0 {
+		key := unwrapSessionKey()
+		if len(data) > 16 {
+			wipe(key)
+			break
+		}
+		wipe(key)
+		return nil
+	}
+	return nil
+}

@@ -52,6 +52,17 @@ func (m SecurityMode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// ParseSecurityMode is the inverse of String: it maps "base", "senss" or
+// "senss+mem" to its mode.
+func ParseSecurityMode(s string) (SecurityMode, error) {
+	for m := SecurityOff; m <= SecurityBusMem; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return SecurityOff, fmt.Errorf("unknown security mode %q (want base, senss, or senss+mem)", s)
+}
+
 // SecurityConfig bundles the protection-layer parameters.
 type SecurityConfig struct {
 	Mode      SecurityMode
@@ -110,6 +121,15 @@ type Config struct {
 	// event ring (0 = default).
 	Oracle       bool
 	OracleWindow int
+}
+
+// SmallGeometry scales c (DESIGN.md §2) to 4 KB L1s, 64 KB L2s and 2 KB
+// of code, so that test-scale workloads exercise the whole hierarchy. The
+// benchmark machine and senss-serve's default sessions use it.
+func (c *Config) SmallGeometry() {
+	c.Coherence.L1Size = 4 << 10
+	c.Coherence.L2Size = 64 << 10
+	c.CPU.CodeBytes = 2 << 10
 }
 
 // DefaultConfig returns the paper's Figure 5 parameters with 4 processors,

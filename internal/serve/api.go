@@ -60,20 +60,15 @@ func (s SessionSpec) Config() (machine.Config, error) {
 		cfg.Procs = s.Procs
 	}
 	if !s.Full {
-		cfg.Coherence.L1Size = 4 << 10
-		cfg.Coherence.L2Size = 64 << 10
-		cfg.CPU.CodeBytes = 2 << 10
+		cfg.SmallGeometry()
 	}
-	switch s.Security {
-	case "", "base":
-		cfg.Security.Mode = machine.SecurityOff
-	case "senss":
-		cfg.Security.Mode = machine.SecurityBus
-	case "senss+mem":
-		cfg.Security.Mode = machine.SecurityBusMem
-		cfg.Security.Integrity = s.Integrity
-	default:
-		return cfg, fmt.Errorf("serve: unknown security mode %q (want base, senss, or senss+mem)", s.Security)
+	if s.Security != "" {
+		mode, err := machine.ParseSecurityMode(s.Security)
+		if err != nil {
+			return cfg, fmt.Errorf("serve: %w", err)
+		}
+		cfg.Security.Mode = mode
+		cfg.Security.Integrity = mode == machine.SecurityBusMem && s.Integrity
 	}
 	if s.Crypto != "" {
 		cfg.Security.Senss.Backend = s.Crypto

@@ -81,9 +81,7 @@ func DefaultConfig() Config { return machine.DefaultConfig() }
 func BenchConfig(procs int) Config {
 	cfg := machine.DefaultConfig()
 	cfg.Procs = procs
-	cfg.Coherence.L1Size = 4 << 10
-	cfg.Coherence.L2Size = 64 << 10
-	cfg.CPU.CodeBytes = 2 << 10
+	cfg.SmallGeometry()
 	return cfg
 }
 
