@@ -2,20 +2,18 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"testing"
 
 	"senss/internal/attack"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden stdout file")
-
 // TestGoldenStdout pins the full stdout of `senss-attack` (default seed,
 // all scenarios) to a golden file, in the same spirit as the repository's
 // golden cycle counts: the attack reports are part of the artifact the
 // paper reproduction presents, so any wording or verdict change must be a
-// deliberate decision. Regenerate with `go test ./cmd/senss-attack -update`.
+// deliberate decision. Regenerate with
+// SENSS_UPDATE_GOLDEN=1 go test ./cmd/senss-attack -run TestGoldenStdout.
 func TestGoldenStdout(t *testing.T) {
 	var buf bytes.Buffer
 	if failures := runScenarios(&buf, attack.Scenarios(), 2025, ""); failures != 0 {
@@ -23,7 +21,7 @@ func TestGoldenStdout(t *testing.T) {
 	}
 
 	const golden = "testdata/golden_stdout.txt"
-	if *update {
+	if os.Getenv("SENSS_UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +31,7 @@ func TestGoldenStdout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("stdout diverged from %s — if intentional, rerun with -update\ngot:\n%s\nwant:\n%s",
+		t.Errorf("stdout diverged from %s — if intentional, rerun with SENSS_UPDATE_GOLDEN=1\ngot:\n%s\nwant:\n%s",
 			golden, buf.Bytes(), want)
 	}
 }

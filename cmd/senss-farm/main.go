@@ -15,11 +15,9 @@
 //	senss-farm bench-serve [-out BENCH_serve.json]
 //
 // Figure sweeps run through senss-tables. The cache is their only
-// record: status lists each figure's jobs at test and bench size and
-// counts those with a cache entry as done, and re-running an
-// interrupted sweep simulates only the pending ones. The jobs listed are
-// those of the default crypto backend; a sweep run with -crypto stdlib
-// caches its secured runs under other hashes.
+// record: status lists each figure's jobs at test and bench size under
+// every crypto backend and counts those with a cache entry as done, and
+// re-running an interrupted sweep simulates only the pending ones.
 package main
 
 import (
@@ -30,6 +28,7 @@ import (
 	"os"
 
 	"senss"
+	"senss/internal/crypto"
 	"senss/internal/farm"
 )
 
@@ -73,9 +72,9 @@ func usage(w *os.File) {
 
 usage: senss-farm <status|gc|bench|bench-sim|bench-check|bench-crypto|bench-serve> [flags]
 
-  status  report cache contents and, per figure and size, how many of
-          the sweep's jobs are cached (done) or still to simulate; the
-          jobs are those of the default (ref) crypto backend
+  status  report cache contents and, per figure, size and crypto
+          backend, how many of the sweep's jobs are cached (done) or
+          still to simulate
   gc      remove stale/corrupt cache entries (-all wipes everything)
   bench   measure cold serial vs parallel wall-clock for Figure 6's
           jobs on the farm and write the BENCH_farm.json trajectory point
@@ -117,11 +116,14 @@ type statusReport struct {
 	Figures  []figureStatus `json:"figures"`
 }
 
-// figureStatus counts one figure's sweep at one problem size: its
-// distinct jobs, those with a valid cache entry, and the rest.
+// figureStatus counts one figure's sweep at one problem size under one
+// crypto backend: its distinct jobs, those with a valid cache entry, and
+// the rest. Baseline jobs carry no backend, so every backend's sweep
+// counts them.
 type figureStatus struct {
 	Figure  string `json:"figure"`
 	Size    string `json:"size"`
+	Backend string `json:"backend"`
 	Jobs    int    `json:"jobs"`
 	Done    int    `json:"done"`
 	Pending int    `json:"pending"`
@@ -143,20 +145,23 @@ func writeStatus(w io.Writer, cacheDir string, jsonOut bool) error {
 		name  string
 		scale senss.Size
 	}{{"test", senss.SizeTest}, {"bench", senss.SizeBench}} {
-		h := senss.NewHarness(size.scale)
-		for _, name := range senss.FigureNames() {
-			f, err := h.Figure(name)
-			if err != nil {
-				return err
-			}
-			st := figureStatus{Figure: name, Size: size.name, Jobs: len(f.Jobs())}
-			for _, j := range f.Jobs() {
-				if c.Has(j.Hash()) {
-					st.Done++
+		for _, backend := range crypto.Backends() {
+			h := senss.NewHarness(size.scale)
+			h.Crypto = backend
+			for _, name := range senss.FigureNames() {
+				f, err := h.Figure(name)
+				if err != nil {
+					return err
 				}
+				st := figureStatus{Figure: name, Size: size.name, Backend: backend, Jobs: len(f.Jobs())}
+				for _, j := range f.Jobs() {
+					if c.Has(j.Hash()) {
+						st.Done++
+					}
+				}
+				st.Pending = st.Jobs - st.Done
+				out.Figures = append(out.Figures, st)
 			}
-			st.Pending = st.Jobs - st.Done
-			out.Figures = append(out.Figures, st)
 		}
 	}
 	if jsonOut {
@@ -172,8 +177,8 @@ func writeStatus(w io.Writer, cacheDir string, jsonOut bool) error {
 		case 0:
 			state = "not started"
 		}
-		fmt.Fprintf(w, "  fig %-5s %-5s %3d jobs: %3d done, %3d pending  (%s)\n",
-			st.Figure, st.Size, st.Jobs, st.Done, st.Pending, state)
+		fmt.Fprintf(w, "  fig %-5s %-5s %-6s %3d jobs: %3d done, %3d pending  (%s)\n",
+			st.Figure, st.Size, st.Backend, st.Jobs, st.Done, st.Pending, state)
 	}
 	return nil
 }

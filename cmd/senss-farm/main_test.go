@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"senss"
+	"senss/internal/crypto"
 	"senss/internal/farm"
 	"senss/internal/machine"
 	"senss/internal/stats"
@@ -35,10 +36,12 @@ func seedCache(t *testing.T, dir string, jobs ...farm.Job) {
 	}
 }
 
-// testJobs lists a figure's jobs at test size.
-func testJobs(t *testing.T, name string) []farm.Job {
+// testJobs lists a figure's jobs at test size under a crypto backend.
+func testJobs(t *testing.T, name, backend string) []farm.Job {
 	t.Helper()
-	f, err := senss.NewHarness(senss.SizeTest).Figure(name)
+	h := senss.NewHarness(senss.SizeTest)
+	h.Crypto = backend
+	f, err := h.Figure(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,8 @@ func testJobs(t *testing.T, name string) []farm.Job {
 }
 
 // TestStatusText pins the human-readable status report across cache
-// states: per figure and size, the jobs the cache holds are done.
+// states: per figure, size and crypto backend, the jobs the cache holds
+// are done.
 func TestStatusText(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -58,8 +62,8 @@ func TestStatusText(t *testing.T) {
 			name: "empty cache",
 			wantContains: []string{
 				"0 valid entries, 0 invalid/stale",
-				"fig 6     test   40 jobs:   0 done,  40 pending  (not started)",
-				"fig scale bench  40 jobs:   0 done,  40 pending  (not started)",
+				"fig 6     test  ref     40 jobs:   0 done,  40 pending  (not started)",
+				"fig scale bench stdlib  40 jobs:   0 done,  40 pending  (not started)",
 			},
 		},
 		{
@@ -67,21 +71,35 @@ func TestStatusText(t *testing.T) {
 			seed: true,
 			wantContains: []string{
 				"1 valid entries, 1 invalid/stale",
-				"fig 11    test   16 jobs:   0 done,  16 pending  (not started)",
+				"fig 11    test  ref     16 jobs:   0 done,  16 pending  (not started)",
 			},
 		},
 		{
 			name: "figure states",
 			seed: true,
 			jobs: func(t *testing.T) []farm.Job {
-				return append(testJobs(t, "11"), testJobs(t, "6")[0])
+				return append(testJobs(t, "11", crypto.Ref), testJobs(t, "6", crypto.Ref)[0])
 			},
 			wantContains: []string{
 				"18 valid entries, 1 invalid/stale",
-				"fig 11    test   16 jobs:  16 done,   0 pending  (complete)",
-				"fig 11    bench  16 jobs:   0 done,  16 pending  (not started)",
-				"fig 6     test   40 jobs:   1 done,  39 pending  (resumable)",
-				"fig 7     test   25 jobs:   0 done,  25 pending  (not started)",
+				"fig 11    test  ref     16 jobs:  16 done,   0 pending  (complete)",
+				"fig 11    bench ref     16 jobs:   0 done,  16 pending  (not started)",
+				"fig 6     test  ref     40 jobs:   1 done,  39 pending  (resumable)",
+				"fig 7     test  ref     25 jobs:   0 done,  25 pending  (not started)",
+			},
+		},
+		{
+			// Baseline jobs carry no backend, so a finished stdlib sweep
+			// leaves the ref sweep of the same figure half done.
+			name: "another backend's sweep",
+			seed: true,
+			jobs: func(t *testing.T) []farm.Job {
+				return testJobs(t, "6", crypto.Stdlib)
+			},
+			wantContains: []string{
+				"41 valid entries, 1 invalid/stale",
+				"fig 6     test  stdlib  40 jobs:  40 done,   0 pending  (complete)",
+				"fig 6     test  ref     40 jobs:  20 done,  20 pending  (resumable)",
 			},
 		},
 	}
@@ -112,7 +130,14 @@ func TestStatusText(t *testing.T) {
 // machine-readable form.
 func TestStatusJSON(t *testing.T) {
 	dir := t.TempDir()
-	seedCache(t, dir, testJobs(t, "11")[:3]...)
+	seeded := testJobs(t, "11", crypto.Ref)[:3]
+	shared := 0 // baseline jobs count under every backend
+	for _, j := range seeded {
+		if j.Config.Security.Mode == machine.SecurityOff {
+			shared++
+		}
+	}
+	seedCache(t, dir, seeded...)
 	var buf bytes.Buffer
 	if err := writeStatus(&buf, dir, true); err != nil {
 		t.Fatal(err)
@@ -127,17 +152,20 @@ func TestStatusJSON(t *testing.T) {
 	if got.Entries != 4 || got.Invalid != 1 {
 		t.Errorf("entries=%d invalid=%d, want 4/1", got.Entries, got.Invalid)
 	}
-	if want := 2 * len(senss.FigureNames()); len(got.Figures) != want {
+	if want := 2 * len(crypto.Backends()) * len(senss.FigureNames()); len(got.Figures) != want {
 		t.Fatalf("%d figure records, want %d: %+v", len(got.Figures), want, got.Figures)
 	}
 	for _, st := range got.Figures {
 		wantDone := 0
 		if st.Figure == "11" && st.Size == "test" {
-			wantDone = 3
+			wantDone = shared
+			if st.Backend == crypto.Ref {
+				wantDone = len(seeded)
+			}
 		}
 		if st.Done != wantDone || st.Done+st.Pending != st.Jobs {
-			t.Errorf("fig %s %s: %d jobs, %d done, %d pending; want %d done",
-				st.Figure, st.Size, st.Jobs, st.Done, st.Pending, wantDone)
+			t.Errorf("fig %s %s %s: %d jobs, %d done, %d pending; want %d done",
+				st.Figure, st.Size, st.Backend, st.Jobs, st.Done, st.Pending, wantDone)
 		}
 	}
 }

@@ -1,14 +1,14 @@
 // Attack detection: drive the paper's §3 attacks against SENSS, at two
 // levels.
 //
-// First, protocol level: every canned adversary (wiretap XOR leak, Type 1
-// dropping, Type 2 reordering, Type 3 spoofing/replay) runs against the
-// SHU protocol, including the two strawman schemes whose flaws the paper
-// demonstrates.
+// First, protocol level: every canned scenario (wiretap XOR leak, Type 1
+// dropping, Type 2 reordering, Type 3 spoofing/replay, each a bus-adversary
+// step list) runs against the SHU protocol, including the two strawman
+// schemes whose flaws the paper demonstrates.
 //
-// Second, system level: a dropping adversary is soldered onto the bus of
-// a full simulated machine running the radix benchmark; the periodic MAC
-// broadcast catches the divergence and freezes the machine.
+// Second, system level: a one-step adversary script drops a broadcast on
+// the bus of a full simulated machine running the radix benchmark; the
+// periodic MAC broadcast catches the divergence and freezes the machine.
 //
 //	go run ./examples/attack-detection
 package main
@@ -19,6 +19,7 @@ import (
 
 	"senss"
 	"senss/internal/attack"
+	"senss/internal/core"
 )
 
 func main() {
@@ -47,7 +48,7 @@ func main() {
 	m := senss.NewMachine(cfg)
 	progs := w.Setup(m, cfg.Procs)
 	m.Load()
-	m.SetTamperer(&attack.Dropper{Victims: []int{2}, FromSeq: 40})
+	m.SetTamperer(core.NewScript(cfg.Procs, []core.Step{{Seq: 40, Action: core.ActDrop, Victim: 2}}))
 
 	run, err := m.Run(progs)
 	if err != nil {

@@ -3,7 +3,7 @@ package senss
 import (
 	"fmt"
 
-	"senss/internal/attack"
+	"senss/internal/core"
 	"senss/internal/farm"
 	"senss/internal/machine"
 	"senss/internal/stats"
@@ -468,19 +468,19 @@ func (h *Harness) injectDrop(interval int, seed uint64) (latency uint64, detecte
 	m := machine.New(cfg)
 	progs := w.Setup(m, cfg.Procs)
 	m.Load()
-	drop := &attack.Dropper{
-		Victims:   []int{1 + int(seed)%3},
-		FromSeq:   50 + 37*seed, // pseudo-random strike point
-		LandedSeq: -1,
-	}
+	drop := core.NewScript(cfg.Procs, []core.Step{{
+		Seq:    50 + 37*seed, // pseudo-random strike point
+		Action: core.ActDrop,
+		Victim: 1 + int(seed)%3,
+	}})
 	m.SetTamperer(drop)
 	run, err := m.Run(progs)
 	if err != nil {
 		return 0, false, err
 	}
-	if !run.Halted || drop.LandedSeq < 0 {
+	landed, ok := drop.Landed()
+	if !run.Halted || !ok {
 		return 0, false, nil
 	}
-	msgs := m.Senss.Stats.Messages
-	return msgs - uint64(drop.LandedSeq) - 1, true, nil
+	return m.Senss.Stats.Messages - landed - 1, true, nil
 }

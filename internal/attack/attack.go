@@ -1,186 +1,70 @@
-// Package attack implements the physical bus adversaries of paper §3.2 —
-// message dropping (Type 1), reordering (Type 2), spoofing/replay
-// (Type 3) — as core.Tamperer interposers, plus canned end-to-end
-// scenarios that demonstrate detection (or, for the strawman schemes, the
-// lack of it). cmd/senss-attack and examples/attack-detection drive them.
+// Package attack holds the canned end-to-end demonstrations of the paper's
+// bus attacks (§3.2): message dropping (Type 1), reordering (Type 2),
+// spoofing and replay (Type 3), each written as a core.Script step list,
+// and the §3.1 and §4.3 strawman schemes whose flaws the paper argues.
+// Every scenario names the SENSS check that must catch it. It also owns
+// the protocol-level rig the scenarios and the adversary fuzzer drive.
+// cmd/senss-attack and examples/attack-detection run the scenarios.
 package attack
 
 import (
+	"senss/internal/bus"
 	"senss/internal/core"
 	"senss/internal/crypto/aes"
+	"senss/internal/rng"
 )
 
-// Wiretap passively records every ciphertext on the bus — the baseline
-// adversary capability every other attack builds on.
-type Wiretap struct {
-	Ciphers [][]aes.Block
-	Senders []int
+// RigProcs is the processor count of the protocol rig; all of them are
+// members of its one group.
+const RigProcs = 4
+
+// Rig is a protocol-level SENSS instance: RigProcs processors in one
+// established group, with no engine and no bus, so detection does not
+// halt anything and transfers are pushed in by hand.
+type Rig struct {
+	Sys *core.System
+	GID int
+
+	r *rng.Rand
 }
 
-// Tamper implements core.Tamperer (observation only).
-func (w *Wiretap) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]core.Observed {
-	cp := make([]aes.Block, len(cipher))
-	copy(cp, cipher)
-	w.Ciphers = append(w.Ciphers, cp)
-	w.Senders = append(w.Senders, sender)
-	return nil
+// NewRig keys the group's session from seed. A non-nil obs is installed
+// before the session is established, so it sees the session parameters.
+func NewRig(seed uint64, params core.Params, obs core.Observer) *Rig {
+	params.Perfect = true
+	sys := core.NewSystem(nil, nil, RigProcs, params, false)
+	sys.SetObserver(obs)
+	r := rng.New(seed)
+	key := aes.Block(r.Block16())
+	encIV := aes.Block(r.Block16())
+	authIV := aes.Block(r.Block16())
+	members := core.MemberMask(0, 1, 2, 3)
+	gid, err := core.NewGroupTable().Allocate(members)
+	if err != nil {
+		panic(err)
+	}
+	if err := sys.Establish(gid, key, members, encIV, authIV); err != nil {
+		panic(err)
+	}
+	return &Rig{Sys: sys, GID: gid, r: r}
 }
 
-// Dropper blocks messages destined to the victim processors: the first
-// FromSeq-th eligible broadcast never reaches them (Type 1).
-type Dropper struct {
-	Victims []int
-	FromSeq uint64
-	Count   int // how many messages to drop (0 = one)
-
-	dropped int
-	// LandedSeq is the sequence number of the first drop (-1 until then).
-	LandedSeq int64
+// transfer pushes one cache-to-cache transfer of line from sender to
+// requester through the SENSS layer.
+func (g *Rig) transfer(sender, requester int, line []byte) {
+	data := append([]byte(nil), line...)
+	t := &bus.Transaction{Kind: bus.Rd, Addr: 0x1000, Src: requester, GID: g.GID, Data: data}
+	t.SupplierID = sender
+	g.Sys.OnTransaction(nil, t)
 }
 
-// Dropped reports how many messages were suppressed.
-func (d *Dropper) Dropped() int { return d.dropped }
-
-// Tamper implements core.Tamperer.
-func (d *Dropper) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]core.Observed {
-	limit := d.Count
-	if limit == 0 {
-		limit = 1
+// Drive pushes up to n transfers of random lines — broadcast i from
+// processor i mod RigProcs to the next one — stopping at the first
+// detection.
+func (g *Rig) Drive(n int) {
+	for i := 0; i < n && !g.Sys.Detected(); i++ {
+		line := make([]byte, 64)
+		g.r.Fill(line)
+		g.transfer(i%RigProcs, (i+1)%RigProcs, line)
 	}
-	if d.dropped >= limit || seq < d.FromSeq {
-		return nil
-	}
-	m := make(map[int][]core.Observed)
-	hit := false
-	for _, v := range d.Victims {
-		if v == sender {
-			continue // a sender never receives its own broadcast anyway
-		}
-		m[v] = nil
-		hit = true
-	}
-	if !hit {
-		return nil
-	}
-	if d.dropped == 0 {
-		d.LandedSeq = int64(seq)
-	}
-	d.dropped++
-	return m
-}
-
-// Swapper holds one broadcast back and delivers it after the next one, to
-// every receiver — the Type 2 adjacent-swap reordering of §4.3.
-type Swapper struct {
-	AtSeq uint64
-	Procs int
-
-	held *core.Observed
-	done bool
-}
-
-// Tamper implements core.Tamperer.
-func (s *Swapper) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]core.Observed {
-	cp := make([]aes.Block, len(cipher))
-	copy(cp, cipher)
-	if !s.done && seq == s.AtSeq {
-		s.held = &core.Observed{Cipher: cp, Sender: sender}
-		m := make(map[int][]core.Observed)
-		for pid := 0; pid < s.Procs; pid++ {
-			m[pid] = nil // held: nobody sees it this round
-		}
-		return m
-	}
-	if s.held != nil {
-		held := *s.held
-		s.held = nil
-		s.done = true
-		m := make(map[int][]core.Observed)
-		for pid := 0; pid < s.Procs; pid++ {
-			m[pid] = []core.Observed{{Cipher: cp, Sender: sender}, held}
-		}
-		return m
-	}
-	return nil
-}
-
-// Spoofer injects a fabricated message claiming ClaimedPID, delivered only
-// to the victim, right after broadcast AtSeq (Type 3).
-type Spoofer struct {
-	AtSeq      uint64
-	Victim     int
-	ClaimedPID int
-	Payload    []aes.Block
-
-	done bool
-}
-
-// Tamper implements core.Tamperer.
-func (s *Spoofer) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]core.Observed {
-	cp := make([]aes.Block, len(cipher))
-	copy(cp, cipher)
-	if s.done || seq != s.AtSeq {
-		return nil
-	}
-	s.done = true
-	return map[int][]core.Observed{
-		s.Victim: {
-			{Cipher: cp, Sender: sender},
-			{Cipher: s.Payload, Sender: s.ClaimedPID},
-		},
-	}
-}
-
-// Replayer captures broadcast CaptureSeq and re-delivers it to the victim
-// after broadcast ReplaySeq (a Type 3 replay).
-type Replayer struct {
-	CaptureSeq uint64
-	ReplaySeq  uint64
-	Victim     int
-
-	captured *core.Observed
-	done     bool
-}
-
-// Tamper implements core.Tamperer.
-func (r *Replayer) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]core.Observed {
-	cp := make([]aes.Block, len(cipher))
-	copy(cp, cipher)
-	if seq == r.CaptureSeq {
-		r.captured = &core.Observed{Cipher: cp, Sender: sender}
-		return nil
-	}
-	if !r.done && seq >= r.ReplaySeq && r.captured != nil && sender != r.Victim {
-		r.done = true
-		return map[int][]core.Observed{
-			r.Victim: {{Cipher: cp, Sender: sender}, *r.captured},
-		}
-	}
-	return nil
-}
-
-// Corruptor flips bits in one broadcast for the victim receivers (a
-// direct data-integrity attack on the wire).
-type Corruptor struct {
-	AtSeq   uint64
-	Victims []int
-	Mask    byte
-
-	done bool
-}
-
-// Tamper implements core.Tamperer.
-func (c *Corruptor) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]core.Observed {
-	if c.done || seq != c.AtSeq {
-		return nil
-	}
-	c.done = true
-	bad := make([]aes.Block, len(cipher))
-	copy(bad, cipher)
-	bad[0][0] ^= c.Mask
-	m := make(map[int][]core.Observed)
-	for _, v := range c.Victims {
-		m[v] = []core.Observed{{Cipher: bad, Sender: sender}}
-	}
-	return m
 }

@@ -1,10 +1,15 @@
 package attack
 
-import "testing"
+import (
+	"testing"
+
+	"senss/internal/core"
+)
 
 // TestAllScenariosMatchPaperPredictions runs every canned attack and
 // requires the outcome the paper argues for: SENSS detects the real
-// attacks, and the strawman demonstrations show their documented flaws.
+// attacks through the check each one exercises, and the strawman
+// demonstrations show their documented flaws.
 func TestAllScenariosMatchPaperPredictions(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
@@ -17,33 +22,39 @@ func TestAllScenariosMatchPaperPredictions(t *testing.T) {
 				t.Errorf("%s: detected=%v want=%v (%s)\ndetails: %v",
 					sc.Name, rep.Detected, rep.WantDetect, rep.Verdict(), rep.Details)
 			}
+			if rep.Fired != sc.Check {
+				t.Errorf("%s: caught by the %s, want the %s\ndetails: %v", sc.Name, rep.Fired, sc.Check, rep.Details)
+			}
 		})
 	}
 }
 
 // TestScenariosAreSeedRobust re-runs everything under different seeds.
 func TestScenariosAreSeedRobust(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 999} {
+	for _, seed := range []uint64{1, 7, 999, 2025} {
 		for _, sc := range Scenarios() {
 			rep := sc.Run(seed)
-			if !rep.OK() {
-				t.Errorf("seed %d, %s: detected=%v want=%v", seed, sc.Name, rep.Detected, rep.WantDetect)
+			if !rep.Attacked || !rep.OK() || rep.Fired != sc.Check {
+				t.Errorf("seed %d, %s: attacked=%v detected=%v want=%v, caught by the %s, want the %s",
+					seed, sc.Name, rep.Attacked, rep.Detected, rep.WantDetect, rep.Fired, sc.Check)
 			}
 		}
 	}
 }
 
-func TestDropperSkipsSender(t *testing.T) {
-	d := &Dropper{Victims: []int{0}, FromSeq: 0}
-	// Sender 0 equals the only victim: nothing to drop.
-	if m := d.Tamper(0, 0, nil); m != nil {
-		t.Error("dropped the sender's own view")
+// TestScriptDropSkipsSender: a drop aimed at the sender of its broadcast
+// lands on the next broadcast the victim receives, as on a real bus where
+// a processor never snoops its own message.
+func TestScriptDropSkipsSender(t *testing.T) {
+	rig := NewRig(3, core.DefaultParams(), nil)
+	script := core.NewScript(RigProcs, []core.Step{{Seq: 2, Action: core.ActDrop, Victim: 2}})
+	rig.Sys.SetTamperer(script)
+	rig.Drive(4)
+	if seq, ok := script.Landed(); !ok || seq != 3 {
+		t.Fatalf("drop for the sender of broadcast 2 landed at %d (landed=%v), want broadcast 3", seq, ok)
 	}
-	if d.Dropped() != 0 {
-		t.Error("counted a non-drop")
-	}
-	if m := d.Tamper(1, 2, nil); m == nil {
-		t.Error("failed to drop for a real victim")
+	if !script.Deviated() {
+		t.Error("landed drop not counted as a deviation")
 	}
 }
 

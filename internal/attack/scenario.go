@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"strings"
 
 	"senss/internal/core"
 	"senss/internal/crypto"
@@ -9,14 +10,49 @@ import (
 	"senss/internal/rng"
 )
 
+// Check names the SENSS check that catches an attack (paper §4.3).
+type Check int
+
+const (
+	// NoCheck: nothing may fire — the strawman demonstrations.
+	NoCheck Check = iota
+	// MACCheck: the members' chained MACs disagree at the next
+	// authentication point. Drops, reorders, replays, corruptions and
+	// targeted spoofs all split the chain this way.
+	MACCheck
+	// SelfSnoopCheck: a processor snoops a message claiming its own PID
+	// and raises the alarm at once.
+	SelfSnoopCheck
+	// OtherCheck: an alarm that no scenario exercises.
+	OtherCheck
+)
+
+func (c Check) String() string {
+	return [...]string{"no check", "MAC check", "self-snoop alarm", "other alarm"}[c]
+}
+
+// firedCheck names the check behind the first detection sys recorded.
+func firedCheck(sys *core.System) Check {
+	if len(sys.Stats.Detections) == 0 {
+		return NoCheck
+	}
+	switch d := sys.Stats.Detections[0]; {
+	case strings.HasPrefix(d, "bus authentication failure:"):
+		return MACCheck
+	case strings.Contains(d, "snooped a message claiming its own PID"):
+		return SelfSnoopCheck
+	}
+	return OtherCheck
+}
+
 // Report is the outcome of one attack scenario.
 type Report struct {
-	Name        string
-	Description string
-	Attacked    bool
-	Detected    bool
-	WantDetect  bool // false for the strawman demos, which must NOT detect
-	Details     []string
+	Name       string
+	Attacked   bool
+	Detected   bool
+	Fired      Check // the check behind the first detection
+	WantDetect bool  // false for the strawman demos, which must NOT detect
+	Details    []string
 }
 
 // Verdict summarizes whether the scenario behaved as the paper predicts.
@@ -41,39 +77,39 @@ func (r Report) OK() bool { return r.Detected == r.WantDetect }
 type Scenario struct {
 	Name        string
 	Description string
-	Run         func(seed uint64) Report
+	Check       Check // the check that must catch it; NoCheck for the strawman demos
+
+	run func(seed uint64) Report
 }
 
-// protocolRig builds a 4-processor SENSS protocol instance with one group
-// and a driver that pushes n cache-to-cache transfers through it.
-func protocolRig(seed uint64, params core.Params) (*core.System, int, func(n int)) {
-	params.Perfect = true
-	sys := core.NewSystem(nil, nil, 4, params, false)
-	r := rng.New(seed)
-	key := aes.Block(r.Block16())
-	encIV := aes.Block(r.Block16())
-	authIV := aes.Block(r.Block16())
-	members := core.MemberMask(0, 1, 2, 3)
-	table := core.NewGroupTable()
-	gid, err := table.Allocate(members)
-	if err != nil {
-		panic(err)
-	}
-	if err := sys.Establish(gid, key, members, encIV, authIV); err != nil {
-		panic(err)
-	}
-	drive := func(n int) {
-		for i := 0; i < n && !sys.Detected(); i++ {
-			line := make([]byte, 64)
-			r.Fill(line)
-			t := c2cTransaction(gid, i%4, (i+1)%4, line)
-			sys.OnTransaction(nil, t)
+// Run executes the scenario under seed.
+func (sc Scenario) Run(seed uint64) Report {
+	r := sc.run(seed)
+	r.Name = sc.Name
+	r.WantDetect = sc.Check != NoCheck
+	return r
+}
+
+// scripted runs steps against the protocol rig over up to transfers
+// broadcasts and reports what the SENSS layer made of them.
+func scripted(params core.Params, transfers int, detail string, steps ...core.Step) func(uint64) Report {
+	return func(seed uint64) Report {
+		rig := NewRig(seed, params, nil)
+		script := core.NewScript(RigProcs, steps)
+		rig.Sys.SetTamperer(script)
+		rig.Drive(transfers)
+		return Report{
+			Attacked: script.Deviated(),
+			Detected: rig.Sys.Detected(),
+			Fired:    firedCheck(rig.Sys),
+			Details:  append([]string{detail}, rig.Sys.Stats.Detections...),
 		}
 	}
-	return sys, gid, drive
 }
 
 // Scenarios returns every canned demonstration, in presentation order.
+// The rig's broadcast i comes from processor i mod 4, so each step list
+// picks victims that receive the broadcast it targets.
 func Scenarios() []Scenario {
 	params := core.DefaultParams()
 	params.AuthInterval = 10
@@ -83,7 +119,7 @@ func Scenarios() []Scenario {
 			Name: "pad-reuse-leak",
 			Description: "§3.1 strawman: reusing the memory pad on the bus " +
 				"leaks D⊕D' to a passive wiretap",
-			Run: func(seed uint64) Report {
+			run: func(seed uint64) Report {
 				r := rng.New(seed)
 				key := aes.Block(r.Block16())
 				ch := core.NewPadReuseChannel(crypto.MustBackend(crypto.Ref, key))
@@ -92,16 +128,12 @@ func Scenarios() []Scenario {
 				c1 := ch.Encrypt(0x4000, 3, d1)
 				c2 := ch.Encrypt(0x4000, 3, d2)
 				leak := core.LeakXOR(c1, c2)
-				leaked := leak == d1.XOR(d2)
 				return Report{
-					Name:       "pad-reuse-leak",
-					Attacked:   true,
-					Detected:   false,
-					WantDetect: false,
+					Attacked: true,
 					Details: []string{
 						fmt.Sprintf("ciphertext1 ⊕ ciphertext2 = %s", leak),
 						fmt.Sprintf("plaintext1  ⊕ plaintext2  = %s", d1.XOR(d2)),
-						fmt.Sprintf("relation exposed to wiretap: %v", leaked),
+						fmt.Sprintf("relation exposed to wiretap: %v", leak == d1.XOR(d2)),
 					},
 				}
 			},
@@ -110,22 +142,20 @@ func Scenarios() []Scenario {
 			Name: "senss-no-leak",
 			Description: "the SENSS chained masks never repeat, so the same " +
 				"XOR attack yields nothing",
-			Run: func(seed uint64) Report {
-				sys, gid, _ := protocolRig(seed, params)
-				tap := &Wiretap{}
-				sys.SetTamperer(tap)
+			run: func(seed uint64) Report {
+				rig := NewRig(seed, params, nil)
+				tap := core.NewScript(RigProcs, nil)
+				rig.Sys.SetTamperer(tap)
 				line := make([]byte, 64)
 				for i := range line {
 					line[i] = 0x5A
 				}
-				sys.OnTransaction(nil, c2cTransaction(gid, 0, 1, line))
-				sys.OnTransaction(nil, c2cTransaction(gid, 0, 1, line))
-				x := tap.Ciphers[0][0].XOR(tap.Ciphers[1][0])
+				rig.transfer(0, 1, line)
+				rig.transfer(0, 1, line)
+				sent := tap.Sent(1)
+				x := sent[0].Cipher[0].XOR(sent[1].Cipher[0])
 				return Report{
-					Name:       "senss-no-leak",
-					Attacked:   true,
-					Detected:   false,
-					WantDetect: false,
+					Attacked: true,
 					Details: []string{
 						fmt.Sprintf("same plaintext sent twice; ciphertext XOR = %s", x),
 						fmt.Sprintf("zero would mean a leak: %v (must be false)", x.IsZero()),
@@ -136,30 +166,25 @@ func Scenarios() []Scenario {
 		{
 			Name:        "type1-drop",
 			Description: "Type 1: a broadcast is blocked from two processors",
-			Run: func(seed uint64) Report {
-				sys, _, drive := protocolRig(seed, params)
-				d := &Dropper{Victims: []int{2, 3}, FromSeq: 3}
-				sys.SetTamperer(d)
-				drive(25)
-				return report("type1-drop", sys, true,
-					fmt.Sprintf("dropped %d broadcast(s) for processors 2 and 3", d.Dropped()))
-			},
+			Check:       MACCheck,
+			run: scripted(params, 25, "dropped broadcast 4 for processors 2 and 3",
+				core.Step{Seq: 4, Action: core.ActDrop, Victim: 2},
+				core.Step{Seq: 4, Action: core.ActDrop, Victim: 3}),
 		},
 		{
 			Name:        "type2-reorder",
 			Description: "Type 2: two adjacent broadcasts are swapped on the wire",
-			Run: func(seed uint64) Report {
-				sys, _, drive := protocolRig(seed, params)
-				sys.SetTamperer(&Swapper{AtSeq: 2, Procs: 4})
-				drive(25)
-				return report("type2-reorder", sys, true, "swapped broadcasts 2 and 3")
-			},
+			Check:       MACCheck,
+			// Processors 0 and 1 receive both broadcasts 2 and 3.
+			run: scripted(params, 25, "swapped broadcasts 2 and 3",
+				core.Step{Seq: 2, Action: core.ActDelay, Victim: 0},
+				core.Step{Seq: 2, Action: core.ActDelay, Victim: 1}),
 		},
 		{
 			Name: "type2-strawman-recovers",
 			Description: "§4.3 strawman: using the masks as integrity evidence " +
 				"re-converges after a swap, so nothing is detected",
-			Run: func(seed uint64) Report {
+			run: func(seed uint64) Report {
 				r := rng.New(seed)
 				key := aes.Block(r.Block16())
 				iv := aes.Block(r.Block16())
@@ -174,10 +199,8 @@ func Scenarios() []Scenario {
 				recv.ObserveCipher(c3) // ...but the chain depends only on the last cipher
 				same := send.Evidence() == recv.Evidence()
 				return Report{
-					Name:       "type2-strawman-recovers",
-					Attacked:   true,
-					Detected:   !same,
-					WantDetect: false,
+					Attacked: true,
+					Detected: !same,
 					Details: []string{
 						fmt.Sprintf("checkpoint evidence equal after swap: %v", same),
 						"the separate-IV CBC-MAC chain of SENSS keeps the divergence instead",
@@ -188,64 +211,33 @@ func Scenarios() []Scenario {
 		{
 			Name:        "type3-spoof-targeted",
 			Description: "Type 3: a fabricated message with a valid GID/PID is fed to one victim",
-			Run: func(seed uint64) Report {
-				sys, _, drive := protocolRig(seed, params)
-				r := rng.New(seed + 99)
-				payload := make([]byte, 64)
-				r.Fill(payload)
-				sys.SetTamperer(&Spoofer{AtSeq: 1, Victim: 3, ClaimedPID: 2,
-					Payload: core.LineToBlocks(payload)})
-				drive(25)
-				return report("type3-spoof-targeted", sys, true,
-					"spoofed message claiming PID 2 delivered to processor 3 only")
-			},
+			Check:       MACCheck,
+			run: scripted(params, 25, "spoofed message claiming PID 2 delivered to processor 3 only",
+				core.Step{Seq: 1, Action: core.ActSpoof, Victim: 3, Arg: 2}),
 		},
 		{
 			Name:        "type3-spoof-self-snoop",
 			Description: "Type 3: the spoof reaches the processor whose PID it claims — instant alarm",
-			Run: func(seed uint64) Report {
-				sys, _, drive := protocolRig(seed, params)
-				r := rng.New(seed + 100)
-				payload := make([]byte, 64)
-				r.Fill(payload)
-				sys.SetTamperer(&Spoofer{AtSeq: 0, Victim: 2, ClaimedPID: 2,
-					Payload: core.LineToBlocks(payload)})
-				drive(5)
-				return report("type3-spoof-self-snoop", sys, true,
-					"processor 2 snooped a message claiming its own PID")
-			},
+			Check:       SelfSnoopCheck,
+			run: scripted(params, 5, "processor 2 snooped a message claiming its own PID",
+				core.Step{Seq: 0, Action: core.ActSpoof, Victim: 2, Arg: 2}),
 		},
 		{
 			Name:        "replay",
 			Description: "Type 3 variant: an old broadcast is replayed to one victim",
-			Run: func(seed uint64) Report {
-				sys, _, drive := protocolRig(seed, params)
-				sys.SetTamperer(&Replayer{CaptureSeq: 1, ReplaySeq: 5, Victim: 1})
-				drive(25)
-				return report("replay", sys, true, "broadcast 1 replayed to processor 1 after broadcast 5")
-			},
+			Check:       MACCheck,
+			// The first step captures broadcast 1 for processor 3, the
+			// second replays it there.
+			run: scripted(params, 25, "broadcast 1 replayed to processor 3 after broadcast 5",
+				core.Step{Seq: 1, Action: core.ActReplay, Victim: 3},
+				core.Step{Seq: 5, Action: core.ActReplay, Victim: 3}),
 		},
 		{
 			Name:        "wire-corruption",
 			Description: "bit flips injected into one broadcast for one receiver",
-			Run: func(seed uint64) Report {
-				sys, _, drive := protocolRig(seed, params)
-				sys.SetTamperer(&Corruptor{AtSeq: 4, Victims: []int{1}, Mask: 0x20})
-				drive(25)
-				return report("wire-corruption", sys, true, "flipped one ciphertext bit for processor 1")
-			},
+			Check:       MACCheck,
+			run: scripted(params, 25, "flipped one ciphertext bit for processor 1",
+				core.Step{Seq: 4, Action: core.ActCorrupt, Victim: 1, Arg: 5}),
 		},
 	}
-}
-
-func report(name string, sys *core.System, want bool, details ...string) Report {
-	r := Report{
-		Name:       name,
-		Attacked:   true,
-		Detected:   sys.Detected(),
-		WantDetect: want,
-		Details:    details,
-	}
-	r.Details = append(r.Details, sys.Stats.Detections...)
-	return r
 }

@@ -132,7 +132,7 @@ func TestAdaptiveStillDetectsAttacks(t *testing.T) {
 	if err := s.Establish(gid, key, MemberMask(0, 1, 2, 3), encIV, authIV); err != nil {
 		t.Fatal(err)
 	}
-	s.SetTamperer(&dropTamperer{dropSeq: 20, victims: []int{3}})
+	s.SetTamperer(NewScript(4, []Step{{Seq: 20, Action: ActDrop, Victim: 3}}))
 	r := rng.New(407)
 	for i := 0; i < 200; i++ {
 		i := i

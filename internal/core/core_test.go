@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"senss/internal/bus"
@@ -48,6 +49,25 @@ func randomLine(r *rng.Rand) []byte {
 	line := make([]byte, 64)
 	r.Read(line)
 	return line
+}
+
+// caughtByMAC fails t unless s detected the attack, and the first alarm
+// was a MAC disagreement at an authentication point.
+func caughtByMAC(t *testing.T, s *System) {
+	t.Helper()
+	if len(s.Stats.Detections) == 0 || !strings.HasPrefix(s.Stats.Detections[0], "bus authentication failure:") {
+		t.Fatalf("want a MAC disagreement at an authentication point first, got alarms %q", s.Stats.Detections)
+	}
+}
+
+// caughtBySelfSnoop fails t unless the first alarm s raised was victim's
+// self-snoop alarm.
+func caughtBySelfSnoop(t *testing.T, s *System, gid, victim int) {
+	t.Helper()
+	if !s.SHU(victim).Alarmed(gid) || len(s.Stats.Detections) == 0 ||
+		!strings.Contains(s.Stats.Detections[0], "snooped a message claiming its own PID") {
+		t.Fatalf("want processor %d's self-snoop alarm first, got alarms %q", victim, s.Stats.Detections)
+	}
 }
 
 func TestJoinRejectsEqualIVs(t *testing.T) {
@@ -119,109 +139,56 @@ func TestSameDataDifferentCiphertext(t *testing.T) {
 	for i := range line {
 		line[i] = 0xAB
 	}
-	// Capture the wire ciphertext via a recording tamperer.
-	rec := &recordingTamperer{}
-	s.SetTamperer(rec)
+	// Capture the wire ciphertext with a script of no steps (a wiretap).
+	tap := NewScript(2, nil)
+	s.SetTamperer(tap)
 	c2c(s, gid, 0, 1, line)
 	c2c(s, gid, 0, 1, line)
-	if len(rec.ciphers) != 2 {
-		t.Fatalf("recorded %d messages", len(rec.ciphers))
+	sent := tap.Sent(1)
+	if len(sent) != 2 {
+		t.Fatalf("recorded %d messages", len(sent))
 	}
-	if rec.ciphers[0][0] == rec.ciphers[1][0] {
+	if sent[0].Cipher[0] == sent[1].Cipher[0] {
 		t.Error("identical plaintext produced identical ciphertext on consecutive transfers")
 	}
 	// And the XOR of the two ciphertexts must NOT equal D ⊕ D' = 0.
-	if rec.ciphers[0][0].XOR(rec.ciphers[1][0]).IsZero() {
+	if sent[0].Cipher[0].XOR(sent[1].Cipher[0]).IsZero() {
 		t.Error("ciphertext XOR leaks plaintext relation (OTP reuse)")
 	}
-}
-
-// recordingTamperer passively observes ciphertexts (a wiretap adversary).
-type recordingTamperer struct {
-	ciphers [][]aes.Block
-}
-
-func (r *recordingTamperer) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]Observed {
-	cp := make([]aes.Block, len(cipher))
-	copy(cp, cipher)
-	r.ciphers = append(r.ciphers, cp)
-	return nil
-}
-
-// dropTamperer drops one message for a subset of receivers (Type 1).
-type dropTamperer struct {
-	dropSeq uint64
-	victims []int
-}
-
-func (d *dropTamperer) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]Observed {
-	if seq != d.dropSeq {
-		return nil
-	}
-	m := make(map[int][]Observed)
-	for _, v := range d.victims {
-		m[v] = nil // observes nothing
-	}
-	return m
 }
 
 func TestType1DroppingDetected(t *testing.T) {
 	params := DefaultParams()
 	params.AuthInterval = 10
 	s, gid := newTestSystem(t, 4, params, 13)
-	s.SetTamperer(&dropTamperer{dropSeq: 3, victims: []int{2, 3}})
+	s.SetTamperer(NewScript(4, []Step{{Seq: 3, Action: ActDrop, Victim: 2}, {Seq: 3, Action: ActDrop, Victim: 3}}))
 	r := rng.New(14)
 	for i := 0; i < 12 && !s.Detected(); i++ {
 		c2c(s, gid, i%2, (i+1)%4, randomLine(r))
 	}
-	if !s.Detected() {
-		t.Fatal("message dropping went undetected through an authentication point")
-	}
-}
-
-// swapTamperer buffers message n and delivers it after message n+1 to all
-// receivers (Type 2 reordering).
-type swapTamperer struct {
-	swapSeq uint64
-	held    *Observed
-	procs   int
-}
-
-func (w *swapTamperer) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]Observed {
-	cp := make([]aes.Block, len(cipher))
-	copy(cp, cipher)
-	if seq == w.swapSeq {
-		w.held = &Observed{Cipher: cp, Sender: sender}
-		m := make(map[int][]Observed)
-		for pid := 0; pid < w.procs; pid++ {
-			m[pid] = nil // hold: nobody sees it yet
-		}
-		return m
-	}
-	if w.held != nil {
-		held := *w.held
-		w.held = nil
-		m := make(map[int][]Observed)
-		for pid := 0; pid < w.procs; pid++ {
-			m[pid] = []Observed{{Cipher: cp, Sender: sender}, held}
-		}
-		return m
-	}
-	return nil
+	caughtByMAC(t, s)
 }
 
 func TestType2ReorderingDetected(t *testing.T) {
 	params := DefaultParams()
 	params.AuthInterval = 10
 	s, gid := newTestSystem(t, 4, params, 15)
-	s.SetTamperer(&swapTamperer{swapSeq: 2, procs: 4})
+	s.SetTamperer(NewScript(4, swapAfter(2, 1, 2, 3)))
 	r := rng.New(16)
 	for i := 0; i < 12 && !s.Detected(); i++ {
 		c2c(s, gid, 0, 1+(i%3), randomLine(r))
 	}
-	if !s.Detected() {
-		t.Fatal("message reordering went undetected")
+	caughtByMAC(t, s)
+}
+
+// swapAfter delays broadcast seq for each victim until after the next
+// one it receives: an adjacent swap (Type 2).
+func swapAfter(seq uint64, victims ...int) []Step {
+	var steps []Step
+	for _, v := range victims {
+		steps = append(steps, Step{Seq: seq, Action: ActDelay, Victim: v})
 	}
+	return steps
 }
 
 // TestType2NaiveMaskChainRecovers reproduces the paper's §4.3 argument:
@@ -255,95 +222,41 @@ func TestType2NaiveMaskChainRecovers(t *testing.T) {
 	// above); this test documents why the separate IV'd chain is needed.
 }
 
-// spoofTamperer injects a fake message (claimed PID) to a single victim
-// between real transfers (Type 3 targeted spoofing).
-type spoofTamperer struct {
-	atSeq   uint64
-	victim  int
-	claimed int
-	payload []aes.Block
-}
-
-func (sp *spoofTamperer) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]Observed {
-	cp := make([]aes.Block, len(cipher))
-	copy(cp, cipher)
-	if seq != sp.atSeq {
-		return nil
-	}
-	return map[int][]Observed{
-		sp.victim: {
-			{Cipher: cp, Sender: sender},
-			{Cipher: sp.payload, Sender: sp.claimed},
-		},
-	}
-}
-
 func TestType3TargetedSpoofingDetected(t *testing.T) {
 	params := DefaultParams()
 	params.AuthInterval = 10
 	s, gid := newTestSystem(t, 4, params, 19)
 	r := rng.New(20)
-	fake := LineToBlocks(randomLine(r))
 	// Victim is processor 3; the spoof claims to come from processor 2.
-	s.SetTamperer(&spoofTamperer{atSeq: 1, victim: 3, claimed: 2, payload: fake})
+	s.SetTamperer(NewScript(4, []Step{{Seq: 1, Action: ActSpoof, Victim: 3, Arg: 2}}))
 	for i := 0; i < 12 && !s.Detected(); i++ {
 		c2c(s, gid, 0, 1, randomLine(r))
 	}
-	if !s.Detected() {
-		t.Fatal("targeted spoofing went undetected")
-	}
+	caughtByMAC(t, s)
 }
 
 func TestType3SelfSnoopAlarm(t *testing.T) {
 	params := DefaultParams()
 	s, gid := newTestSystem(t, 4, params, 21)
 	r := rng.New(22)
-	fake := LineToBlocks(randomLine(r))
 	// The spoof claims PID 3 and reaches processor 3 itself: instant alarm.
-	s.SetTamperer(&spoofTamperer{atSeq: 0, victim: 3, claimed: 3, payload: fake})
+	s.SetTamperer(NewScript(4, []Step{{Seq: 0, Action: ActSpoof, Victim: 3, Arg: 3}}))
 	c2c(s, gid, 0, 1, randomLine(r))
-	if !s.SHU(3).Alarmed(gid) {
-		t.Fatal("self-snooped spoof did not raise the immediate alarm")
-	}
-	if !s.Detected() {
-		t.Fatal("system did not record the self-snoop detection")
-	}
-}
-
-// replayTamperer re-delivers an earlier ciphertext to one victim.
-type replayTamperer struct {
-	captureSeq, replaySeq uint64
-	victim                int
-	captured              *Observed
-}
-
-func (rp *replayTamperer) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]Observed {
-	cp := make([]aes.Block, len(cipher))
-	copy(cp, cipher)
-	if seq == rp.captureSeq {
-		rp.captured = &Observed{Cipher: cp, Sender: sender}
-		return nil
-	}
-	if seq == rp.replaySeq && rp.captured != nil {
-		return map[int][]Observed{
-			rp.victim: {{Cipher: cp, Sender: sender}, *rp.captured},
-		}
-	}
-	return nil
+	caughtBySelfSnoop(t, s, gid, 3)
 }
 
 func TestReplayDetected(t *testing.T) {
 	params := DefaultParams()
 	params.AuthInterval = 10
 	s, gid := newTestSystem(t, 4, params, 23)
-	s.SetTamperer(&replayTamperer{captureSeq: 1, replaySeq: 4, victim: 2})
+	// The first step captures broadcast 1 for processor 2, the second
+	// replays it there after broadcast 4.
+	s.SetTamperer(NewScript(4, []Step{{Seq: 1, Action: ActReplay, Victim: 2}, {Seq: 4, Action: ActReplay, Victim: 2}}))
 	r := rng.New(24)
 	for i := 0; i < 12 && !s.Detected(); i++ {
 		c2c(s, gid, 0, 1, randomLine(r))
 	}
-	if !s.Detected() {
-		t.Fatal("replay went undetected")
-	}
+	caughtByMAC(t, s)
 }
 
 // TestSec31PadReuseLeak reproduces the paper's §3.1 break of the naive
@@ -400,7 +313,7 @@ func TestMACTagTruncation(t *testing.T) {
 		params.AuthInterval = 6
 		params.MACTagBytes = tagBytes
 		s, gid := newTestSystem(t, 4, params, 600+uint64(tagBytes))
-		s.SetTamperer(&dropTamperer{dropSeq: 2, victims: []int{3}})
+		s.SetTamperer(NewScript(4, []Step{{Seq: 2, Action: ActDrop, Victim: 3}}))
 		r := rng.New(601)
 		for i := 0; i < 10 && !s.Detected(); i++ {
 			c2c(s, gid, 0, 1, randomLine(r))

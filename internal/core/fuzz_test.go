@@ -7,66 +7,28 @@ import (
 	"senss/internal/rng"
 )
 
-// randomAdversary lands exactly one randomly-chosen manipulation (drop,
-// corrupt, spoof, or replay) on a randomly-chosen broadcast.
-type randomAdversary struct {
-	r        *rng.Rand
-	procs    int
-	strikeAt uint64
-
-	// Landed is the sequence number the attack actually hit (set once).
-	Landed   int64
-	kindUsed string
-	captured *Observed
-}
-
-func (a *randomAdversary) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]Observed {
-	cp := make([]aes.Block, len(cipher))
-	copy(cp, cipher)
-	if a.captured == nil {
-		a.captured = &Observed{Cipher: cp, Sender: sender}
-	}
-	if a.Landed >= 0 || seq < a.strikeAt {
-		return nil
-	}
-	victim := a.r.Intn(a.procs)
-	for victim == sender {
-		victim = a.r.Intn(a.procs)
-	}
-	var out map[int][]Observed
-	switch a.r.Intn(4) {
-	case 0: // drop
-		a.kindUsed = "drop"
-		out = map[int][]Observed{victim: nil}
-	case 1: // corrupt one bit
-		a.kindUsed = "corrupt"
-		bad := make([]aes.Block, len(cp))
-		copy(bad, cp)
-		bad[a.r.Intn(len(bad))][a.r.Intn(16)] ^= 1 << uint(a.r.Intn(8))
-		out = map[int][]Observed{victim: {{Cipher: bad, Sender: sender}}}
-	case 2: // spoof an extra message with a random claimed PID
-		a.kindUsed = "spoof"
-		fake := make([]aes.Block, len(cp))
-		for i := range fake {
-			fake[i] = aes.Block(a.r.Block16())
-		}
-		claimed := a.r.Intn(a.procs)
+// randomAttack draws one manipulation — drop, corrupt, spoof, or replay —
+// of a random victim's view of a random broadcast. A replay first
+// captures broadcast 0 for the victim; the strike is always the last
+// step.
+func randomAttack(r *rng.Rand, procs int) (kind string, steps []Step) {
+	strike := uint64(r.Intn(10))
+	victim := r.Intn(procs)
+	switch r.Intn(4) {
+	case 0:
+		return "drop", []Step{{Seq: strike, Action: ActDrop, Victim: victim}}
+	case 1:
+		bit := r.Intn(BlocksPerLine * aes.BlockSize * 8)
+		return "corrupt", []Step{{Seq: strike, Action: ActCorrupt, Victim: victim, Arg: bit}}
+	case 2:
+		claimed := r.Intn(procs)
 		for claimed == victim {
-			claimed = a.r.Intn(a.procs) // victim-claimed spoofs alarm instantly; test the slow path
+			claimed = r.Intn(procs) // victim-claimed spoofs alarm instantly; test the slow path
 		}
-		out = map[int][]Observed{victim: {
-			{Cipher: cp, Sender: sender},
-			{Cipher: fake, Sender: claimed},
-		}}
-	default: // replay the first captured broadcast
-		a.kindUsed = "replay"
-		out = map[int][]Observed{victim: {
-			{Cipher: cp, Sender: sender},
-			*a.captured,
-		}}
+		return "spoof", []Step{{Seq: strike, Action: ActSpoof, Victim: victim, Arg: claimed}}
+	default:
+		return "replay", []Step{{Seq: 0, Action: ActReplay, Victim: victim}, {Seq: strike, Action: ActReplay, Victim: victim}}
 	}
-	a.Landed = int64(seq)
-	return out
 }
 
 // TestRandomAdversaryDetectedWithinInterval is the paper's §4.3 guarantee
@@ -82,7 +44,8 @@ func TestRandomAdversaryDetectedWithinInterval(t *testing.T) {
 			params.AuthMode = mode
 			params.AuthInterval = 4 + r.Intn(12)
 			s, gid := newTestSystem(t, 4, params, seed)
-			adv := &randomAdversary{r: r, procs: 4, strikeAt: uint64(r.Intn(10)), Landed: -1}
+			kind, steps := randomAttack(r, 4)
+			adv := NewScript(4, steps)
 			s.SetTamperer(adv)
 
 			detectedAt := int64(-1)
@@ -93,17 +56,18 @@ func TestRandomAdversaryDetectedWithinInterval(t *testing.T) {
 					break
 				}
 			}
-			if adv.Landed < 0 {
+			landed := adv.landed[len(steps)-1]
+			if landed < 0 {
 				t.Fatalf("mode %v trial %d: adversary never struck", mode, trial)
 			}
 			if detectedAt < 0 {
 				t.Fatalf("mode %v trial %d: %s at seq %d never detected (interval %d)",
-					mode, trial, adv.kindUsed, adv.Landed, params.AuthInterval)
+					mode, trial, kind, landed, params.AuthInterval)
 			}
-			latency := detectedAt - adv.Landed
+			latency := detectedAt - landed
 			if latency > int64(params.AuthInterval) {
 				t.Errorf("mode %v trial %d: %s detected after %d transfers, bound %d",
-					mode, trial, adv.kindUsed, latency, params.AuthInterval)
+					mode, trial, kind, latency, params.AuthInterval)
 			}
 		}
 	}

@@ -39,39 +39,32 @@ func TestGFModeCleanRoundTrip(t *testing.T) {
 
 func TestGFModeDetectsDropping(t *testing.T) {
 	s, gid := newTestSystem(t, 4, gfParams(), 202)
-	s.SetTamperer(&dropTamperer{dropSeq: 2, victims: []int{3}})
+	s.SetTamperer(NewScript(4, []Step{{Seq: 2, Action: ActDrop, Victim: 3}}))
 	r := rng.New(203)
 	for i := 0; i < 12 && !s.Detected(); i++ {
 		c2c(s, gid, 0, 1, randomLine(r))
 	}
-	if !s.Detected() {
-		t.Fatal("GF mode missed a dropped message")
-	}
+	caughtByMAC(t, s)
 }
 
 func TestGFModeDetectsReordering(t *testing.T) {
 	s, gid := newTestSystem(t, 4, gfParams(), 204)
-	s.SetTamperer(&swapTamperer{swapSeq: 1, procs: 4})
+	s.SetTamperer(NewScript(4, swapAfter(1, 1, 2, 3)))
 	r := rng.New(205)
 	for i := 0; i < 12 && !s.Detected(); i++ {
 		c2c(s, gid, 0, 1+(i%3), randomLine(r))
 	}
-	if !s.Detected() {
-		t.Fatal("GF mode missed a reordering")
-	}
+	caughtByMAC(t, s)
 }
 
 func TestGFModeDetectsSpoofing(t *testing.T) {
 	s, gid := newTestSystem(t, 4, gfParams(), 206)
 	r := rng.New(207)
-	s.SetTamperer(&spoofTamperer{atSeq: 1, victim: 3, claimed: 2,
-		payload: LineToBlocks(randomLine(r))})
+	s.SetTamperer(NewScript(4, []Step{{Seq: 1, Action: ActSpoof, Victim: 3, Arg: 2}}))
 	for i := 0; i < 12 && !s.Detected(); i++ {
 		c2c(s, gid, 0, 1, randomLine(r))
 	}
-	if !s.Detected() {
-		t.Fatal("GF mode missed a spoof")
-	}
+	caughtByMAC(t, s)
 }
 
 // TestGFModeNeverStalls is the mode's performance property: even with a
@@ -105,15 +98,15 @@ func TestGFModeNeverStalls(t *testing.T) {
 // trace (pad reuse would reintroduce the §3.1 leak).
 func TestGFMasksNeverRepeat(t *testing.T) {
 	s, gid := newTestSystem(t, 2, gfParams(), 210)
-	rec := &recordingTamperer{}
-	s.SetTamperer(rec)
+	tap := NewScript(2, nil)
+	s.SetTamperer(tap)
 	line := make([]byte, 64) // constant plaintext: repeated masks ⇒ repeated cipher
 	for i := 0; i < 100; i++ {
 		c2c(s, gid, 0, 1, line)
 	}
 	seen := make(map[aes.Block]int)
-	for i, msg := range rec.ciphers {
-		for _, b := range msg {
+	for i, msg := range tap.Sent(1) {
+		for _, b := range msg.Cipher {
 			if prev, dup := seen[b]; dup {
 				t.Fatalf("mask reuse: message %d repeats a block of message %d", i, prev)
 			}

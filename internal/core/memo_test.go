@@ -10,23 +10,6 @@ import (
 	"senss/internal/rng"
 )
 
-// corruptTamperer flips one ciphertext bit in what one victim observes of
-// one message.
-type corruptTamperer struct {
-	atSeq  uint64
-	victim int
-}
-
-func (c *corruptTamperer) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]Observed {
-	if seq != c.atSeq || sender == c.victim {
-		return nil
-	}
-	bad := make([]aes.Block, len(cipher))
-	copy(bad, cipher)
-	bad[1][5] ^= 0x10
-	return map[int][]Observed{c.victim: {{Cipher: bad, Sender: sender}}}
-}
-
 // TestSharedMemoMatchesUnsharedMembers runs one message stream through a
 // System, whose members share the group's AES memo, and through a twin
 // whose members joined standalone and share nothing. Under every attack —
@@ -34,19 +17,19 @@ func (c *corruptTamperer) Tamper(seq uint64, sender int, cipher []aes.Block) map
 // plaintexts, MAC chains, mask banks and detections agree message for
 // message.
 func TestSharedMemoMatchesUnsharedMembers(t *testing.T) {
-	fake := LineToBlocks(randomLine(rng.New(1612)))
 	cases := []struct {
-		name   string
-		tamper func() Tamperer
-		reuse  bool
+		name  string
+		steps []Step
+		snoop bool // caught by the victim's self-snoop alarm, not the MAC check
+		reuse bool
 	}{
 		{name: "clean"},
-		{name: "drop", tamper: func() Tamperer { return &dropTamperer{dropSeq: 3, victims: []int{2, 3}} }},
-		{name: "reorder", tamper: func() Tamperer { return &swapTamperer{swapSeq: 4, procs: 4} }},
-		{name: "spoof", tamper: func() Tamperer { return &spoofTamperer{atSeq: 2, victim: 3, claimed: 1, payload: fake} }},
-		{name: "spoof-self", tamper: func() Tamperer { return &spoofTamperer{atSeq: 5, victim: 2, claimed: 2, payload: fake} }},
-		{name: "corrupt", tamper: func() Tamperer { return &corruptTamperer{atSeq: 6, victim: 1} }},
-		{name: "replay", tamper: func() Tamperer { return &replayTamperer{captureSeq: 1, replaySeq: 7, victim: 0} }},
+		{name: "drop", steps: []Step{{Seq: 3, Action: ActDrop, Victim: 2}, {Seq: 3, Action: ActDrop, Victim: 3}}},
+		{name: "reorder", steps: swapAfter(4, 1, 2, 3)},
+		{name: "spoof", steps: []Step{{Seq: 2, Action: ActSpoof, Victim: 3, Arg: 1}}},
+		{name: "spoof-self", steps: []Step{{Seq: 5, Action: ActSpoof, Victim: 2, Arg: 2}}, snoop: true},
+		{name: "corrupt", steps: []Step{{Seq: 6, Action: ActCorrupt, Victim: 1, Arg: 172}}},
+		{name: "replay", steps: []Step{{Seq: 1, Action: ActReplay, Victim: 0}, {Seq: 7, Action: ActReplay, Victim: 0}}},
 		{name: "mask-reuse", reuse: true},
 	}
 	for _, mode := range []AuthMode{AuthCBC, AuthGF} {
@@ -69,9 +52,9 @@ func TestSharedMemoMatchesUnsharedMembers(t *testing.T) {
 						t.Fatal("twins not set up as shared vs unshared")
 					}
 				}
-				if tc.tamper != nil {
-					shared.SetTamperer(tc.tamper())
-					unshared.SetTamperer(tc.tamper())
+				if tc.steps != nil {
+					shared.SetTamperer(NewScript(4, tc.steps))
+					unshared.SetTamperer(NewScript(4, tc.steps))
 				}
 				if tc.reuse {
 					shared.InjectMaskReuse(gid)
@@ -103,8 +86,14 @@ func TestSharedMemoMatchesUnsharedMembers(t *testing.T) {
 						t.Fatalf("message %d: stats differ:\n shared   %+v\n unshared %+v", i, shared.Stats, unshared.Stats)
 					}
 				}
-				if detected := shared.Detected(); detected != (tc.tamper != nil) {
-					t.Fatalf("detected = %v with tamperer %v; stream does not exercise the case", detected, tc.tamper != nil)
+				if detected := shared.Detected(); detected != (tc.steps != nil) {
+					t.Fatalf("detected = %v with %d attack steps; stream does not exercise the case", detected, len(tc.steps))
+				}
+				switch {
+				case tc.snoop:
+					caughtBySelfSnoop(t, shared, gid, tc.steps[0].Victim)
+				case tc.steps != nil:
+					caughtByMAC(t, shared)
 				}
 				if memo.IsZero() {
 					t.Fatal("shared memo never used")

@@ -89,7 +89,7 @@ func TestSENSSCatchesWhatNaiveMisses(t *testing.T) {
 	params := DefaultParams()
 	params.AuthInterval = 8
 	s, gid := newTestSystem(t, 4, params, 505)
-	s.SetTamperer(&dropTamperer{dropSeq: 5, victims: []int{2}})
+	s.SetTamperer(NewScript(4, []Step{{Seq: 5, Action: ActDrop, Victim: 2}}))
 	r := rng.New(506)
 	for i := 0; i < 20 && !s.Detected(); i++ {
 		c2c(s, gid, 0, 1, randomLine(r))

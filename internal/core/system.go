@@ -17,14 +17,18 @@ type Observed struct {
 	Sender int // claimed originator PID
 }
 
-// Tamperer is the physical bus adversary: for each broadcast it may
-// reshape what every receiver observes (drop, corrupt, re-order via
-// buffering, spoof the PID). Returning nil means a clean broadcast.
-// The map gives, per receiver PID, the ordered list of messages that
-// receiver observes in place of the original; receivers absent from the
-// map observe the original message.
+// Tamperer is the physical bus adversary (Script is the one
+// implementation). For each protected broadcast it sees what a wire probe
+// sees: the wire index seq (the broadcast's position among all protected
+// transfers on the bus, from 0), the sender, the set of receivers, and
+// the ciphertext (a private copy it may keep). It may reshape what every
+// receiver observes (drop, corrupt, re-order via buffering, spoof the
+// PID). Returning nil means a clean broadcast. The map gives, per
+// receiver PID, the ordered list of messages that receiver observes in
+// place of the original; receivers absent from the map observe the
+// original message.
 type Tamperer interface {
-	Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]Observed
+	Tamper(seq uint64, sender int, receivers uint32, cipher []aes.Block) map[int][]Observed
 }
 
 // Observer receives the protocol-level truth of the SENSS layer as it
@@ -250,6 +254,7 @@ func (s *System) OnTransaction(p *sim.Proc, t *bus.Transaction) uint64 {
 	}
 
 	// Broadcast through the interposer to every member except the sender.
+	members := s.shus[sender].Members(t.GID)
 	var tampered map[int][]Observed
 	if s.tamper != nil {
 		// Interposers may buffer the wire image for later replay, so hand
@@ -257,9 +262,8 @@ func (s *System) OnTransaction(p *sim.Proc, t *bus.Transaction) uint64 {
 		// attack runs only).
 		wire := make([]aes.Block, len(cipher))
 		copy(wire, cipher)
-		tampered = s.tamper.Tamper(s.shus[sender].Seq(t.GID)-1, sender, wire)
+		tampered = s.tamper.Tamper(s.Stats.Messages-1, sender, members&^(1<<uint(sender)), wire)
 	}
-	members := s.shus[sender].Members(t.GID)
 	for pid := 0; pid < len(s.shus); pid++ {
 		if pid == sender || members&(1<<uint(pid)) == 0 {
 			continue

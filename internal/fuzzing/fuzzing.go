@@ -25,14 +25,11 @@ import (
 	"fmt"
 
 	"senss/internal/attack"
-	"senss/internal/bus"
 	"senss/internal/core"
 	"senss/internal/cpu"
 	"senss/internal/crypto"
-	"senss/internal/crypto/aes"
 	"senss/internal/machine"
 	"senss/internal/oracle"
-	"senss/internal/rng"
 )
 
 // rigSeed keys the deterministic session material (keys, IVs) of every
@@ -160,15 +157,14 @@ func divergenceError(c *oracle.Checker) error {
 // Target: adversary scenario scripts.
 
 const (
-	advProcs        = 4
 	advMaxSteps     = 32
 	advMinTransfers = 8
 	advMaxTransfers = 64
 )
 
 // decodeAdversary maps a byte string onto a transfer count and a bounded
-// attack.Script step list: four bytes per step.
-func decodeAdversary(data []byte) (transfers int, steps []attack.Step) {
+// core.Script step list: four bytes per step.
+func decodeAdversary(data []byte) (transfers int, steps []core.Step) {
 	transfers = advMinTransfers
 	if len(data) > 0 {
 		transfers = advMinTransfers + int(data[0])%(advMaxTransfers-advMinTransfers+1)
@@ -180,10 +176,10 @@ func decodeAdversary(data []byte) (transfers int, steps []attack.Step) {
 	}
 	for i := 0; i < n; i++ {
 		b := data[4*i : 4*i+4]
-		steps = append(steps, attack.Step{
+		steps = append(steps, core.Step{
 			Seq:    uint64(b[0]) % uint64(transfers),
-			Action: int(b[1]) % attack.ActCount,
-			Victim: int(b[2]) % advProcs,
+			Action: int(b[1]) % core.ActCount,
+			Victim: int(b[2]) % attack.RigProcs,
 			Arg:    int(b[3]),
 		})
 	}
@@ -209,38 +205,15 @@ func RunAdversary(data []byte) error {
 		MACTagBytes:  16,
 		Backend:      backends[len(data)%len(backends)],
 	}
-	sys := core.NewSystem(nil, nil, advProcs, params, false)
-	checker := oracle.New(oracle.Options{Procs: advProcs, Senss: params})
-	checker.SetAlarm(sys.Detected)
-	sys.SetObserver(checker)
+	checker := oracle.New(oracle.Options{Procs: attack.RigProcs, Senss: params})
+	rig := attack.NewRig(rigSeed, params, checker)
+	checker.SetAlarm(rig.Sys.Detected)
+	script := core.NewScript(attack.RigProcs, steps)
+	rig.Sys.SetTamperer(script)
+	rig.Drive(transfers)
+	rig.Sys.ForceAuthentication(rig.GID)
 
-	r := rng.New(rigSeed)
-	key := aes.Block(r.Block16())
-	encIV := aes.Block(r.Block16())
-	authIV := aes.Block(r.Block16())
-	const gid = 1
-	if err := sys.Establish(gid, key, core.MemberMask(0, 1, 2, 3), encIV, authIV); err != nil {
-		return fmt.Errorf("establish: %w", err)
-	}
-
-	script := attack.NewScript(advProcs, steps)
-	sys.SetTamperer(script)
-	line := make([]byte, core.BlocksPerLine*16)
-	for i := 0; i < transfers && !sys.Detected(); i++ {
-		for j := range line {
-			line[j] = byte(i + j)
-		}
-		sender := i % advProcs
-		requester := (i + 1) % advProcs
-		t := &bus.Transaction{
-			Kind: bus.Rd, Addr: 0x1000, Src: requester, GID: gid,
-			SupplierID: sender, Data: line,
-		}
-		sys.OnTransaction(nil, t)
-	}
-	sys.ForceAuthentication(gid)
-
-	deviated, detected := script.Deviated(), sys.Detected()
+	deviated, detected := script.Deviated(), rig.Sys.Detected()
 	switch {
 	case deviated && !detected:
 		return fmt.Errorf("adversary deviated the observation stream (%d steps, %d transfers) and SENSS stayed silent",

@@ -2,7 +2,6 @@ package lint_test
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/format"
 	"io/fs"
@@ -188,14 +187,12 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/findings.golden")
-
 // TestFindingsGolden pins every fixture finding byte for byte. The want
 // comments above match message substrings, so they cannot tell a
 // reworded, reordered, duplicated, or re-positioned finding from the
 // original; this golden can. Paths are module-relative, so the file is
 // the same on any checkout. Regenerate with
-// `go test ./internal/lint -run TestFindingsGolden -update`.
+// SENSS_UPDATE_GOLDEN=1 go test ./internal/lint -run TestFindingsGolden.
 func TestFindingsGolden(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -220,7 +217,7 @@ func TestFindingsGolden(t *testing.T) {
 		}
 	}
 	const golden = "testdata/findings.golden"
-	if *update {
+	if os.Getenv("SENSS_UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, []byte(buf.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +227,7 @@ func TestFindingsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if buf.String() != string(want) {
-		t.Errorf("fixture findings diverged from %s — if intentional, rerun with -update\ngot:\n%s\nwant:\n%s",
+		t.Errorf("fixture findings diverged from %s — if intentional, rerun with SENSS_UPDATE_GOLDEN=1\ngot:\n%s\nwant:\n%s",
 			golden, buf.String(), want)
 	}
 }
@@ -287,7 +284,8 @@ func TestModuleClean(t *testing.T) {
 // against a checked-in golden. The sanctioned graph has every guard class
 // and no edges at all — the serving and orchestration layers never nest
 // annotated locks — so any future nesting (a deadlock precursor) fails
-// this test and must be reviewed into the golden deliberately.
+// this test and must be reviewed into the golden deliberately:
+// SENSS_UPDATE_GOLDEN=1 go test ./internal/lint -run TestModuleLockOrder.
 func TestModuleLockOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -303,6 +301,11 @@ func TestModuleLockOrder(t *testing.T) {
 	}
 	gotJSON = append(gotJSON, '\n')
 	golden := filepath.Join("testdata", "lockorder_module.json")
+	if os.Getenv("SENSS_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, gotJSON, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"senss/internal/core"
 	"senss/internal/cpu"
-	"senss/internal/crypto/aes"
 	"senss/internal/psync"
 	"senss/internal/sim"
 	"senss/internal/stats"
@@ -335,7 +334,7 @@ func TestBusTamperHaltsMachine(t *testing.T) {
 	m := New(cfg)
 	progs, _, _ := counterProgram(m, 2, 200)
 	m.Load()
-	m.SetTamperer(&dropOnce{victim: 1, at: 3})
+	m.SetTamperer(core.NewScript(2, []core.Step{{Seq: 3, Action: core.ActDrop, Victim: 1}}))
 	run, err := m.Run(progs)
 	if err != nil {
 		t.Fatal(err)
@@ -346,22 +345,6 @@ func TestBusTamperHaltsMachine(t *testing.T) {
 	if !strings.Contains(run.HaltReason, "senss") {
 		t.Errorf("unexpected halt reason %q", run.HaltReason)
 	}
-}
-
-// dropOnce drops the first droppable message at or after sequence `at`
-// for one victim.
-type dropOnce struct {
-	victim int
-	at     uint64
-	done   bool
-}
-
-func (d *dropOnce) Tamper(seq uint64, sender int, cipher []aes.Block) map[int][]core.Observed {
-	if d.done || seq < d.at || sender == d.victim {
-		return nil
-	}
-	d.done = true
-	return map[int][]core.Observed{d.victim: nil}
 }
 
 func TestDeterministicRuns(t *testing.T) {
