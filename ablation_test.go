@@ -115,12 +115,10 @@ func BenchmarkAblation_TreeWarm(b *testing.B) {
 // performance penalty"): block-cipher latency on both ends of every
 // cache-to-cache transfer vs SENSS's one-XOR critical path.
 func BenchmarkAblation_NaiveBaseline(b *testing.B) {
-	for _, naive := range []bool{false, true} {
-		name := map[bool]string{false: "senss", true: "naive"}[naive]
-		b.Run(name, func(b *testing.B) {
+	for _, mode := range []machine.SecurityMode{SecurityBus, SecurityNaive} {
+		b.Run(mode.String(), func(b *testing.B) {
 			cfg := benchConfig(4, 64<<10)
-			cfg.Security.Mode = SecurityBus
-			cfg.Security.Naive = naive
+			cfg.Security.Mode = mode
 			cfg.Security.Senss.Perfect = true
 			cfg.Security.Senss.AuthInterval = 100
 			var slow float64

@@ -20,7 +20,6 @@ import (
 
 	"senss/internal/core"
 	"senss/internal/crypto/aes"
-	"senss/internal/machine"
 	"senss/internal/rng"
 	"senss/internal/stats"
 	"senss/internal/workload"
@@ -45,10 +44,7 @@ func mustRun(b *testing.B, name string, cfg Config) Run {
 // comparePair runs base + secure once and reports the paper metrics.
 func comparePair(b *testing.B, name string, secure Config) (Run, Run) {
 	b.Helper()
-	base := secure
-	base.Security.Mode = machine.SecurityOff
-	base.Security.Naive = false
-	return mustRun(b, name, base), mustRun(b, name, secure)
+	return mustRun(b, name, secure.Baseline()), mustRun(b, name, secure)
 }
 
 // BenchmarkFig6_Slowdown reproduces Figure 6: per-workload slowdown of

@@ -1,0 +1,55 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"testing"
+)
+
+// TestTraceRejectsBadConfig: -trace runs through the same validated path
+// as an untraced run, so a bad config exits 1 with the same message
+// instead of panicking inside machine construction.
+func TestTraceRejectsBadConfig(t *testing.T) {
+	const want = "senss-sim: senss: invalid config for fft: machine: mask banks = 3, must be 1, 2, 4, or 8\n"
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	for _, args := range [][]string{
+		{"-mode", "senss", "-masks", "3"},
+		{"-mode", "senss", "-masks", "3", "-trace", path},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if stderr.String() != want {
+			t.Errorf("%v: stderr %q, want %q", args, stderr.String(), want)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("rejected traced run left a trace file (stat: %v)", err)
+	}
+}
+
+// TestTraceWritesEveryEvent: the JSONL file holds one line per event the
+// summary reports.
+func TestTraceWritesEveryEvent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-workload", "prodcons", "-procs", "2", "-mode", "senss", "-trace", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	m := regexp.MustCompile(`trace: (\d+) events to `).FindSubmatch(stdout.Bytes())
+	if m == nil {
+		t.Fatalf("no trace summary in stdout:\n%s", stdout.String())
+	}
+	events, _ := strconv.Atoi(string(m[1]))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(data, []byte("\n")); events == 0 || lines != events {
+		t.Errorf("trace file has %d lines, summary reports %d events", lines, events)
+	}
+}

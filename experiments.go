@@ -66,23 +66,10 @@ func (h *Harness) job(name string, cfg Config) farm.Job {
 	return farm.Job{Workload: name, Size: h.Size, Config: cfg}
 }
 
-// baselineOf canonicalizes cfg into its insecure baseline: security off
-// and every protection parameter reset to the defaults. Baseline runs
-// are invariant to the protection parameters (machine.New gates all
-// security machinery on Mode), so canonicalizing them gives every
-// secured variant of one machine shape a single shared baseline job —
-// Figures 6, 8, and 10 (and each mask/interval point of 7 and 9) reuse
-// one baseline simulation instead of re-running it per security level.
-func baselineOf(cfg Config) Config {
-	base := cfg
-	base.Security = machine.DefaultConfig().Security
-	return base
-}
-
 // pair returns the canonical baseline and the secured run of cfg,
 // simulating whichever the farm's cache lacks.
 func (h *Harness) pair(name string, cfg Config) (base, sec Run, err error) {
-	base, err = h.farm.Get(h.job(name, baselineOf(cfg)))
+	base, err = h.farm.Get(h.job(name, cfg.Baseline()))
 	if err != nil {
 		return base, sec, err
 	}
@@ -102,7 +89,7 @@ func (s *jobSet) addPair(h *Harness, name string, cfg Config) {
 	if s.seen == nil {
 		s.seen = make(map[string]bool)
 	}
-	for _, j := range []farm.Job{h.job(name, baselineOf(cfg)), h.job(name, cfg)} {
+	for _, j := range []farm.Job{h.job(name, cfg.Baseline()), h.job(name, cfg)} {
 		if k := j.Hash(); !s.seen[k] {
 			s.seen[k] = true
 			s.jobs = append(s.jobs, j)
@@ -137,9 +124,8 @@ func l2Label(big bool) string {
 func (h *Harness) baseConfig(procs int, bigL2 bool) Config {
 	cfg := machine.DefaultConfig()
 	cfg.Procs = procs
-	cfg.Coherence.L1Size = 4 << 10
+	cfg.SmallGeometry()
 	cfg.Coherence.L2Size = h.l2Bytes(bigL2)
-	cfg.CPU.CodeBytes = 2 << 10
 	return cfg
 }
 

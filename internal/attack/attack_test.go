@@ -19,11 +19,7 @@ func TestAllScenariosMatchPaperPredictions(t *testing.T) {
 				t.Fatalf("%s never attacked", sc.Name)
 			}
 			if !rep.OK() {
-				t.Errorf("%s: detected=%v want=%v (%s)\ndetails: %v",
-					sc.Name, rep.Detected, rep.WantDetect, rep.Verdict(), rep.Details)
-			}
-			if rep.Fired != sc.Check {
-				t.Errorf("%s: caught by the %s, want the %s\ndetails: %v", sc.Name, rep.Fired, sc.Check, rep.Details)
+				t.Errorf("%s: %s\ndetails: %v", sc.Name, rep.Verdict(), rep.Details)
 			}
 		})
 	}
@@ -34,9 +30,8 @@ func TestScenariosAreSeedRobust(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 999, 2025} {
 		for _, sc := range Scenarios() {
 			rep := sc.Run(seed)
-			if !rep.Attacked || !rep.OK() || rep.Fired != sc.Check {
-				t.Errorf("seed %d, %s: attacked=%v detected=%v want=%v, caught by the %s, want the %s",
-					seed, sc.Name, rep.Attacked, rep.Detected, rep.WantDetect, rep.Fired, sc.Check)
+			if !rep.Attacked || !rep.OK() {
+				t.Errorf("seed %d, %s: attacked=%v, %s", seed, sc.Name, rep.Attacked, rep.Verdict())
 			}
 		}
 	}
@@ -58,19 +53,28 @@ func TestScriptDropSkipsSender(t *testing.T) {
 	}
 }
 
+// TestReportVerdictStrings: a report is OK only when the check it wants
+// is the one that fired — a scenario caught by the wrong check fails.
 func TestReportVerdictStrings(t *testing.T) {
 	cases := []struct {
 		rep  Report
+		ok   bool
 		want string
 	}{
-		{Report{Detected: true, WantDetect: true}, "DETECTED (as designed)"},
-		{Report{Detected: false, WantDetect: false}, "UNDETECTED (the strawman's flaw, as the paper argues)"},
-		{Report{Detected: false, WantDetect: true}, "MISSED — SENSS should have caught this"},
-		{Report{Detected: true, WantDetect: false}, "UNEXPECTED DETECTION"},
+		{Report{Fired: MACCheck, Want: MACCheck}, true, "DETECTED (as designed)"},
+		{Report{Fired: SelfSnoopCheck, Want: SelfSnoopCheck}, true, "DETECTED (as designed)"},
+		{Report{Fired: NoCheck, Want: NoCheck}, true, "UNDETECTED (the strawman's flaw, as the paper argues)"},
+		{Report{Fired: NoCheck, Want: MACCheck}, false, "MISSED — SENSS should have caught this"},
+		{Report{Fired: OtherCheck, Want: NoCheck}, false, "UNEXPECTED DETECTION"},
+		{Report{Fired: SelfSnoopCheck, Want: MACCheck}, false, "caught by the self-snoop alarm, want the MAC check"},
+		{Report{Fired: MACCheck, Want: SelfSnoopCheck}, false, "caught by the MAC check, want the self-snoop alarm"},
 	}
 	for _, c := range cases {
+		if got := c.rep.OK(); got != c.ok {
+			t.Errorf("%+v: OK() = %v, want %v", c.rep, got, c.ok)
+		}
 		if got := c.rep.Verdict(); got != c.want {
-			t.Errorf("Verdict() = %q, want %q", got, c.want)
+			t.Errorf("%+v: Verdict() = %q, want %q", c.rep, got, c.want)
 		}
 	}
 }

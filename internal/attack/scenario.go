@@ -23,7 +23,8 @@ const (
 	// SelfSnoopCheck: a processor snoops a message claiming its own PID
 	// and raises the alarm at once.
 	SelfSnoopCheck
-	// OtherCheck: an alarm that no scenario exercises.
+	// OtherCheck: any other alarm, including a strawman's own check; no
+	// scenario is meant to fire it.
 	OtherCheck
 )
 
@@ -47,31 +48,32 @@ func firedCheck(sys *core.System) Check {
 
 // Report is the outcome of one attack scenario.
 type Report struct {
-	Name       string
-	Attacked   bool
-	Detected   bool
-	Fired      Check // the check behind the first detection
-	WantDetect bool  // false for the strawman demos, which must NOT detect
-	Details    []string
+	Name     string
+	Attacked bool
+	Fired    Check // the check behind the first detection; NoCheck if none fired
+	Want     Check // the scenario's Check: NoCheck for the strawman demos, which must NOT detect
+	Details  []string
 }
 
 // Verdict summarizes whether the scenario behaved as the paper predicts.
 func (r Report) Verdict() string {
-	ok := r.Detected == r.WantDetect
 	switch {
-	case ok && r.WantDetect:
+	case r.OK() && r.Want != NoCheck:
 		return "DETECTED (as designed)"
-	case ok && !r.WantDetect:
+	case r.OK():
 		return "UNDETECTED (the strawman's flaw, as the paper argues)"
-	case r.WantDetect:
+	case r.Fired == NoCheck:
 		return "MISSED — SENSS should have caught this"
-	default:
+	case r.Want == NoCheck:
 		return "UNEXPECTED DETECTION"
+	default:
+		return fmt.Sprintf("caught by the %s, want the %s", r.Fired, r.Want)
 	}
 }
 
-// OK reports whether the outcome matches the paper's prediction.
-func (r Report) OK() bool { return r.Detected == r.WantDetect }
+// OK reports whether the outcome matches the paper's prediction: the
+// check the scenario exercises fired, or nothing did for a strawman demo.
+func (r Report) OK() bool { return r.Fired == r.Want }
 
 // Scenario is a runnable attack demonstration.
 type Scenario struct {
@@ -86,7 +88,7 @@ type Scenario struct {
 func (sc Scenario) Run(seed uint64) Report {
 	r := sc.run(seed)
 	r.Name = sc.Name
-	r.WantDetect = sc.Check != NoCheck
+	r.Want = sc.Check
 	return r
 }
 
@@ -100,7 +102,6 @@ func scripted(params core.Params, transfers int, detail string, steps ...core.St
 		rig.Drive(transfers)
 		return Report{
 			Attacked: script.Deviated(),
-			Detected: rig.Sys.Detected(),
 			Fired:    firedCheck(rig.Sys),
 			Details:  append([]string{detail}, rig.Sys.Stats.Detections...),
 		}
@@ -198,9 +199,13 @@ func Scenarios() []Scenario {
 				recv.ObserveCipher(c1)
 				recv.ObserveCipher(c3) // ...but the chain depends only on the last cipher
 				same := send.Evidence() == recv.Evidence()
+				fired := NoCheck
+				if !same {
+					fired = OtherCheck
+				}
 				return Report{
 					Attacked: true,
-					Detected: !same,
+					Fired:    fired,
 					Details: []string{
 						fmt.Sprintf("checkpoint evidence equal after swap: %v", same),
 						"the separate-IV CBC-MAC chain of SENSS keeps the divergence instead",

@@ -102,17 +102,21 @@ type Params struct {
 	// interval with bus load (§4.3: "the sequence length can be adjusted
 	// by the system" — under heavy traffic per-transfer checking is
 	// unaffordable; under light traffic it is nearly free). Every
-	// AdaptWindow transfers the mean inter-transfer gap is compared
-	// against the busy/idle thresholds and the interval doubles or halves
-	// within [MinInterval, MaxInterval]. The chained MAC still covers
-	// every transfer regardless of the interval in force.
-	Adaptive      bool
-	MinInterval   int
-	MaxInterval   int
-	AdaptWindow   int
-	BusyGapCycles uint64 // mean gap below this = heavy load → longer interval
-	IdleGapCycles uint64 // mean gap above this = light load → shorter interval
+	// adaptWindow transfers the mean inter-transfer gap is compared
+	// against busyGapCycles and idleGapCycles and the interval doubles or
+	// halves within [minInterval, maxInterval]. The chained MAC still
+	// covers every transfer regardless of the interval in force.
+	Adaptive bool
 }
+
+// The adaptive interval controller's window, thresholds and bounds.
+const (
+	minInterval   = 1
+	maxInterval   = 128
+	adaptWindow   = 32  // transfers per load measurement
+	busyGapCycles = 200 // mean gap below this = heavy load → longer interval
+	idleGapCycles = 800 // mean gap above this = light load → shorter interval
+)
 
 // DefaultParams returns the paper's highest-security configuration.
 func DefaultParams() Params {
@@ -135,27 +139,7 @@ func (p Params) sanitize() Params {
 		p.MACTagBytes = aes.BlockSize
 	}
 	if p.Adaptive {
-		if p.MinInterval <= 0 {
-			p.MinInterval = 1
-		}
-		if p.MaxInterval < p.MinInterval {
-			p.MaxInterval = 128
-		}
-		if p.AdaptWindow <= 0 {
-			p.AdaptWindow = 32
-		}
-		if p.BusyGapCycles == 0 {
-			p.BusyGapCycles = 200
-		}
-		if p.IdleGapCycles <= p.BusyGapCycles {
-			p.IdleGapCycles = 4 * p.BusyGapCycles
-		}
-		if p.AuthInterval < p.MinInterval {
-			p.AuthInterval = p.MinInterval
-		}
-		if p.AuthInterval > p.MaxInterval {
-			p.AuthInterval = p.MaxInterval
-		}
+		p.AuthInterval = min(max(p.AuthInterval, minInterval), maxInterval)
 	}
 	return p
 }

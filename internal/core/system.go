@@ -337,23 +337,17 @@ func (s *System) adapt(gt *groupTiming, p *sim.Proc) {
 		gt.windowMsgs++
 	}
 	gt.lastMsgAt = now
-	if gt.windowMsgs < s.params.AdaptWindow {
+	if gt.windowMsgs < adaptWindow {
 		return
 	}
 	mean := gt.gapSum / uint64(gt.windowMsgs)
 	gt.gapSum, gt.windowMsgs = 0, 0
 	switch {
-	case mean < s.params.BusyGapCycles && gt.interval < s.params.MaxInterval:
-		gt.interval *= 2
-		if gt.interval > s.params.MaxInterval {
-			gt.interval = s.params.MaxInterval
-		}
+	case mean < busyGapCycles && gt.interval < maxInterval:
+		gt.interval = min(2*gt.interval, maxInterval)
 		s.Stats.IntervalUps++
-	case mean > s.params.IdleGapCycles && gt.interval > s.params.MinInterval:
-		gt.interval /= 2
-		if gt.interval < s.params.MinInterval {
-			gt.interval = s.params.MinInterval
-		}
+	case mean > idleGapCycles && gt.interval > minInterval:
+		gt.interval = max(gt.interval/2, minInterval)
 		s.Stats.IntervalDowns++
 	}
 }

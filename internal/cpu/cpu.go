@@ -8,6 +8,8 @@
 package cpu
 
 import (
+	"math"
+
 	"senss/internal/coherence"
 	"senss/internal/sim"
 )
@@ -234,10 +236,10 @@ func (c *Port) Think(n uint64) {
 
 // LoadFloat reads a float64 stored with StoreFloat.
 func (c *Port) LoadFloat(addr uint64) float64 {
-	return float64frombits(c.Load(addr))
+	return math.Float64frombits(c.Load(addr))
 }
 
 // StoreFloat writes a float64 as its IEEE-754 bits.
 func (c *Port) StoreFloat(addr uint64, v float64) {
-	c.Store(addr, float64bits(v))
+	c.Store(addr, math.Float64bits(v))
 }

@@ -24,6 +24,7 @@ import (
 	"senss/internal/machine"
 	"senss/internal/oracle"
 	"senss/internal/stats"
+	"senss/internal/trace"
 	"senss/internal/workload"
 )
 
@@ -55,7 +56,7 @@ type Session struct {
 // panics — a serving layer cannot crash on a bad request.
 func NewSession(name string, size workload.Size, cfg machine.Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("senss: invalid config for %s: %w", name, err)
+		return nil, invalidConfig(name, err)
 	}
 	w, err := workload.New(name, size)
 	if err != nil {
@@ -67,6 +68,11 @@ func NewSession(name string, size workload.Size, cfg machine.Config) (*Session, 
 		return nil, fmt.Errorf("senss: starting %s: %w", name, err)
 	}
 	return &Session{name: name, size: size, cfg: cfg, m: m, w: w}, nil
+}
+
+// invalidConfig wraps a Validate error for the named workload.
+func invalidConfig(name string, err error) error {
+	return fmt.Errorf("senss: invalid config for %s: %w", name, err)
 }
 
 // Name returns the workload name the session runs.
@@ -169,6 +175,10 @@ func (s *Session) OracleReport() *oracle.Report {
 	return s.m.Oracle.Report()
 }
 
+// Trace returns the bus-transaction recorder when the machine was built
+// with a non-zero TraceLimit, else nil.
+func (s *Session) Trace() *trace.Recorder { return s.m.Trace }
+
 // Close tears the session down: a still-running simulation is aborted
 // (each processor's coroutine stopped and its body unwound, SENSS group
 // sessions reclaimed and zeroized). Close never blocks: stopping a
@@ -212,12 +222,13 @@ func Run(name string, size workload.Size, cfg machine.Config) (stats.Run, error)
 
 // Compare runs the workload on the unprotected baseline and on cfg,
 // returning both measurements. cfg.Security.Mode selects the protected
-// variant; the baseline copies cfg with security off.
+// variant; the baseline is cfg.Baseline(). cfg is validated first, so a
+// rejected config runs no simulation at all.
 func Compare(name string, size workload.Size, cfg machine.Config) (base, secure stats.Run, err error) {
-	baseCfg := cfg
-	baseCfg.Security.Mode = machine.SecurityOff
-	baseCfg.Security.Naive = false
-	base, err = Run(name, size, baseCfg)
+	if err := cfg.Validate(); err != nil {
+		return base, secure, invalidConfig(name, err)
+	}
+	base, err = Run(name, size, cfg.Baseline())
 	if err != nil {
 		return base, secure, err
 	}

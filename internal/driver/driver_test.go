@@ -43,10 +43,6 @@ func TestRunInvalidConfig(t *testing.T) {
 		{"line mismatch", func(c *machine.Config) { c.Coherence.L2Line = 48 }, "multiple"},
 		{"bad mask banks", func(c *machine.Config) { c.Security.Senss.Masks = 3 }, "mask banks"},
 		{"unknown backend", func(c *machine.Config) { c.Security.Senss.Backend = "quantum" }, "crypto backend"},
-		{"naive without bus", func(c *machine.Config) {
-			c.Security.Mode = machine.SecurityOff
-			c.Security.Naive = true
-		}, "naive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,8 +67,8 @@ func TestCompareUnknownWorkload(t *testing.T) {
 }
 
 // TestCompareInvalidBackend exercises Compare's config-rejection path:
-// Validate checks the crypto backend regardless of security mode, so the
-// baseline leg already fails and no simulation ever starts.
+// Compare validates cfg before the baseline leg, so no simulation ever
+// starts.
 func TestCompareInvalidBackend(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Security.Senss.Backend = "quantum"
@@ -93,9 +89,7 @@ func TestCompareMatchesRunWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseCfg := cfg
-	baseCfg.Security.Mode = machine.SecurityOff
-	wantBase, err := driver.Run("lockcontend", workload.SizeTest, baseCfg)
+	wantBase, err := driver.Run("lockcontend", workload.SizeTest, cfg.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}

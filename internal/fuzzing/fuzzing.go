@@ -12,7 +12,7 @@
 //     MUST stay silent and oracle-clean — never both silent
 //     (FuzzAdversary),
 //   - machine configurations: procs × L2 × mask banks × auth interval ×
-//     auth mode shapes (FuzzConfig).
+//     auth mode shapes, SENSS or the naive baseline (FuzzConfig).
 //
 // Every runner is a pure function of its input bytes — fixed seeds, no
 // wall clock, no goroutines — so any crasher the fuzzer finds replays
@@ -231,7 +231,8 @@ func RunAdversary(data []byte) error {
 // Target: machine configuration shapes.
 
 // RunConfig decodes data into a machine configuration — procs × L2 size ×
-// mask banks × auth interval × auth mode × perfect/adaptive — and runs a
+// mask banks × auth interval × auth mode × perfect/adaptive, or the naive
+// baseline in place of SENSS — and runs a
 // fixed mixed workload on it under the oracle. Shapes the machine itself
 // rejects are skipped, not failures.
 func RunConfig(data []byte) error {
@@ -243,10 +244,12 @@ func RunConfig(data []byte) error {
 	}
 	cfg := machine.DefaultConfig()
 	cfg.Procs = 1 + int(get(0))%8
-	cfg.Coherence.L1Size = 4 << 10
+	cfg.SmallGeometry()
 	cfg.Coherence.L2Size = (16 << 10) << (int(get(1)) % 4)
-	cfg.CPU.CodeBytes = 2 << 10
 	cfg.Security.Mode = machine.SecurityBus
+	if get(4)&8 != 0 {
+		cfg.Security.Mode = machine.SecurityNaive
+	}
 	cfg.Security.Senss.Masks = []int{1, 2, 4, 8}[int(get(2))%4]
 	cfg.Security.Senss.AuthInterval = 1 + int(get(3))%128
 	cfg.Security.Senss.AuthMode = core.AuthMode(int(get(4)) % 2)

@@ -26,6 +26,7 @@ func SeedCorpus(target string) [][]byte {
 			[]byte("\x03\x01\x02\x04\x01\x07"), // 4 procs, gf mode
 			[]byte("\x07\x03\x03\x00\x06\x2a"), // 8 procs, adaptive+perfect
 			[]byte("\x00\x00\x00\x00\x00\x00"), // 1 proc, no c2c at all
+			[]byte("\x03\x01\x02\x04\x08\x07"), // 4 procs, naive baseline
 		}
 	}
 	return nil

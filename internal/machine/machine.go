@@ -6,6 +6,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"senss/internal/bus"
 	"senss/internal/cache"
@@ -37,6 +38,11 @@ const (
 	// SecurityBusMem adds the cache-to-memory protection: OTP memory
 	// encryption and, if Integrity is set, the CHash tree (Figure 10).
 	SecurityBusMem
+	// SecurityNaive replaces SENSS's bus protection with the §7.3
+	// strawman: direct per-transfer encryption + unchained per-message
+	// MACs. The ablation that quantifies why the paper dismisses it
+	// runs it; it holds no SHU group.
+	SecurityNaive
 )
 
 // String names the mode.
@@ -48,22 +54,32 @@ func (m SecurityMode) String() string {
 		return "senss"
 	case SecurityBusMem:
 		return "senss+mem"
+	case SecurityNaive:
+		return "naive"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// ParseSecurityMode is the inverse of String: it maps "base", "senss" or
-// "senss+mem" to its mode.
+// ParseSecurityMode is the inverse of String: it maps "base", "senss",
+// "senss+mem" or "naive" to its mode.
 func ParseSecurityMode(s string) (SecurityMode, error) {
-	for m := SecurityOff; m <= SecurityBusMem; m++ {
+	for m := SecurityOff; m <= SecurityNaive; m++ {
 		if m.String() == s {
 			return m, nil
 		}
 	}
-	return SecurityOff, fmt.Errorf("unknown security mode %q (want base, senss, or senss+mem)", s)
+	return SecurityOff, fmt.Errorf("unknown security mode %q (want base, senss, senss+mem, or naive)", s)
 }
 
-// SecurityConfig bundles the protection-layer parameters.
+// dispatchKeyBits sizes the RSA processor keys of the FullDispatch
+// handshake (reproduction scale; see internal/crypto/rsa).
+const dispatchKeyBits = 512
+
+// SecurityConfig bundles the protection-layer parameters. Mode selects
+// the layers; every other field affects a simulation only where Mode
+// enables the layer it parameterizes: Senss and FullDispatch under senss
+// and senss+mem (Senss.Backend and Senss.AESLatency also under naive),
+// Memsec, Integrity, Tree and TreeWarmBytes under senss+mem.
 type SecurityConfig struct {
 	Mode      SecurityMode
 	Senss     core.Params
@@ -76,22 +92,12 @@ type SecurityConfig struct {
 	// assumption). Zero selects the default, L2 size / 32.
 	TreeWarmBytes int
 
-	// Naive replaces the SENSS bus protection with the §7.3 strawman:
-	// direct per-transfer encryption + unchained per-message MACs. Only
-	// meaningful with Mode == SecurityBus; used by the ablation that
-	// quantifies why the paper dismisses it.
-	Naive bool
-
 	// FullDispatch establishes every group through the complete §4.1
 	// program-dispatch handshake — RSA processor key pairs, session-key
 	// wrapping, image MAC, IV broadcast — instead of installing session
 	// state directly. Slower to set up (RSA key generation) but exercises
 	// the Figure 1 flow end to end.
 	FullDispatch bool
-
-	// DispatchKeyBits sizes the RSA processor keys for FullDispatch
-	// (default 512 — reproduction scale; see internal/crypto/rsa).
-	DispatchKeyBits int
 }
 
 // Config describes a machine.
@@ -117,10 +123,19 @@ type Config struct {
 	// Oracle runs the untimed lockstep reference models (internal/oracle)
 	// against every bus transaction and SENSS transfer, halting on the
 	// first divergence. The checker charges zero cycles, so cycle counts
-	// are identical with it on or off. OracleWindow sizes the replay-trace
-	// event ring (0 = default).
-	Oracle       bool
-	OracleWindow int
+	// are identical with it on or off.
+	Oracle bool
+}
+
+// Baseline returns c's insecure baseline: security off and every
+// protection parameter reset to the defaults. Baseline runs are invariant
+// to the protection parameters (New gates all security machinery on
+// Mode), so every secured variant of one machine shape shares a single
+// baseline — the farm simulates it once for Figures 6, 8 and 10 and each
+// mask/interval point of 7 and 9.
+func (c Config) Baseline() Config {
+	c.Security = DefaultConfig().Security
+	return c
 }
 
 // SmallGeometry scales c (DESIGN.md §2) to 4 KB L1s, 64 KB L2s and 2 KB
@@ -181,9 +196,6 @@ func (c Config) Validate() error {
 	}
 	if c.Bus.BusCycle == 0 || c.Bus.BytesPerBusCycle <= 0 {
 		return fmt.Errorf("machine: bus timing not configured")
-	}
-	if c.Security.Naive && c.Security.Mode != SecurityBus {
-		return fmt.Errorf("machine: the naive baseline requires Mode == SecurityBus")
 	}
 	if m := c.Security.Senss.Masks; m != 0 && m != 1 && m != 2 && m != 4 && m != 8 {
 		return fmt.Errorf("machine: mask banks = %d, must be 1, 2, 4, or 8", m)
@@ -268,21 +280,19 @@ func New(cfg Config) *Machine {
 		n := coherence.NewNode(i, cfg.Coherence, m.Bus)
 		m.Nodes = append(m.Nodes, n)
 	}
-	if cfg.Security.Mode >= SecurityBus {
-		if cfg.Security.Naive {
-			m.naive = newNaiveHook(m.Bus, crypto.MustBackend(cfg.Security.Senss.Backend, aes.Block(m.rand.Block16())), cfg.Security.Senss.AESLatency)
-			m.Bus.AttachHook(m.naive)
-		} else {
-			m.Senss = core.NewSystem(m.Engine, m.Bus, cfg.Procs, cfg.Security.Senss, true)
-		}
+	switch cfg.Security.Mode {
+	case SecurityBus, SecurityBusMem:
+		m.Senss = core.NewSystem(m.Engine, m.Bus, cfg.Procs, cfg.Security.Senss, true)
+	case SecurityNaive:
+		m.naive = newNaiveHook(m.Bus, crypto.MustBackend(cfg.Security.Senss.Backend, aes.Block(m.rand.Block16())), cfg.Security.Senss.AESLatency)
+		m.Bus.AttachHook(m.naive)
 	}
 	if cfg.Oracle {
 		// The checker rides the hook chain after the SENSS layer (so it
 		// sees the requester's decrypted payload) and before jitter/trace.
 		m.Oracle = oracle.New(oracle.Options{
-			Procs:  cfg.Procs,
-			Window: cfg.OracleWindow,
-			Senss:  cfg.Security.Senss,
+			Procs: cfg.Procs,
+			Senss: cfg.Security.Senss,
 		})
 		m.Oracle.SetEngine(m.Engine)
 		m.Oracle.SetNodes(m.Nodes)
@@ -398,7 +408,7 @@ func (m *Machine) InitWord(addr, v uint64) {
 
 // InitFloat writes an initial float64 value.
 func (m *Machine) InitFloat(addr uint64, v float64) {
-	m.InitWord(addr, floatBits(v))
+	m.InitWord(addr, math.Float64bits(v))
 }
 
 // Load freezes the memory image: allocates the code region, builds the
@@ -538,10 +548,6 @@ func (m *Machine) establishGroup(procs []int) int {
 // session key wrapped per member, unwrap on every member, and establish
 // the chains from broadcast IVs.
 func (m *Machine) dispatchGroup(procs []int, members uint32) int {
-	bits := m.Config.Security.DispatchKeyBits
-	if bits == 0 {
-		bits = 512
-	}
 	if m.procKeys == nil {
 		m.procKeys = make(map[int]*core.ProcessorKeys)
 	}
@@ -550,7 +556,7 @@ func (m *Machine) dispatchGroup(procs []int, members uint32) int {
 		pk, ok := m.procKeys[pid]
 		if !ok {
 			var err error
-			pk, err = core.GenerateProcessorKeys(m.rand, bits)
+			pk, err = core.GenerateProcessorKeys(m.rand, dispatchKeyBits)
 			if err != nil {
 				panic(err)
 			}
@@ -677,7 +683,6 @@ func (m *Machine) Collect() stats.Run {
 		r.AuthDowns = m.Senss.Stats.IntervalDowns
 	}
 	if m.naive != nil {
-		r.Label = "naive"
 		r.AuthMsgs = m.naive.Transfers // one per-message MAC per transfer
 	}
 	if m.Memsec != nil {
@@ -713,7 +718,7 @@ func (m *Machine) ReadWord(addr uint64) uint64 {
 
 // ReadFloat returns the float64 at addr.
 func (m *Machine) ReadFloat(addr uint64) float64 {
-	return floatFromBits(m.ReadWord(addr))
+	return math.Float64frombits(m.ReadWord(addr))
 }
 
 // ReadCoherentLine reads the current coherent value of a line — a dirty

@@ -216,7 +216,6 @@ func TestConfigValidate(t *testing.T) {
 		{"line mismatch", func(c *Config) { c.Coherence.L2Line = 128 }},
 		{"l1 not dividing l2", func(c *Config) { c.Coherence.L1Line = 48 }},
 		{"no bus timing", func(c *Config) { c.Bus.BusCycle = 0 }},
-		{"naive without bus mode", func(c *Config) { c.Security.Naive = true; c.Security.Mode = SecurityOff }},
 		{"bad mask count", func(c *Config) { c.Security.Senss.Masks = 3 }},
 	}
 	for _, c := range cases {
@@ -225,6 +224,25 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+}
+
+// TestSecurityModeNames: ParseSecurityMode inverts String over every
+// mode and rejects any other name.
+func TestSecurityModeNames(t *testing.T) {
+	want := map[SecurityMode]string{
+		SecurityOff: "base", SecurityBus: "senss", SecurityBusMem: "senss+mem", SecurityNaive: "naive",
+	}
+	for m, name := range want {
+		if got := m.String(); got != name {
+			t.Errorf("%d.String() = %q, want %q", int(m), got, name)
+		}
+		if got, err := ParseSecurityMode(name); err != nil || got != m {
+			t.Errorf("ParseSecurityMode(%q) = %v, %v; want %v", name, got, err, m)
+		}
+	}
+	if _, err := ParseSecurityMode("senss+naive"); err == nil {
+		t.Error(`ParseSecurityMode("senss+naive") accepted an unknown mode`)
 	}
 }
 
@@ -242,9 +260,7 @@ func TestNaiveBaselineCorrectButSlow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	naiveCfg := smallConfig(procs, SecurityBus)
-	naiveCfg.Security.Naive = true
-	nm := New(naiveCfg)
+	nm := New(smallConfig(procs, SecurityNaive))
 	nProgs, nCounter, _ := counterProgram(nm, procs, iters)
 	naiveRun, err := nm.Run(nProgs)
 	if err != nil {

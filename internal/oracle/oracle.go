@@ -32,13 +32,15 @@ import (
 	"senss/internal/sim"
 )
 
+// window is the event-ring capacity of the replay trace: how many of the
+// most recent bus events a divergence report carries.
+const window = 64
+
 // Options configures a Checker.
 type Options struct {
 	// Procs is the processor count (bounds supplier IDs); 0 disables the
 	// supplier range check.
 	Procs int
-	// Window is the event-ring capacity of the replay trace (default 64).
-	Window int
 	// Senss carries the SENSS parameters the crypto reference model needs
 	// (auth mode, mask-bank count, tag width). Leave zero when no SENSS
 	// layer drives the Observer callbacks.
@@ -126,15 +128,12 @@ type Checker struct {
 // attach it to the bus with AttachHook, and install it as the SENSS
 // observer before sessions are established.
 func New(opt Options) *Checker {
-	if opt.Window <= 0 {
-		opt.Window = 64
-	}
 	return &Checker{
 		opt:    opt,
 		lines:  make(map[uint64]*lineRef),
 		memory: make(map[uint64][]byte),
 		groups: make(map[int]*groupRef),
-		ring:   make([]Event, 0, opt.Window),
+		ring:   make([]Event, 0, window),
 	}
 }
 

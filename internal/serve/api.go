@@ -23,7 +23,7 @@ type SessionSpec struct {
 	// small machines over one big one).
 	Procs int `json:"procs,omitempty"`
 	// Security selects the protection mode: "base" (default), "senss",
-	// or "senss+mem".
+	// "senss+mem", or "naive".
 	Security string `json:"security,omitempty"`
 	// Integrity adds the CHash tree (only with "senss+mem").
 	Integrity bool `json:"integrity,omitempty"`
@@ -82,7 +82,8 @@ func (s SessionSpec) Config() (machine.Config, error) {
 
 // Groups returns how many SHU group-table entries the session occupies
 // in the service-wide accountant: one per secured machine (the default
-// single group spanning its processors), none for unprotected baselines.
+// single group spanning its processors), none for the unprotected and
+// naive baselines, which hold no SHU group.
 func (s SessionSpec) Groups() int {
 	switch s.Security {
 	case "senss", "senss+mem":

@@ -55,8 +55,6 @@ type Options struct {
 	Backlog int
 	// StepCycles is the default slice size (0 = DefaultStepCycles).
 	StepCycles uint64
-	// MaxStepCycles caps a client-requested slice (0 = 10*StepCycles).
-	MaxStepCycles uint64
 	// GroupCapacity is the service-wide SHU group budget (0 = core.MaxGroups).
 	GroupCapacity int
 	// TenantQuota caps one tenant's share of the group budget (0 = none).
@@ -98,9 +96,6 @@ func New(opts Options) *Server {
 	}
 	if opts.StepCycles == 0 {
 		opts.StepCycles = DefaultStepCycles
-	}
-	if opts.MaxStepCycles == 0 {
-		opts.MaxStepCycles = 10 * opts.StepCycles
 	}
 	now := opts.Now
 	if now == nil {
@@ -292,16 +287,14 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Hosted, bool) 
 	return h, true
 }
 
-// stepCycles resolves a client-requested slice against the server bounds.
+// stepCycles resolves a client-requested slice against the server bounds:
+// the default slice when none is requested, at most ten default slices.
 func (s *Server) stepCycles(req StepRequest) uint64 {
 	c := req.Cycles
 	if c == 0 {
 		c = s.opts.StepCycles
 	}
-	if c > s.opts.MaxStepCycles {
-		c = s.opts.MaxStepCycles
-	}
-	return c
+	return min(c, 10*s.opts.StepCycles)
 }
 
 // stepOnce advances one session slice through the worker pool.

@@ -264,6 +264,11 @@ func TestServeQuotaExhaustion(t *testing.T) {
 	if code, raw := call(t, client, http.MethodPost, ts.URL+"/v1/sessions", base, nil); code != http.StatusCreated {
 		t.Fatalf("tenant a unsecured create: %d %s", code, raw)
 	}
+	// Nor does the naive baseline, which holds no SHU group.
+	naive := SessionSpec{Tenant: "a", Workload: "lockcontend", Security: "naive"}
+	if code, raw := call(t, client, http.MethodPost, ts.URL+"/v1/sessions", naive, nil); code != http.StatusCreated {
+		t.Fatalf("tenant a naive create: %d %s", code, raw)
+	}
 
 	// Other tenants are untouched by a's exhaustion...
 	var infoB, infoC SessionInfo

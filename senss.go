@@ -51,6 +51,8 @@ const (
 	SecurityBus = machine.SecurityBus
 	// SecurityBusMem adds memory encryption (and optionally integrity).
 	SecurityBusMem = machine.SecurityBusMem
+	// SecurityNaive is the §7.3 direct-encryption strawman.
+	SecurityNaive = machine.SecurityNaive
 )
 
 // Workload problem scales.
@@ -112,7 +114,7 @@ func RunWorkload(name string, size Size, cfg Config) (Run, error) {
 
 // Compare runs the workload on the unprotected baseline and on cfg,
 // returning both measurements. cfg.Security.Mode selects the protected
-// variant; the baseline copies cfg with security off. The implementation
+// variant; the baseline is cfg.Baseline(). The implementation
 // is internal/driver.Compare, shared with the serving and farm layers.
 func Compare(name string, size Size, cfg Config) (base, secure Run, err error) {
 	return driver.Compare(name, size, cfg)
