@@ -132,6 +132,35 @@ func startSpinRig() *allocRig {
 	return rig
 }
 
+// startBatchRig builds a one-node machine whose operation is a stencil
+// step through cpu.Port: two stores queued, then a LoadN of four words
+// of a working set resident in L1, which plays the stores and the loads
+// as one batch in engine context and copies the values out of the
+// Port's buffer.
+func startBatchRig() *allocRig {
+	eng := sim.NewEngine()
+	b := bus.New(eng, allocTiming, &bus.SimpleMemory{Backing: mem.New()})
+	params := cpu.Params{OpGap: 1, CodeBase: 0x8000, CodeBytes: 2 << 10, IFetchBytes: 4}
+	rig := newAllocRig()
+	cpu.Spawn(eng, "alloc-driver", coherence.NewNode(0, allocParams, b), params, func(c *cpu.Port) {
+		var sum uint64
+		for nops := range rig.work {
+			for i := 0; i < nops; i++ {
+				rig.op++
+				addr := 0x1000 + uint64(rig.op%32)*64
+				c.Store(addr, sum)
+				c.Store(addr+8, uint64(rig.op))
+				var v [4]uint64
+				c.LoadN([]uint64{addr, addr + 8, addr + 64, addr + 128}, v[:])
+				sum += v[0] + v[1] + v[2] + v[3]
+			}
+			rig.done <- struct{}{}
+		}
+	}, nil)
+	go func() { rig.fin <- eng.Run() }()
+	return rig
+}
+
 // startPsyncRig builds a two-node machine whose operation is one round
 // of psync traffic through cpu.Port: the driver takes and releases a
 // spinlock, then meets a responder at a two-party barrier, while the
@@ -314,6 +343,10 @@ func TestAllocBudgets(t *testing.T) {
 		// coherence point from operands in the pooled fill state: a hard
 		// zero.
 		{"psync_lock_barrier", "psync_lock_barrier", startPsyncRig},
+		// A LoadN behind queued stores plays as one wake continuation,
+		// and its values live in the Port's buffer, never in a caller
+		// slice the Port holds: a hard zero.
+		{"load_batch", "load_batch", startBatchRig},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

@@ -108,10 +108,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		size = senss.SizeBench
 	}
 
+	withBase := m != senss.SecurityOff && *compare
 	if *traceFile != "" {
 		cfg.TraceLimit = *traceLimit
-		err = runTraced(stdout, *name, size, cfg, *traceFile)
-	} else if m == senss.SecurityOff || !*compare {
+		err = runTraced(stdout, *name, size, cfg, *traceFile, withBase)
+	} else if !withBase {
 		var r senss.Run
 		if r, err = senss.RunWorkload(*name, size, cfg); err == nil {
 			printRun(stdout, r)
@@ -133,18 +134,24 @@ func runCompare(w io.Writer, name string, size senss.Size, cfg senss.Config) err
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "=== baseline ===")
-	printRun(w, base)
-	fmt.Fprintf(w, "\n=== %s ===\n", cfg.Security.Mode)
-	printRun(w, sec)
-	fmt.Fprintf(w, "\nslowdown:             %8.3f %%\n", senss.SlowdownPct(base, sec))
-	fmt.Fprintf(w, "bus traffic increase: %8.3f %%\n", senss.TrafficIncreasePct(base, sec))
+	printCompare(w, cfg.Security.Mode, base, sec)
 	return nil
 }
 
+// printCompare reports a baseline run, the secured run and the slowdown.
+func printCompare(w io.Writer, mode machine.SecurityMode, base, sec senss.Run) {
+	fmt.Fprintln(w, "=== baseline ===")
+	printRun(w, base)
+	fmt.Fprintf(w, "\n=== %s ===\n", mode)
+	printRun(w, sec)
+	fmt.Fprintf(w, "\nslowdown:             %8.3f %%\n", senss.SlowdownPct(base, sec))
+	fmt.Fprintf(w, "bus traffic increase: %8.3f %%\n", senss.TrafficIncreasePct(base, sec))
+}
+
 // runTraced runs one workload with bus tracing (cfg.TraceLimit set) and
-// writes the JSONL file plus a summary.
-func runTraced(w io.Writer, name string, size senss.Size, cfg senss.Config, path string) error {
+// writes the JSONL file plus a summary. With withBase it also runs the
+// untraced baseline and reports the run as runCompare does.
+func runTraced(w io.Writer, name string, size senss.Size, cfg senss.Config, path string, withBase bool) error {
 	s, err := driver.NewSession(name, size, cfg)
 	if err != nil {
 		return err
@@ -153,6 +160,14 @@ func runTraced(w io.Writer, name string, size senss.Size, cfg senss.Config, path
 	r, err := s.Run(context.Background(), math.MaxUint64)
 	if err != nil {
 		return err
+	}
+	var base senss.Run
+	if withBase {
+		bcfg := cfg.Baseline()
+		bcfg.TraceLimit = 0
+		if base, err = senss.RunWorkload(name, size, bcfg); err != nil {
+			return err
+		}
 	}
 	rec := s.Trace()
 	f, err := os.Create(path)
@@ -164,7 +179,11 @@ func runTraced(w io.Writer, name string, size senss.Size, cfg senss.Config, path
 	if err := errors.Join(rec.WriteJSONL(f), f.Close()); err != nil {
 		return err
 	}
-	printRun(w, r)
+	if withBase {
+		printCompare(w, cfg.Security.Mode, base, r)
+	} else {
+		printRun(w, r)
+	}
 	fmt.Fprintf(w, "\ntrace: %d events to %s (%d beyond limit dropped)\n",
 		len(rec.Events), path, rec.Dropped)
 	trace.Summarize(rec.Events).Format(w)

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -51,5 +52,31 @@ func TestTraceWritesEveryEvent(t *testing.T) {
 	}
 	if lines := bytes.Count(data, []byte("\n")); events == 0 || lines != events {
 		t.Errorf("trace file has %d lines, summary reports %d events", lines, events)
+	}
+}
+
+// TestTraceHonoursCompare: a traced secured run reports the untraced
+// baseline, the secured run and the slowdown exactly as the untraced
+// command does, then the trace summary; with -compare=false it reports
+// the secured run alone.
+func TestTraceHonoursCompare(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	args := []string{"-workload", "prodcons", "-procs", "2", "-mode", "senss"}
+	for _, compare := range []string{"true", "false"} {
+		var plain, traced, stderr bytes.Buffer
+		if code := run(append(args, "-compare="+compare), &plain, &stderr); code != 0 {
+			t.Fatalf("-compare=%s: exit %d, stderr:\n%s", compare, code, stderr.String())
+		}
+		if code := run(append(args, "-compare="+compare, "-trace", path), &traced, &stderr); code != 0 {
+			t.Fatalf("-compare=%s -trace: exit %d, stderr:\n%s", compare, code, stderr.String())
+		}
+		rest, ok := strings.CutPrefix(traced.String(), plain.String())
+		if !ok || !strings.HasPrefix(rest, "\ntrace: ") {
+			t.Errorf("-compare=%s: traced output does not extend the untraced one with the trace summary\nuntraced:\n%s\ntraced:\n%s",
+				compare, plain.String(), traced.String())
+		}
+		if hasBase := strings.Contains(plain.String(), "=== baseline ==="); hasBase != (compare == "true") {
+			t.Errorf("-compare=%s: baseline reported = %v", compare, hasBase)
+		}
 	}
 }

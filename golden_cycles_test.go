@@ -216,13 +216,28 @@ func TestGoldenConformance(t *testing.T) {
 // no coroutine, and the engine resumes a proc less than once per two ops
 // (1.03 to 1.30 per op when every probe resumed the spinning proc).
 func TestGoldenSpinResumes(t *testing.T) {
-	for _, name := range []string{"radix", "barnes"} {
+	checkGoldenResumes(t, []string{"radix", "barnes"}, 0.5)
+}
+
+// TestGoldenBatchResumes pins the host cost that cpu.Port's batches
+// remove. ocean, fft and lu read their operands through LoadN and queue
+// their stores, so a batch of cache hits resumes its proc once: 0.26,
+// 0.35 and 0.32 resumes per op, against 0.92, 0.83 and 0.58 when every
+// op resumed the proc.
+func TestGoldenBatchResumes(t *testing.T) {
+	checkGoldenResumes(t, []string{"ocean", "fft", "lu"}, 0.4)
+}
+
+// checkGoldenResumes requires fewer than bound coroutine resumes per
+// retired memory op on every golden variant of the named kernels.
+func checkGoldenResumes(t *testing.T, names []string, bound float64) {
+	for _, name := range names {
 		for _, v := range goldenVariants {
 			t.Run(goldenKey(name, v.label), func(t *testing.T) {
 				m, run := runMachine(t, name, goldenConfig(v.mode, v.backend), nil)
 				ops := run.Loads + run.Stores + run.RMWs
-				if perOp := float64(m.Engine.Resumes()) / float64(ops); perOp >= 0.5 {
-					t.Errorf("%d resumes for %d ops: %.2f per op, want under 0.5", m.Engine.Resumes(), ops, perOp)
+				if perOp := float64(m.Engine.Resumes()) / float64(ops); perOp >= bound {
+					t.Errorf("%d resumes for %d ops: %.2f per op, want under %.1f", m.Engine.Resumes(), ops, perOp, bound)
 				}
 			})
 		}

@@ -6,7 +6,10 @@
 // payloads, and hit/miss accounting.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is a coherence state. L1 and pad caches only use Invalid and
 // Shared (present); the L2 uses the full MOESI set — the write-invalidate
@@ -65,8 +68,13 @@ type Cache struct {
 	ways     int
 	lineSize int
 	withData bool
-	frames   [][]Line
-	tick     uint64
+	// Both the line size and the set count are powers of two, so an
+	// address splits into set and tag by shift and mask.
+	lineShift uint
+	setShift  uint
+	setMask   uint64
+	frames    [][]Line
+	tick      uint64
 
 	// Statistics.
 	Hits      uint64
@@ -75,10 +83,14 @@ type Cache struct {
 }
 
 // New builds a cache of size bytes with the given associativity and line
-// size. withData controls whether lines carry payload buffers.
+// size. withData controls whether lines carry payload buffers. The line
+// size and the resulting set count must be powers of two.
 func New(size, ways, lineSize int, withData bool) *Cache {
 	if size <= 0 || ways <= 0 || lineSize <= 0 {
 		panic("cache: non-positive geometry")
+	}
+	if lineSize&(lineSize-1) != 0 {
+		panic(fmt.Sprintf("cache: line size %d not a power of two", lineSize))
 	}
 	lines := size / lineSize
 	sets := lines / ways
@@ -93,7 +105,12 @@ func New(size, ways, lineSize int, withData bool) *Cache {
 		panic(fmt.Sprintf("cache: set count %d not a power of two (size=%d ways=%d line=%d)",
 			sets, size, ways, lineSize))
 	}
-	c := &Cache{sets: sets, ways: ways, lineSize: lineSize, withData: withData}
+	c := &Cache{
+		sets: sets, ways: ways, lineSize: lineSize, withData: withData,
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+	}
 	c.frames = make([][]Line, sets)
 	backing := make([]Line, sets*ways)
 	for i := range c.frames {
@@ -120,15 +137,15 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 
 // senss-lint:hotpath
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	la := addr / uint64(c.lineSize)
-	return int(la % uint64(c.sets)), la / uint64(c.sets)
+	la := addr >> c.lineShift
+	return int(la & c.setMask), la >> c.setShift
 }
 
 // AddrOf reconstructs the line address of a frame in a given set.
 //
 // senss-lint:hotpath
 func (c *Cache) AddrOf(set int, l *Line) uint64 {
-	return (l.Tag*uint64(c.sets) + uint64(set)) * uint64(c.lineSize)
+	return (l.Tag<<c.setShift | uint64(set)) << c.lineShift
 }
 
 // Lookup returns the valid line containing addr and bumps its LRU age, or
@@ -140,14 +157,23 @@ func (c *Cache) Lookup(addr uint64) *Line {
 	for i := range c.frames[set] {
 		l := &c.frames[set][i]
 		if l.State.Valid() && l.Tag == tag {
-			c.tick++
-			l.lru = c.tick
-			c.Hits++
+			c.Touch(l)
 			return l
 		}
 	}
 	c.Misses++
 	return nil
+}
+
+// Touch counts a hit on l, a valid line of this cache that Peek returned,
+// and makes it the most recently used: Peek then Touch is Lookup's hit,
+// for callers that decide between peeking and taking the hit.
+//
+// senss-lint:hotpath
+func (c *Cache) Touch(l *Line) {
+	c.tick++
+	l.lru = c.tick
+	c.Hits++
 }
 
 // Peek returns the valid line containing addr without touching LRU or

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,4 +188,67 @@ func TestNonPowerOfTwoSetsPanics(t *testing.T) {
 		}
 	}()
 	New(3*64*2, 2, 64, true)
+}
+
+// TestNewPanicsOnBadGeometry: New refuses every geometry that index and
+// LineAddr cannot split by shift and mask.
+func TestNewPanicsOnBadGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		size, ways, lineSize int
+	}{
+		{"zero size", 0, 2, 64},
+		{"zero ways", 1024, 0, 64},
+		{"zero line", 1024, 2, 0},
+		{"line 48", 48 * 8, 2, 48},
+		{"line 96", 96 * 8, 2, 96},
+		{"line 3", 3 * 8, 2, 3},
+		{"3 sets", 3 * 64 * 2, 2, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %d, %d) accepted", tc.size, tc.ways, tc.lineSize)
+				}
+			}()
+			New(tc.size, tc.ways, tc.lineSize, false)
+		})
+	}
+}
+
+// TestPeekTouchMatchesLookup plays one random access stream on twin
+// caches, probing one with Lookup and the other with Peek plus Touch on a
+// hit, and requires the same hits, victims (so the same LRU order) and
+// final contents.
+func TestPeekTouchMatchesLookup(t *testing.T) {
+	a, b := New(1024, 4, 32, false), New(1024, 4, 32, false)
+	r := rng.New(5)
+	for i := 0; i < 20000; i++ {
+		addr := uint64(r.Intn(64)) * 32 * 2 // 64 lines over 8 sets: evictions
+		hitA := a.Lookup(addr) != nil
+		l := b.Peek(addr)
+		if l != nil {
+			b.Touch(l)
+		}
+		if hitA != (l != nil) {
+			t.Fatalf("access %d at %#x: Lookup hit %v, Peek hit %v", i, addr, hitA, l != nil)
+		}
+		if !hitA {
+			_, va := a.Insert(addr, Shared)
+			_, vb := b.Insert(addr, Shared)
+			if (va == nil) != (vb == nil) || va != nil && va.Addr != vb.Addr {
+				t.Fatalf("access %d at %#x: victims %+v and %+v", i, addr, va, vb)
+			}
+		}
+	}
+	if a.Hits != b.Hits || a.Evictions != b.Evictions {
+		t.Errorf("Lookup counted %d hits and %d evictions, Peek+Touch %d and %d",
+			a.Hits, a.Evictions, b.Hits, b.Evictions)
+	}
+	var la, lb []uint64
+	a.ForEach(func(addr uint64, _ *Line) { la = append(la, addr) })
+	b.ForEach(func(addr uint64, _ *Line) { lb = append(lb, addr) })
+	if !slices.Equal(la, lb) {
+		t.Errorf("final contents differ:\n%x\n%x", la, lb)
+	}
 }

@@ -221,14 +221,19 @@ func NewNode(id int, params Params, b *bus.Bus) *Node {
 	return n
 }
 
+// wordOf reads the word at addr from its L2 line l. The L2 line size is
+// a power of two (cache.New), so the offset is a mask.
+//
 // senss-lint:hotpath
 func (n *Node) wordOf(l *cache.Line, addr uint64) uint64 {
-	return mem.ReadWordFromLine(l.Data, addr%uint64(n.Params.L2Line))
+	return mem.ReadWordFromLine(l.Data, addr&uint64(n.Params.L2Line-1))
 }
 
+// setWord writes v to the word at addr in its L2 line l.
+//
 // senss-lint:hotpath
 func (n *Node) setWord(l *cache.Line, addr uint64, v uint64) {
-	mem.WriteWordToLine(l.Data, addr%uint64(n.Params.L2Line), v)
+	mem.WriteWordToLine(l.Data, addr&uint64(n.Params.L2Line-1), v)
 }
 
 // fillState returns the reusable miss state for the current fill depth,
@@ -305,19 +310,53 @@ func (n *Node) hitWord(addr uint64) uint64 {
 	return n.wordOf(l2, addr)
 }
 
-// PeekHit reports, touching nothing, whether an instruction fetch of
-// code (only when fetch is set) followed by a Load of addr would both hit
-// in L1, and the word that Load would return.
+// Hit is what PeekHit or PeekStore found for one operation, so that
+// TakeHit or TakeStore retires it with no second probe: the L1I line of
+// the operation's instruction fetch (nil when the fetch crosses no line)
+// and the line the operation reads (the L1D line) or writes (the L2
+// line).
+type Hit struct {
+	code, data *cache.Line
+}
+
+// peekFetch reports, touching nothing, whether an instruction fetch of
+// code (only when fetch is set) would hit in L1I, and the line it hits.
 //
 // senss-lint:hotpath
-func (n *Node) PeekHit(code uint64, fetch bool, addr uint64) (uint64, bool) {
-	if fetch && n.L1I.Peek(code) == nil {
-		return 0, false
+func (n *Node) peekFetch(code uint64, fetch bool) (*cache.Line, bool) {
+	if !fetch {
+		return nil, true
 	}
-	if n.L1D.Peek(addr) == nil {
-		return 0, false
+	l := n.L1I.Peek(code)
+	return l, l != nil
+}
+
+// takeFetch counts the instruction fetch peekFetch found, as IFetch's hit
+// branch does.
+//
+// senss-lint:hotpath
+func (n *Node) takeFetch(h Hit) {
+	if h.code != nil {
+		n.Stats.IFetches++
+		n.L1I.Touch(h.code)
 	}
-	return n.hitWord(addr), true
+}
+
+// PeekHit reports, touching nothing, whether an instruction fetch of
+// code (only when fetch is set) followed by a Load of addr would both hit
+// in L1, the word that Load would return, and the lines they hit.
+//
+// senss-lint:hotpath
+func (n *Node) PeekHit(code uint64, fetch bool, addr uint64) (uint64, Hit, bool) {
+	lc, ok := n.peekFetch(code, fetch)
+	if !ok {
+		return 0, Hit{}, false
+	}
+	l := n.L1D.Peek(addr)
+	if l == nil {
+		return 0, Hit{}, false
+	}
+	return n.hitWord(addr), Hit{code: lc, data: l}, true
 }
 
 // TakeHit performs, at the event where PeekHit just reported them, the
@@ -327,11 +366,42 @@ func (n *Node) PeekHit(code uint64, fetch bool, addr uint64) (uint64, bool) {
 // (sim.Proc.SettleThen) retire a cached load without resuming the proc.
 //
 // senss-lint:hotpath
-func (n *Node) TakeHit(code uint64, fetch bool, addr uint64) {
-	if fetch {
-		n.fetchL1(code)
+func (n *Node) TakeHit(h Hit) {
+	n.takeFetch(h)
+	n.Stats.Loads++
+	n.L1D.Touch(h.data)
+}
+
+// PeekStore reports, touching nothing, whether an instruction fetch of
+// code (only when fetch is set) would hit in L1I and a Store to addr
+// would find its L2 line owned (Modified or Exclusive), so that neither
+// needs the bus, and the lines they hit.
+//
+// senss-lint:hotpath
+func (n *Node) PeekStore(code uint64, fetch bool, addr uint64) (Hit, bool) {
+	lc, ok := n.peekFetch(code, fetch)
+	if !ok {
+		return Hit{}, false
 	}
-	n.loadL1(addr)
+	l := n.L2.Peek(addr)
+	if l == nil || l.State != cache.Modified && l.State != cache.Exclusive {
+		return Hit{}, false
+	}
+	return Hit{code: lc, data: l}, true
+}
+
+// TakeStore performs, at the event where PeekStore just reported them,
+// that fetch and a Store of val to addr with the very bookkeeping IFetch
+// and Store do — counters, LRU, hit statistics and the silent E→M
+// promotion — and charges no latency: the caller owes StoreLat.
+//
+// senss-lint:hotpath
+func (n *Node) TakeStore(h Hit, addr, val uint64) {
+	n.takeFetch(h)
+	n.Stats.Stores++
+	n.L2.Touch(h.data)
+	h.data.State = cache.Modified
+	n.setWord(h.data, addr, val)
 }
 
 // Load performs a data load of the aligned word at addr.

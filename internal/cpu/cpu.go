@@ -2,9 +2,21 @@
 // program against a coherence node.
 //
 // A Program is plain Go code run inside a sim.Proc; every memory operation
-// blocks for its simulated latency, and a configurable CPI charge plus an
+// takes its simulated latency, and a configurable CPI charge plus an
 // instruction-fetch model account for the non-memory work between
 // operations.
+//
+// The Port is write-behind. Store and LoadN queue their ops in a small
+// Port-owned buffer; the ops retire at the very events, in the very
+// order, that one call per op would reach them, but the proc is resumed
+// once per batch instead of once per op. A wake continuation
+// (sim.Proc.SettleThen) plays every op that hits L1 or stores to an owned
+// line in engine context, and the proc itself plays the rest. Every op
+// that returns a value or reads the clock (Load, LoadN, Add, CAS,
+// SpinUntil, Now) plays the queue first, as do Think and the program's
+// return. A Program therefore never sees a queued store unless it reads
+// simulated memory through the Port, which is its only channel to the
+// other processors.
 package cpu
 
 import (
@@ -50,33 +62,63 @@ type Port struct {
 	// is its wake continuation.
 	spin     spinState
 	spinWake sim.Cont
+
+	// batch holds the ops Store and LoadN queued; batchWake, bound once
+	// at Spawn, is the continuation that plays them.
+	batch     batch
+	batchWake sim.Cont
+}
+
+// batchCap is how many ops a Port holds back before it plays them.
+const batchCap = 16
+
+// pendingOp is one queued Store, or one load of a LoadN or Load.
+type pendingOp struct {
+	addr  uint64
+	val   uint64 // the store's word, or the word the load returned
+	store bool
+}
+
+// batch is the ops queued since the last flush and how far playing them
+// has got. The loads' values stay here until the caller copies them
+// out, so no caller slice is ever held by the Port.
+type batch struct {
+	ops  [batchCap]pendingOp
+	n    int    // ops queued
+	done int    // ops played
+	next leg    // the event the continuation's next wake marks
+	owed uint64 // the latency the last op played leaves owed
 }
 
 // spinState is one SpinUntil: its operands and which wake comes next.
 type spinState struct {
 	addr, want, backoff uint64
-	next                spinLeg
+	next                leg
 }
 
-// spinLeg names the event a spinning proc's next wake marks. A probe
-// that does not find want is three legs: the op gap ending in the probe,
-// the L1HitLat the probe leaves owed, and the backoff.
-type spinLeg uint8
+// leg names the event a continuation's next wake marks. An op is two
+// legs, its boundary (the gate check and the op gap) and its probe; a
+// spin probe that does not find want adds the L1HitLat it leaves owed,
+// then the backoff.
+type leg uint8
 
 const (
-	spinOwed     spinLeg = iota // the last probe's owed latency ends
-	spinBoundary                // the backoff ends: the next op's gate and gap
-	spinProbe                   // the gap ends: the probe itself
+	legOwed     leg = iota // the last spin probe's owed latency ends
+	legBoundary            // the next op's gate and gap
+	legProbe               // the gap ends: the op itself
 )
 
 // Spawn starts prog on a new proc of e bound to node. exit, when non-nil,
 // runs on that proc once prog returns, at the cycle its last operation
-// completes (any latency the node left owed is taken first).
+// completes (queued ops are played and any latency the node left owed is
+// taken first).
 func Spawn(e *sim.Engine, name string, node *coherence.Node, params Params, prog Program, exit func()) {
 	e.Spawn(name, func(p *sim.Proc) {
 		c := &Port{proc: p, node: node, params: params}
 		c.spinWake = c.spinStep
+		c.batchWake = c.batchStep
 		prog(c)
+		c.flush()
 		p.Settle()
 		if exit != nil {
 			exit()
@@ -87,8 +129,12 @@ func Spawn(e *sim.Engine, name string, node *coherence.Node, params Params, prog
 // PID returns the processor ID.
 func (c *Port) PID() int { return c.node.ID }
 
-// Now returns the current simulated cycle.
-func (c *Port) Now() uint64 { return c.proc.Now() }
+// Now returns the current simulated cycle, once the queued ops have
+// retired.
+func (c *Port) Now() uint64 {
+	c.flush()
+	return c.proc.Now()
+}
 
 // step charges the per-op compute gap and the instruction-fetch model.
 // The gap sleep also takes the latency the previous operation left owed;
@@ -126,17 +172,153 @@ func (c *Port) nextFetch() (pc, line uint64, cross bool) {
 	if c.params.IFetchBytes == 0 || c.params.CodeBytes == 0 {
 		return c.pc, 0, false
 	}
-	l := uint64(c.node.Params.L1Line)
-	pc = (c.pc + c.params.IFetchBytes) % c.params.CodeBytes
-	return pc, c.params.CodeBase + (pc/l)*l, pc/l != c.pc/l
+	pc = c.pc + c.params.IFetchBytes
+	if pc >= c.params.CodeBytes {
+		pc %= c.params.CodeBytes
+	}
+	// The L1 line size is a power of two (cache.New).
+	at := ^(uint64(c.node.Params.L1Line) - 1)
+	return pc, c.params.CodeBase + pc&at, pc&at != c.pc&at
 }
 
-// Load reads the aligned 8-byte word at addr.
+// Load reads the aligned 8-byte word at addr. With ops queued, it joins
+// them as the batch's last op.
 //
 // senss-lint:hotpath
 func (c *Port) Load(addr uint64) uint64 {
-	c.step()
-	return c.node.Load(c.proc, addr)
+	b := &c.batch
+	if b.n == batchCap {
+		c.flush()
+	}
+	if b.n == 0 {
+		c.step()
+		return c.node.Load(c.proc, addr)
+	}
+	k := b.n
+	b.ops[k] = pendingOp{addr: addr}
+	b.n++
+	c.flush()
+	return b.ops[k].val
+}
+
+// LoadN reads the words at addrs into out. It is exactly
+//
+//	for i := range addrs {
+//		out[i] = c.Load(addrs[i])
+//	}
+//
+// — the same loads, latencies, cache and bus traffic and event order —
+// but the loads join the queued ops, so a batch of cache hits costs one
+// resume of the proc. out must be at least as long as addrs.
+//
+// senss-lint:hotpath
+func (c *Port) LoadN(addrs, out []uint64) {
+	out = out[:len(addrs)]
+	b := &c.batch
+	for len(addrs) > 0 {
+		k := b.n
+		m := min(len(addrs), batchCap-k)
+		for j, a := range addrs[:m] {
+			b.ops[k+j] = pendingOp{addr: a}
+		}
+		b.n += m
+		c.flush()
+		for j := range out[:m] {
+			out[j] = b.ops[k+j].val
+		}
+		addrs, out = addrs[m:], out[m:]
+	}
+}
+
+// Store writes the aligned 8-byte word at addr. It queues the store and
+// returns at once; the store retires at its own simulated event when the
+// queue is played.
+//
+// senss-lint:hotpath
+func (c *Port) Store(addr uint64, val uint64) {
+	b := &c.batch
+	if b.n == batchCap {
+		c.flush()
+	}
+	b.ops[b.n] = pendingOp{addr: addr, val: val, store: true}
+	b.n++
+}
+
+// flush plays the queued ops in order, each at the event where one call
+// per op would play it, and returns at the last op's event with that
+// op's latency owed. The continuation (batchStep) plays every op that
+// hits L1 or stores to an owned line; the proc plays the others.
+//
+// senss-lint:hotpath
+func (c *Port) flush() {
+	b := &c.batch
+	for b.done < b.n {
+		b.next = legBoundary
+		c.proc.SettleThen(c.batchWake)
+		if b.done == b.n {
+			c.proc.Owe(b.owed)
+			break
+		}
+		if b.next == legBoundary {
+			c.step() // handed back at a closed gate
+		} else {
+			c.fetch() // handed back at an op that needs more than L1 or an owned line
+		}
+		op := &b.ops[b.done]
+		if op.store {
+			c.node.Store(c.proc, op.addr, op.val)
+		} else {
+			op.val = c.node.Load(c.proc, op.addr)
+		}
+		b.done++
+	}
+	b.n, b.done = 0, 0
+}
+
+// batchStep is flush's wake continuation: it plays the queued ops' legs
+// in engine context and hands the proc back, before touching anything,
+// at a closed gate, an L1 miss or a store that needs the bus — or, having
+// played the last op, at that op's event.
+//
+// senss-lint:hotpath
+func (c *Port) batchStep() (uint64, bool) {
+	b := &c.batch
+	if b.next == legBoundary {
+		if g := c.params.Gate; g != nil && g.closed {
+			return 0, false
+		}
+		if c.params.OpGap > 0 {
+			b.next = legProbe
+			return c.params.OpGap, true
+		}
+	}
+	// The gap has ended: the op itself.
+	b.next = legProbe
+	op := &b.ops[b.done]
+	pc, line, cross := c.nextFetch()
+	if op.store {
+		h, ok := c.node.PeekStore(line, cross, op.addr)
+		if !ok {
+			return 0, false
+		}
+		c.node.TakeStore(h, op.addr, op.val)
+		b.owed = c.node.Params.StoreLat
+	} else {
+		v, h, ok := c.node.PeekHit(line, cross, op.addr)
+		if !ok {
+			return 0, false
+		}
+		c.node.TakeHit(h)
+		op.val = v
+		b.owed = c.node.Params.L1HitLat
+	}
+	c.pc = pc
+	b.done++
+	if b.done == b.n {
+		return 0, false
+	}
+	b.next = legBoundary
+	return b.owed, true
 }
 
 // SpinUntil spins until the word at addr reads want. It is exactly
@@ -157,9 +339,9 @@ func (c *Port) SpinUntil(addr, want, backoff uint64) {
 	c.spin = spinState{addr: addr, want: want, backoff: backoff}
 	v := c.Load(addr)
 	for v != want {
-		c.spin.next = spinOwed
+		c.spin.next = legOwed
 		c.proc.SettleThen(c.spinWake)
-		if c.spin.next == spinBoundary {
+		if c.spin.next == legBoundary {
 			v = c.Load(addr) // handed back at a closed gate
 		} else {
 			c.fetch() // handed back at a probe the continuation cannot take
@@ -176,44 +358,40 @@ func (c *Port) SpinUntil(addr, want, backoff uint64) {
 func (c *Port) spinStep() (uint64, bool) {
 	s := &c.spin
 	switch s.next {
-	case spinOwed:
+	case legOwed:
 		if s.backoff > 0 {
-			s.next = spinBoundary
+			s.next = legBoundary
 			return s.backoff, true
 		}
 		fallthrough
-	case spinBoundary:
+	case legBoundary:
 		if g := c.params.Gate; g != nil && g.closed {
-			s.next = spinBoundary
+			s.next = legBoundary
 			return 0, false
 		}
 		if c.params.OpGap > 0 {
-			s.next = spinProbe
+			s.next = legProbe
 			return c.params.OpGap, true
 		}
 	}
 	// The gap has ended: the probe.
-	s.next = spinProbe
+	s.next = legProbe
 	pc, line, cross := c.nextFetch()
-	if v, hit := c.node.PeekHit(line, cross, s.addr); !hit || v == s.want {
+	v, h, hit := c.node.PeekHit(line, cross, s.addr)
+	if !hit || v == s.want {
 		return 0, false
 	}
 	c.pc = pc
-	c.node.TakeHit(line, cross, s.addr)
-	s.next = spinOwed
+	c.node.TakeHit(h)
+	s.next = legOwed
 	return c.node.Params.L1HitLat, true
-}
-
-// Store writes the aligned 8-byte word at addr.
-func (c *Port) Store(addr uint64, val uint64) {
-	c.step()
-	c.node.Store(c.proc, addr, val)
 }
 
 // Add atomically adds delta to the word at addr, returning the old value.
 //
 // senss-lint:hotpath
 func (c *Port) Add(addr uint64, delta uint64) uint64 {
+	c.flush()
 	c.step()
 	return c.node.Add(c.proc, addr, delta)
 }
@@ -223,12 +401,16 @@ func (c *Port) Add(addr uint64, delta uint64) uint64 {
 //
 // senss-lint:hotpath
 func (c *Port) CAS(addr uint64, old, new uint64) bool {
+	c.flush()
 	c.step()
 	return c.node.CAS(c.proc, addr, old, new) == old
 }
 
-// Think charges n cycles of pure computation.
+// Think charges n cycles of pure computation after the queued ops.
+//
+// senss-lint:hotpath
 func (c *Port) Think(n uint64) {
+	c.flush()
 	if n > 0 {
 		c.proc.Sleep(n)
 	}

@@ -9,30 +9,34 @@ import (
 	"senss/internal/sim"
 )
 
-func newRig() (*sim.Engine, *mem.Store, *coherence.Node) {
+// newRig builds an engine and a bus with k nodes in the test geometry.
+func newRig(k int) (*sim.Engine, *bus.Bus, []*coherence.Node) {
 	e := sim.NewEngine()
-	store := mem.New()
 	b := bus.New(e, bus.Timing{
 		BusCycle: 10, C2CLat: 120, MemLat: 180, BytesPerBusCycle: 32, LineBytes: 64,
-	}, &bus.SimpleMemory{Backing: store})
-	n := coherence.NewNode(0, coherence.Params{
+	}, &bus.SimpleMemory{Backing: mem.New()})
+	params := coherence.Params{
 		L1Size: 1 << 10, L1Ways: 2, L1Line: 32,
 		L2Size: 16 << 10, L2Ways: 4, L2Line: 64,
 		L1HitLat: 2, L2HitLat: 10, StoreLat: 2, RMWLat: 4,
-	}, b)
-	return e, store, n
+	}
+	nodes := make([]*coherence.Node, k)
+	for i := range nodes {
+		nodes[i] = coherence.NewNode(i, params, b)
+	}
+	return e, b, nodes
 }
 
 // runProgram executes one program on the rig and returns total cycles
 // and the node it ran on.
 func runProgram(t *testing.T, params Params, prog Program) (uint64, *coherence.Node) {
 	t.Helper()
-	e, _, n := newRig()
-	Spawn(e, "cpu0", n, params, prog, nil)
+	e, _, nodes := newRig(1)
+	Spawn(e, "cpu0", nodes[0], params, prog, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return e.Now(), n
+	return e.Now(), nodes[0]
 }
 
 func TestOpsCounted(t *testing.T) {

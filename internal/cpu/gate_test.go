@@ -114,7 +114,8 @@ func TestGateNoteExitUnblocksScheduler(t *testing.T) {
 // that latency is taken, so the program parks where plain sleeps would
 // park it: after the load completes, not one operation later.
 func TestGateClosedInsideOwedLatency(t *testing.T) {
-	e, _, n := newRig() // L1 hit: 2 cycles
+	e, _, nodes := newRig(1) // L1 hit: 2 cycles
+	n := nodes[0]
 	g := &Gate{}
 	const gap, hit = 5, 2
 	var parkedAt, loadsAtPark uint64

@@ -6,7 +6,6 @@ import (
 
 	"senss/internal/bus"
 	"senss/internal/coherence"
-	"senss/internal/mem"
 	"senss/internal/sim"
 )
 
@@ -76,20 +75,8 @@ type spinOutcome struct {
 func runSpinScript(t *testing.T, s spinScript, literal bool) spinOutcome {
 	t.Helper()
 	const flag, ack = 0x1000, 0x2000 // flag's line also holds the false-sharing word
-	e := sim.NewEngine()
+	e, b, nodes := newRig(3)
 	e.SetLimit(50_000_000)
-	b := bus.New(e, bus.Timing{
-		BusCycle: 10, C2CLat: 120, MemLat: 180, BytesPerBusCycle: 32, LineBytes: 64,
-	}, &bus.SimpleMemory{Backing: mem.New()})
-	params := coherence.Params{
-		L1Size: 1 << 10, L1Ways: 2, L1Line: 32,
-		L2Size: 16 << 10, L2Ways: 4, L2Line: 64,
-		L1HitLat: 2, L2HitLat: 10, StoreLat: 2, RMWLat: 4,
-	}
-	nodes := make([]*coherence.Node, 3)
-	for i := range nodes {
-		nodes[i] = coherence.NewNode(i, params, b)
-	}
 	spin := func(c *Port, addr, want, backoff uint64) {
 		if literal {
 			spinLoop(c, addr, want, backoff)

@@ -42,13 +42,14 @@
 // sleeps split by cheap work — a spin-wait probing a cached word — then
 // retires in the identical (cycle, sequence) order without a coroutine
 // switch per wake. cpu.Port.SpinUntil runs every lock and barrier probe
-// that hits L1 this way; on the 4-processor golden cells, coroutine
-// resumes per retired memory op fell from
+// that hits L1 this way, and cpu.Port plays each batch of queued stores
+// and LoadN loads as one continuation; on the 4-processor golden cells,
+// coroutine resumes per retired memory op fell from
 //
-//	radix 1.24 → 0.41, barnes 1.27 → 0.36, lu 1.19 → 0.58,
-//	fft 1.04 → 0.83, ocean 0.98 → 0.92
+//	radix 1.24 → 0.30, barnes 1.27 → 0.36, lu 1.19 → 0.32,
+//	fft 1.04 → 0.35, ocean 0.98 → 0.26
 //
-// (DESIGN.md §16 has the table).
+// (DESIGN.md §16 has the tables).
 package sim
 
 import (

@@ -87,10 +87,9 @@ func (f *FFT) thread(c *cpu.Port, tid, procs int) {
 	for i := lo; i < hi; i++ {
 		j := reverseBits(i, bits)
 		if i < j {
-			ri := c.LoadFloat(f.re.at(i))
-			ii := c.LoadFloat(f.im.at(i))
-			rj := c.LoadFloat(f.re.at(j))
-			ij := c.LoadFloat(f.im.at(j))
+			var v [4]uint64
+			c.LoadN([]uint64{f.re.at(i), f.im.at(i), f.re.at(j), f.im.at(j)}, v[:])
+			ri, ii, rj, ij := f64(v[0]), f64(v[1]), f64(v[2]), f64(v[3])
 			c.StoreFloat(f.re.at(i), rj)
 			c.StoreFloat(f.im.at(i), ij)
 			c.StoreFloat(f.re.at(j), ri)
@@ -111,14 +110,15 @@ func (f *FFT) thread(c *cpu.Port, tid, procs int) {
 			off := b % span
 			i := block*2*span + off
 			j := i + span
-			wr := c.LoadFloat(f.twRe.at(off * stride))
-			wi := c.LoadFloat(f.twIm.at(off * stride))
-			rj := c.LoadFloat(f.re.at(j))
-			ij := c.LoadFloat(f.im.at(j))
+			var v [6]uint64
+			c.LoadN([]uint64{
+				f.twRe.at(off * stride), f.twIm.at(off * stride),
+				f.re.at(j), f.im.at(j), f.re.at(i), f.im.at(i),
+			}, v[:])
+			wr, wi, rj, ij := f64(v[0]), f64(v[1]), f64(v[2]), f64(v[3])
 			tr := wr*rj - wi*ij
 			ti := wr*ij + wi*rj
-			ri := c.LoadFloat(f.re.at(i))
-			ii := c.LoadFloat(f.im.at(i))
+			ri, ii := f64(v[4]), f64(v[5])
 			c.StoreFloat(f.re.at(i), ri+tr)
 			c.StoreFloat(f.im.at(i), ii+ti)
 			c.StoreFloat(f.re.at(j), ri-tr)

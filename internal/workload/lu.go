@@ -86,8 +86,9 @@ func (w *LU) thread(c *cpu.Port, tid, procs int) {
 			}
 			lik := c.LoadFloat(w.idx(i, k))
 			for j := k + 1; j < n; j++ {
-				c.StoreFloat(w.idx(i, j),
-					c.LoadFloat(w.idx(i, j))-lik*c.LoadFloat(w.idx(k, j)))
+				var v [2]uint64
+				c.LoadN([]uint64{w.idx(i, j), w.idx(k, j)}, v[:])
+				c.StoreFloat(w.idx(i, j), f64(v[0])-lik*f64(v[1]))
 			}
 		}
 		w.bar.Wait(c, &ctx)

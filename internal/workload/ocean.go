@@ -76,10 +76,12 @@ func (w *Ocean) thread(c *cpu.Port, tid, procs int) {
 	for it := 0; it < w.iters; it++ {
 		for i := lo; i < hi; i++ {
 			for j := 1; j < g-1; j++ {
-				v := 0.25 * (c.LoadFloat(w.at(cur, i-1, j)) +
-					c.LoadFloat(w.at(cur, i+1, j)) +
-					c.LoadFloat(w.at(cur, i, j-1)) +
-					c.LoadFloat(w.at(cur, i, j+1)))
+				var nb [4]uint64
+				c.LoadN([]uint64{
+					w.at(cur, i-1, j), w.at(cur, i+1, j),
+					w.at(cur, i, j-1), w.at(cur, i, j+1),
+				}, nb[:])
+				v := 0.25 * (f64(nb[0]) + f64(nb[1]) + f64(nb[2]) + f64(nb[3]))
 				c.StoreFloat(w.at(next, i, j), v)
 			}
 		}

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"senss/internal/cpu"
 	"senss/internal/machine"
@@ -81,6 +82,9 @@ func AllNames() []string {
 type array struct{ base uint64 }
 
 func (a array) at(i int) uint64 { return a.base + uint64(i)*8 }
+
+// f64 is the float64 whose IEEE-754 bits cpu.Port.LoadN read.
+func f64(bits uint64) float64 { return math.Float64frombits(bits) }
 
 // alloc reserves n 8-byte words.
 func alloc(m *machine.Machine, n int) array {
