@@ -210,6 +210,40 @@ func startPsyncRig() *allocRig {
 	return rig
 }
 
+// startTenureRig builds a two-node machine in the falseshare pattern:
+// the driver's operation stores to a line the responder keeps writing,
+// so it is a contended RdX miss supplied cache to cache, then stores to
+// a working set four times the L2, so the fill evicts a dirty line and
+// rides a writeback on the bus. Every transaction's tail — the release
+// and the rest of the latency — is a wake continuation.
+func startTenureRig() *allocRig {
+	const shared = 0x1000
+	eng := sim.NewEngine()
+	b := bus.New(eng, allocTiming, &bus.SimpleMemory{Backing: mem.New()})
+	n0, n1 := coherence.NewNode(0, allocParams, b), coherence.NewNode(1, allocParams, b)
+	rig := newAllocRig()
+	closing := false
+	eng.Spawn("alloc-driver", func(p *sim.Proc) {
+		for nops := range rig.work {
+			for i := 0; i < nops; i++ {
+				n0.Store(p, shared, uint64(rig.op))
+				n0.Store(p, 0x10000+uint64(rig.op%1024)*64, uint64(rig.op))
+				rig.op++
+			}
+			rig.done <- struct{}{}
+		}
+		closing = true
+	})
+	eng.Spawn("alloc-responder", func(p *sim.Proc) {
+		for k := uint64(0); !closing; k++ {
+			n1.Store(p, shared+8, k)
+			p.Sleep(7)
+		}
+	})
+	go func() { rig.fin <- eng.Run() }()
+	return rig
+}
+
 // run executes one batch of nops operations inside the simulation.
 func (r *allocRig) run(nops int) {
 	r.work <- nops
@@ -247,17 +281,20 @@ func missBody(p *sim.Proc, n *coherence.Node, op int) {
 	}
 }
 
-// calqueueBody drives the engine scheduler through both tiers of the
-// calendar queue: the short sleep lands in the 1024-bucket wheel, the
-// long one overflows past the wheel horizon into the spill heap, and the
-// timer callback scheduled 2048 cycles out exercises Engine.After through
-// the overflow path (it migrates into the wheel on a later rotation).
-// The callback closure captures nothing, so it is a singleton — any
-// measured allocation comes from the queue itself.
+// calqueueBody drives the engine scheduler through both of its tiers:
+// the short sleep lands in the 64-cycle wheel, the long one lies beyond
+// the wheel window and goes to the heap, the timer callback scheduled
+// 2048 cycles out exercises Engine.After through the heap, and a burst of
+// same-cycle callbacks larger than a bucket fills the bucket and spills
+// the rest into the heap. The callback closures capture nothing, so they
+// are singletons — any measured allocation comes from the queue itself.
 func calqueueBody(p *sim.Proc, n *coherence.Node, op int) {
 	p.Sleep(uint64(op%7) + 1)
 	p.Sleep(1024 + uint64(op%513))
 	p.Engine().After(2048, func() {})
+	for i := 0; i < 7; i++ {
+		p.Engine().After(3, func() {})
+	}
 }
 
 // allocBudget is the schema of testdata/alloc_budget.json.
@@ -330,10 +367,10 @@ func TestAllocBudgets(t *testing.T) {
 		// backend: the pad kernel is the same hotpath either way.
 		{"memsec_miss_fill_ref", "memsec_miss_fill", rigFor(missBody, crypto.Ref)},
 		{"memsec_miss_fill_stdlib", "memsec_miss_fill", rigFor(missBody, crypto.Stdlib)},
-		// Calendar-queue overflow tier: far-future sleeps and timers spill
-		// into the heap and migrate back into the wheel on rotation. Once
-		// the heap and bucket slices reach steady capacity nothing on this
-		// route allocates, and the budget pins that at zero.
+		// The scheduler's heap tier: far-future sleeps and timers, and
+		// a same-cycle burst past a bucket's capacity, go to the heap.
+		// Once the heap reaches steady capacity nothing on this route
+		// allocates, and the budget pins that at zero.
 		{"calqueue_overflow", "calqueue_overflow", rigFor(calqueueBody, "")},
 		// Spin probes run as wake continuations in engine context, and
 		// the handshake's line transfers use the pooled miss path: a
@@ -343,6 +380,10 @@ func TestAllocBudgets(t *testing.T) {
 		// coherence point from operands in the pooled fill state: a hard
 		// zero.
 		{"psync_lock_barrier", "psync_lock_barrier", startPsyncRig},
+		// Each bus tenure's tail is a continuation whose state is
+		// bound once per proc, and the contended miss and its
+		// writeback use the pooled miss path: a hard zero.
+		{"bus_tenure", "bus_tenure", startTenureRig},
 		// A LoadN behind queued stores plays as one wake continuation,
 		// and its values live in the Port's buffer, never in a caller
 		// slice the Port holds: a hard zero.

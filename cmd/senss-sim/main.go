@@ -97,6 +97,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Security.Mode = m
 	cfg.Security.Integrity = m == senss.SecurityBusMem && *integrity
+	var geom *machine.GeometryError
+	if err := cfg.Validate(); errors.As(err, &geom) {
+		fmt.Fprintf(stderr, "senss-sim: bad -l1/-l2 size: %v\n", geom)
+		return 2
+	}
 
 	if *printConfig {
 		printFigure5(stdout, cfg)

@@ -33,6 +33,32 @@ func TestTraceRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestRejectsBadCacheGeometry: an -l1 or -l2 size that gives a set
+// count cache.New cannot index is a usage error (exit 2, one line on
+// stderr), not a panic inside machine construction.
+func TestRejectsBadCacheGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-l2", "100000"}, "set count 390 is not a power of two"},
+		{[]string{"-l1", "3000", "-mode", "senss"}, "set count 46 is not a power of two"},
+		{[]string{"-l2", "0"}, "must be positive"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "senss-sim: bad -l1/-l2 size: ") || !strings.Contains(msg, tc.want) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one usage line naming %q", tc.args, msg, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed a report: %q", tc.args, stdout.String())
+		}
+	}
+}
+
 // TestTraceWritesEveryEvent: the JSONL file holds one line per event the
 // summary reports.
 func TestTraceWritesEveryEvent(t *testing.T) {

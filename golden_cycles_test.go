@@ -221,11 +221,20 @@ func TestGoldenSpinResumes(t *testing.T) {
 
 // TestGoldenBatchResumes pins the host cost that cpu.Port's batches
 // remove. ocean, fft and lu read their operands through LoadN and queue
-// their stores, so a batch of cache hits resumes its proc once: 0.26,
-// 0.35 and 0.32 resumes per op, against 0.92, 0.83 and 0.58 when every
-// op resumed the proc.
+// their stores, so a batch of L1 and L2 hits resumes its proc once: 0.22,
+// 0.21 and 0.27 resumes per op on the base cells, against 0.92, 0.83 and
+// 0.58 when every op resumed the proc.
 func TestGoldenBatchResumes(t *testing.T) {
-	checkGoldenResumes(t, []string{"ocean", "fft", "lu"}, 0.4)
+	checkGoldenResumes(t, []string{"ocean", "fft", "lu"}, 0.3)
+}
+
+// TestGoldenBusResumes pins the host cost that bus.Transact's tenure
+// continuation removes. falseshare's procs spend their time on the bus;
+// with the release and the latency tail taken in engine context it
+// resumes 1.07 to 1.19 times per op, against 2.09 to 2.48 when the proc
+// slept each leg of the tenure itself.
+func TestGoldenBusResumes(t *testing.T) {
+	checkGoldenResumes(t, []string{"falseshare"}, 1.5)
 }
 
 // checkGoldenResumes requires fewer than bound coroutine resumes per

@@ -218,6 +218,9 @@ type Bus struct {
 	// a per-writeback heap allocation (hotpath discipline, DESIGN.md §13).
 	wbScratch Transaction
 
+	// tails holds each proc's tenure tail, indexed by sim.Proc.ID.
+	tails []*tail
+
 	// OnCommitStore, if set, observes every functional memory write made
 	// through CommitStore — the coherence-point commit of a dirty victim,
 	// which happens inside another transaction's bus tenure, before the
@@ -265,8 +268,30 @@ func (b *Bus) AttachHook(h SecurityHook) { b.hooks = append(b.hooks, h) }
 // arbitration, snooping, data resolution, security processing, occupancy
 // and latency. On return, Rd/RdX transactions carry the line in t.Data.
 //
+// The tenure's tail — hold the bus for the stall and occupancy, release
+// it, wait out the rest of the latency — is one wake continuation
+// (sim.Proc.SettleThen): the release runs in engine context at the
+// proc's wake, where the proc itself would run it, and Unlock's Unpark
+// draws the sequence number the proc would draw. The proc is resumed
+// once, at the end of the latency.
+//
 // senss-lint:hotpath
 func (b *Bus) Transact(p *sim.Proc, t *Transaction) {
+	busy, rest := b.hold(p, t)
+	tl := b.tailOf(p)
+	tl.rest, tl.held = rest, true
+	p.Owe(busy)
+	p.SettleThen(tl.k)
+}
+
+// hold acquires the bus for t and runs the transaction up to its commit
+// point: arbitration, snooping, data resolution, security processing,
+// the requester's commit and the statistics. It returns the cycles the
+// bus stays held (security stall plus occupancy) and the latency the
+// requester waits after the release.
+//
+// senss-lint:hotpath
+func (b *Bus) hold(p *sim.Proc, t *Transaction) (busy, rest uint64) {
 	requested := b.engine.Now()
 	b.arbiter.Lock(p)
 	if wait := b.engine.Now() - requested; wait > 0 {
@@ -321,7 +346,8 @@ func (b *Bus) Transact(p *sim.Proc, t *Transaction) {
 	}
 
 	// Timing: the bus is held for stall + occupancy; the requester also
-	// waits out the remaining latency after release.
+	// waits out the remaining latency after release (split-transaction
+	// flavor: the tail of the latency does not hold the bus).
 	occ := b.timing.Occupancy(t.Kind)
 	lat := b.timing.Latency(t)
 	b.Stats.Count[t.Kind]++
@@ -330,14 +356,56 @@ func (b *Bus) Transact(p *sim.Proc, t *Transaction) {
 	if t.Kind.HasData() {
 		b.Stats.DataBytes += uint64(b.timing.LineBytes)
 	}
-
-	p.Sleep(extra + occ)
-	// The tail of the latency does not hold the bus (split-transaction
-	// flavor): release first, then wait.
-	b.arbiter.Unlock(p)
 	if lat > occ {
-		p.Sleep(lat - occ)
+		rest = lat - occ
 	}
+	return extra + occ, rest
+}
+
+// tail is one proc's bus-tenure tail, played as a wake continuation:
+// at the end of the hold it releases the arbiter, then sleeps the rest
+// of the latency. Each proc's is bound once (tailOf) and reused.
+type tail struct {
+	b    *Bus
+	p    *sim.Proc
+	rest uint64 // latency left after the release
+	held bool   // the next wake ends the hold
+	k    sim.Cont
+}
+
+// step is the tail's continuation.
+//
+// senss-lint:hotpath
+func (tl *tail) step() (uint64, bool) {
+	if !tl.held {
+		return 0, false // the latency has passed
+	}
+	tl.held = false
+	tl.b.arbiter.Unlock(tl.p)
+	return tl.rest, tl.rest > 0
+}
+
+// tailOf returns p's tenure tail.
+//
+// senss-lint:hotpath
+func (b *Bus) tailOf(p *sim.Proc) *tail {
+	if id := p.ID(); id < len(b.tails) && b.tails[id] != nil {
+		return b.tails[id]
+	}
+	return b.newTail(p)
+}
+
+// newTail binds p's tenure tail on its first transaction.
+//
+// senss-lint:coldpath first touch: one tail per proc, bound once and reused for the whole run
+func (b *Bus) newTail(p *sim.Proc) *tail {
+	for len(b.tails) <= p.ID() {
+		b.tails = append(b.tails, nil)
+	}
+	tl := &tail{b: b, p: p}
+	tl.k = tl.step
+	b.tails[p.ID()] = tl
+	return tl
 }
 
 // RecordInjected accounts for a transaction issued piggybacked on another

@@ -310,13 +310,14 @@ func (n *Node) hitWord(addr uint64) uint64 {
 	return n.wordOf(l2, addr)
 }
 
-// Hit is what PeekHit or PeekStore found for one operation, so that
-// TakeHit or TakeStore retires it with no second probe: the L1I line of
-// the operation's instruction fetch (nil when the fetch crosses no line)
-// and the line the operation reads (the L1D line) or writes (the L2
-// line).
+// Hit is what PeekLoad or PeekStore found for one operation, so that
+// TakeLoad or TakeStore retires it with no second probe:
+// the L1I line of the operation's instruction fetch (nil when the fetch
+// crosses no line) and the line the operation reads (the L1D line, or
+// the L2 line behind an L1D miss) or writes (the L2 line).
 type Hit struct {
 	code, data *cache.Line
+	l2         bool // data is the L2 line of a load that missed L1D
 }
 
 // peekFetch reports, touching nothing, whether an instruction fetch of
@@ -342,34 +343,47 @@ func (n *Node) takeFetch(h Hit) {
 	}
 }
 
-// PeekHit reports, touching nothing, whether an instruction fetch of
-// code (only when fetch is set) followed by a Load of addr would both hit
-// in L1, the word that Load would return, and the lines they hit.
+// PeekLoad reports, touching nothing, whether an instruction fetch of
+// code (only when fetch is set) would hit in L1I and a Load of addr would
+// hit in L1D or, missing there, in L2, the word that Load would return,
+// and the lines they hit.
 //
 // senss-lint:hotpath
-func (n *Node) PeekHit(code uint64, fetch bool, addr uint64) (uint64, Hit, bool) {
+func (n *Node) PeekLoad(code uint64, fetch bool, addr uint64) (uint64, Hit, bool) {
 	lc, ok := n.peekFetch(code, fetch)
 	if !ok {
 		return 0, Hit{}, false
 	}
-	l := n.L1D.Peek(addr)
-	if l == nil {
+	if l := n.L1D.Peek(addr); l != nil {
+		return n.hitWord(addr), Hit{code: lc, data: l}, true
+	}
+	l2 := n.L2.Peek(addr)
+	if l2 == nil {
 		return 0, Hit{}, false
 	}
-	return n.hitWord(addr), Hit{code: lc, data: l}, true
+	return n.wordOf(l2, addr), Hit{code: lc, data: l2, l2: true}, true
 }
 
-// TakeHit performs, at the event where PeekHit just reported them, the
-// L1 hits of that fetch and Load with the very bookkeeping IFetch and
-// Load do — counters, LRU and hit statistics — and charges no latency:
-// the caller owes the Load's L1HitLat. It lets a wake continuation
-// (sim.Proc.SettleThen) retire a cached load without resuming the proc.
+// TakeLoad performs, at the event where PeekLoad just reported them, the
+// hits of that fetch and Load of addr with the very bookkeeping IFetch
+// and Load do — counters, LRU, hit and miss statistics, and on an L2 hit
+// the L1D fill — and charges no latency: it returns the latency the
+// caller owes, L1HitLat for an L1 hit and L1HitLat+L2HitLat for an L2
+// hit. It lets a wake continuation (sim.Proc.SettleThen) retire a cached
+// load without resuming the proc.
 //
 // senss-lint:hotpath
-func (n *Node) TakeHit(h Hit) {
+func (n *Node) TakeLoad(h Hit, addr uint64) uint64 {
 	n.takeFetch(h)
 	n.Stats.Loads++
-	n.L1D.Touch(h.data)
+	if !h.l2 {
+		n.L1D.Touch(h.data)
+		return n.Params.L1HitLat
+	}
+	n.L1D.Misses++
+	n.L2.Touch(h.data)
+	n.L1D.InsertVictim(addr, cache.Shared, &n.l1Victim)
+	return n.Params.L1HitLat + n.Params.L2HitLat
 }
 
 // PeekStore reports, touching nothing, whether an instruction fetch of

@@ -10,8 +10,8 @@
 // Port-owned buffer; the ops retire at the very events, in the very
 // order, that one call per op would reach them, but the proc is resumed
 // once per batch instead of once per op. A wake continuation
-// (sim.Proc.SettleThen) plays every op that hits L1 or stores to an owned
-// line in engine context, and the proc itself plays the rest. Every op
+// (sim.Proc.SettleThen) plays every op that hits L1 or L2 or stores to an
+// owned line in engine context, and the proc itself plays the rest. Every op
 // that returns a value or reads the clock (Load, LoadN, Add, CAS,
 // SpinUntil, Now) plays the queue first, as do Think and the program's
 // return. A Program therefore never sees a queued store unless it reads
@@ -247,7 +247,7 @@ func (c *Port) Store(addr uint64, val uint64) {
 // flush plays the queued ops in order, each at the event where one call
 // per op would play it, and returns at the last op's event with that
 // op's latency owed. The continuation (batchStep) plays every op that
-// hits L1 or stores to an owned line; the proc plays the others.
+// hits L1 or L2 or stores to an owned line; the proc plays the others.
 //
 // senss-lint:hotpath
 func (c *Port) flush() {
@@ -262,7 +262,7 @@ func (c *Port) flush() {
 		if b.next == legBoundary {
 			c.step() // handed back at a closed gate
 		} else {
-			c.fetch() // handed back at an op that needs more than L1 or an owned line
+			c.fetch() // handed back at an op that needs more than L2 or an owned line
 		}
 		op := &b.ops[b.done]
 		if op.store {
@@ -277,7 +277,7 @@ func (c *Port) flush() {
 
 // batchStep is flush's wake continuation: it plays the queued ops' legs
 // in engine context and hands the proc back, before touching anything,
-// at a closed gate, an L1 miss or a store that needs the bus — or, having
+// at a closed gate, an L2 miss or a store that needs the bus — or, having
 // played the last op, at that op's event.
 //
 // senss-lint:hotpath
@@ -304,13 +304,12 @@ func (c *Port) batchStep() (uint64, bool) {
 		c.node.TakeStore(h, op.addr, op.val)
 		b.owed = c.node.Params.StoreLat
 	} else {
-		v, h, ok := c.node.PeekHit(line, cross, op.addr)
+		v, h, ok := c.node.PeekLoad(line, cross, op.addr)
 		if !ok {
 			return 0, false
 		}
-		c.node.TakeHit(h)
+		b.owed = c.node.TakeLoad(h, op.addr)
 		op.val = v
-		b.owed = c.node.Params.L1HitLat
 	}
 	c.pc = pc
 	b.done++
@@ -328,11 +327,11 @@ func (c *Port) batchStep() (uint64, bool) {
 //	}
 //
 // — the same loads, latencies, cache and bus traffic and event order —
-// but each probe that hits L1 and reads something other than want runs
-// in engine context (sim.Proc.SettleThen), so the proc is not resumed for
-// it. The proc takes over at the exact boundary where the loop does more
-// than re-read a cached word: a closed Gate, an L1 miss, or the probe
-// that reads want.
+// but each probe that hits L1 or L2 and reads something other than want
+// runs in engine context (sim.Proc.SettleThen), so the proc is not
+// resumed for it. The proc takes over at the exact boundary where the
+// loop does more than re-read a cached word: a closed Gate, an L2 miss,
+// or the probe that reads want.
 //
 // senss-lint:hotpath
 func (c *Port) SpinUntil(addr, want, backoff uint64) {
@@ -377,14 +376,13 @@ func (c *Port) spinStep() (uint64, bool) {
 	// The gap has ended: the probe.
 	s.next = legProbe
 	pc, line, cross := c.nextFetch()
-	v, h, hit := c.node.PeekHit(line, cross, s.addr)
+	v, h, hit := c.node.PeekLoad(line, cross, s.addr)
 	if !hit || v == s.want {
 		return 0, false
 	}
 	c.pc = pc
-	c.node.TakeHit(h)
 	s.next = legOwed
-	return c.node.Params.L1HitLat, true
+	return c.node.TakeLoad(h, s.addr), true
 }
 
 // Add atomically adds delta to the word at addr, returning the old value.

@@ -183,12 +183,16 @@ func (c Config) Validate() error {
 	if c.Procs <= 0 || c.Procs > core.MaxProcs {
 		return fmt.Errorf("machine: Procs = %d, must be 1..%d", c.Procs, core.MaxProcs)
 	}
-	if c.Coherence.L1Line <= 0 || c.Coherence.L2Line <= 0 {
-		return fmt.Errorf("machine: non-positive line sizes")
-	}
-	if c.Coherence.L2Line%c.Coherence.L1Line != 0 {
+	cc := c.Coherence
+	if cc.L1Line > 0 && cc.L2Line > 0 && cc.L2Line%cc.L1Line != 0 {
 		return fmt.Errorf("machine: L2 line (%d) must be a multiple of the L1 line (%d)",
-			c.Coherence.L2Line, c.Coherence.L1Line)
+			cc.L2Line, cc.L1Line)
+	}
+	if err := checkGeometry("L1", cc.L1Size, cc.L1Ways, cc.L1Line); err != nil {
+		return err
+	}
+	if err := checkGeometry("L2", cc.L2Size, cc.L2Ways, cc.L2Line); err != nil {
+		return err
 	}
 	if c.Coherence.L2Line != c.Bus.LineBytes {
 		return fmt.Errorf("machine: L2 line (%d) must match the bus line size (%d)",
@@ -202,6 +206,39 @@ func (c Config) Validate() error {
 	}
 	if b := c.Security.Senss.Backend; !crypto.Known(b) {
 		return fmt.Errorf("machine: unknown crypto backend %q (have %v)", b, crypto.Backends())
+	}
+	return nil
+}
+
+// GeometryError reports a cache geometry that cannot be built: a size,
+// associativity or line size that is not positive, or a line size or set
+// count that is not a power of two (cache.New indexes sets by mask).
+type GeometryError struct {
+	Cache            string // "L1" (each of I and D) or "L2"
+	Size, Ways, Line int
+	Reason           string
+}
+
+func (e *GeometryError) Error() string {
+	return fmt.Sprintf("machine: %s cache of %d bytes, %d ways, %d-byte lines: %s",
+		e.Cache, e.Size, e.Ways, e.Line, e.Reason)
+}
+
+// checkGeometry returns a *GeometryError when cache.New would reject a
+// cache of size bytes with the given ways and line size.
+func checkGeometry(name string, size, ways, line int) error {
+	bad := func(format string, args ...any) error {
+		return &GeometryError{Cache: name, Size: size, Ways: ways, Line: line, Reason: fmt.Sprintf(format, args...)}
+	}
+	if size <= 0 || ways <= 0 || line <= 0 {
+		return bad("size, ways and line size must be positive")
+	}
+	if line&(line-1) != 0 {
+		return bad("line size %d is not a power of two", line)
+	}
+	// cache.New folds a cache smaller than one set into a single set.
+	if sets := size / line / ways; sets > 0 && sets&(sets-1) != 0 {
+		return bad("set count %d is not a power of two", sets)
 	}
 	return nil
 }

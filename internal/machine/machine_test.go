@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"senss/internal/coherence"
 	"senss/internal/core"
 	"senss/internal/cpu"
 	"senss/internal/psync"
@@ -223,6 +225,46 @@ func TestConfigValidate(t *testing.T) {
 		c.mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestConfigValidateGeometry: every L1 or L2 geometry that cache.New
+// would panic on comes back from Validate as a *GeometryError naming the
+// cache, and the geometries cache.New accepts pass.
+func TestConfigValidateGeometry(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*coherence.Params)
+		cache  string // "" = valid
+	}{
+		{"paper geometry", func(c *coherence.Params) {}, ""},
+		{"l2 sets not a power of two", func(c *coherence.Params) { c.L2Size = 100000 }, "L2"},
+		{"l1 sets not a power of two", func(c *coherence.Params) { c.L1Size = 3 << 10 }, "L1"},
+		{"l2 ways give odd sets", func(c *coherence.Params) { c.L2Ways = 3 }, "L2"},
+		{"l1 line not a power of two", func(c *coherence.Params) { c.L1Line = 24; c.L2Line = 48 }, "L1"},
+		{"l2 line not a power of two", func(c *coherence.Params) { c.L1Line = 16; c.L2Line = 48 }, "L2"},
+		{"zero l2 size", func(c *coherence.Params) { c.L2Size = 0 }, "L2"},
+		{"negative l1 size", func(c *coherence.Params) { c.L1Size = -4096 }, "L1"},
+		{"zero l1 ways", func(c *coherence.Params) { c.L1Ways = 0 }, "L1"},
+		{"zero l1 line", func(c *coherence.Params) { c.L1Line = 0 }, "L1"},
+		{"smaller than one set", func(c *coherence.Params) { c.L1Size = 32 }, ""},
+		{"fully associative", func(c *coherence.Params) { c.L1Ways = 128 }, ""},
+	}
+	for _, tc := range cases {
+		cfg := smallConfig(4, SecurityOff)
+		tc.mutate(&cfg.Coherence)
+		err := cfg.Validate()
+		var ge *GeometryError
+		switch {
+		case tc.cache == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.cache == "":
+			New(cfg) // must not panic in cache.New
+		case !errors.As(err, &ge):
+			t.Errorf("%s: Validate = %v, want a *GeometryError", tc.name, err)
+		case ge.Cache != tc.cache:
+			t.Errorf("%s: error names the %s cache, want %s: %v", tc.name, ge.Cache, tc.cache, err)
 		}
 	}
 }

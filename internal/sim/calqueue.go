@@ -2,37 +2,38 @@ package sim
 
 import "math/bits"
 
-// This file is the engine's event scheduler: a calendar queue (time wheel)
-// specialized for the simulator's traffic pattern. Nearly every event is
-// scheduled a small number of cycles ahead (OpGap, cache hit latencies, the
-// ~180-cycle memory round trip), so a wheel of per-cycle buckets covering the
-// next wheelBuckets cycles absorbs the hot path with O(1) push and pop and no
-// comparison sorting; the rare far-future event overflows into a small binary
-// heap and is drained into the wheel when the window rotates past it.
+// This file is the engine's event scheduler: a small time wheel in front
+// of a binary min-heap, sized for the simulator's traffic. The queue never
+// holds more than about one event per proc, nearly all of them a few
+// cycles ahead (OpGap, cache hit latencies), so a wheel of wheelBuckets
+// one-cycle buckets, each a fixed inline FIFO of bucketCap events, takes
+// the hot path with no allocation and no comparison sorting. An event
+// beyond the window, or one that finds its bucket full, goes to the heap.
 //
-// The ordering contract is identical to the binary heap it replaced: events
-// pop in (cycle, insertion sequence) order, so same-cycle events are FIFO.
-// Within a bucket that holds exactly because each bucket is append-only and
-// consumed front to back; across the overflow boundary it holds because the
-// window only rotates when the wheel is empty, and the drain inserts overflow
-// events (all carrying older sequence numbers than any later direct push to
-// the new window) in heap order, which is sequence order within a cycle.
+// The ordering contract is the binary heap's: events pop in (cycle,
+// insertion sequence) order, so same-cycle events are FIFO. It holds by
+// construction. Every wheel event lies in [start, start+wheelBuckets), so
+// a bucket only ever holds one cycle, and within it events sit in
+// insertion order, which is sequence order. The wheel's head — the front
+// of the first occupied bucket — is therefore the wheel's least event,
+// the heap's top is the heap's, and popAt takes the lesser of the two.
+// Nothing is ever moved between the tiers: no rotation and no drain.
 // The scheduler-equivalence and metamorphic tests in calqueue_test.go pin
-// both properties against the reference heap.
+// the contract against a reference heap.
 
 const (
-	// wheelBuckets is the wheel window size in cycles. It must be a power
-	// of two and comfortably exceed the largest common latency (MemLat +
-	// crypto ≈ 300 cycles) so rotation — the only O(log n) path — stays
-	// rare. 1024 buckets is 40 KiB of bucket headers per engine.
-	wheelBuckets = 1 << 10
+	// wheelBuckets is the wheel window in cycles: one bucket per cycle,
+	// one bit per bucket in the occupancy word.
+	wheelBuckets = 64
 	wheelMask    = wheelBuckets - 1
+	// bucketCap is how many events one bucket holds inline. The golden
+	// cells never queue more than one event per proc, four in all.
+	bucketCap = 4
 )
 
 // event is a scheduled occurrence: either an engine-context callback or the
-// resumption of a parked proc. Events are values — the calendar queue stores
-// them inline in its buckets, so the steady state moves no pointers and
-// allocates nothing.
+// resumption of a parked proc. Events are values — the queue stores them
+// inline, so the steady state moves no pointers and allocates nothing.
 type event struct {
 	at  uint64
 	seq uint64
@@ -40,32 +41,29 @@ type event struct {
 	p   *Proc
 }
 
-// bucket holds the events of one cycle in insertion order. It is consumed
-// front to back via head, and reset (retaining capacity) once drained.
+// bucket is a fixed FIFO ring of the events of one cycle.
 type bucket struct {
-	evs  []event
-	head int
+	evs     [bucketCap]event
+	head, n uint8
 }
 
-// calQueue is the calendar queue. The zero value is an empty queue with the
+// calQueue is the event queue. The zero value is an empty queue with the
 // window starting at cycle 0.
 type calQueue struct {
-	// base is the window start: the wheel covers cycles
-	// [base, base+wheelBuckets), bucket index = cycle & wheelMask.
-	base uint64
-	// cur is the scan cursor: every bucket for a cycle below cur is empty.
-	// Only pop advances it (to the popped cycle), which is safe because
-	// all future pushes happen at or after the current simulated cycle.
-	// Peek never moves it: a peek that stops a run slice may be followed
-	// by pushes at earlier cycles than the peeked event.
-	cur     uint64
-	n       int // total events (wheel + overflow)
-	inWheel int // events currently in wheel buckets
-	occ     [wheelBuckets / 64]uint64
+	// start is the window start: the wheel covers cycles
+	// [start, start+wheelBuckets), bucket index = cycle & wheelMask.
+	// Only popAt and advance move it, each to a cycle no queued event
+	// precedes; every later push is at or after it, because simulated
+	// time never runs backwards. Peek never moves it: a peek that stops
+	// a run slice may be followed by pushes at earlier cycles than the
+	// peeked event.
+	start   uint64
+	n       int    // total events (wheel + heap)
+	occ     uint64 // bit i set: bucket i is nonempty
 	buckets [wheelBuckets]bucket
-	// overflow is a binary min-heap ordered by (at, seq) holding events
-	// beyond the current window.
-	overflow []event
+	// heap is a binary min-heap ordered by (at, seq) holding the events
+	// beyond the window or past a full bucket.
+	heap []event
 }
 
 // len returns the number of scheduled events.
@@ -74,101 +72,102 @@ type calQueue struct {
 func (q *calQueue) len() int { return q.n }
 
 // push schedules ev. ev.at must be >= the cycle of the last popped event
-// (time never runs backwards), which keeps every push inside or beyond the
-// current window.
+// (time never runs backwards), and ev.seq above every queued event's.
 //
 // senss-lint:hotpath
 func (q *calQueue) push(ev event) {
 	q.n++
-	if ev.at < q.base+wheelBuckets {
-		q.bucketPush(ev)
-		return
+	if ev.at-q.start < wheelBuckets {
+		i := ev.at & wheelMask
+		b := &q.buckets[i]
+		if b.n < bucketCap {
+			b.evs[(b.head+b.n)%bucketCap] = ev
+			b.n++
+			q.occ |= 1 << i
+			return
+		}
 	}
-	q.overflowPush(ev)
+	q.heapPush(ev)
 }
 
+// window returns the occupancy word rotated so that bit i stands for
+// cycle start+i.
+//
 // senss-lint:hotpath
-func (q *calQueue) bucketPush(ev event) {
-	i := ev.at & wheelMask
-	b := &q.buckets[i]
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
-		q.occ[i>>6] |= 1 << (i & 63)
-	}
-	//senss-lint:ignore hotpath amortized growth: buckets reach steady-state capacity after warmup
-	b.evs = append(b.evs, ev)
-	q.inWheel++
+func (q *calQueue) window() uint64 {
+	return bits.RotateLeft64(q.occ, -int(q.start&wheelMask))
+}
+
+// wheelAt returns the cycle of the wheel's first occupied bucket. The
+// caller guarantees the wheel is nonempty.
+//
+// senss-lint:hotpath
+func (q *calQueue) wheelAt() uint64 {
+	return q.start + uint64(bits.TrailingZeros64(q.window()))
 }
 
 // peekAt returns the cycle of the next event without removing it, and
-// whether one exists. It never rotates the window and never moves cur.
+// whether one exists. It moves nothing.
 //
 // senss-lint:hotpath
 func (q *calQueue) peekAt() (uint64, bool) {
-	if q.inWheel > 0 {
-		return q.scanFrom(q.cur), true
+	if q.occ != 0 {
+		at := q.wheelAt()
+		if len(q.heap) > 0 && q.heap[0].at < at {
+			return q.heap[0].at, true
+		}
+		return at, true
 	}
-	if len(q.overflow) > 0 {
-		return q.overflow[0].at, true
+	if len(q.heap) > 0 {
+		return q.heap[0].at, true
 	}
 	return 0, false
 }
 
 // popAt removes and returns the next event, whose cycle the caller obtained
 // from peekAt with no intervening push (peek and pop run in one dispatch
-// step of a single-threaded engine, so nothing can interleave).
+// step of a single-threaded engine, so nothing can interleave). A bucket
+// that is occupied at at's index holds cycle at: every wheel event lies
+// in the window, at or after the least event's cycle.
 //
 // senss-lint:hotpath
 func (q *calQueue) popAt(at uint64) event {
-	if q.inWheel == 0 {
-		q.rotate()
-	}
-	i := at & wheelMask
-	b := &q.buckets[i]
-	ev := b.evs[b.head]
-	b.evs[b.head] = event{} // drop fn/proc references for the GC
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
-		q.occ[i>>6] &^= 1 << (i & 63)
-	}
-	q.cur = at
-	q.inWheel--
+	q.start = at
 	q.n--
-	return ev
+	i := at & wheelMask
+	if q.occ&(1<<i) != 0 {
+		b := &q.buckets[i]
+		if len(q.heap) == 0 || q.heap[0].at != at || b.evs[b.head].seq < q.heap[0].seq {
+			ev := b.evs[b.head]
+			b.evs[b.head] = event{} // drop fn/proc references for the GC
+			b.head = (b.head + 1) % bucketCap
+			b.n--
+			if b.n == 0 {
+				q.occ &^= 1 << i
+			}
+			return ev
+		}
+	}
+	return q.heapPop()
 }
 
-// scanFrom returns the lowest cycle >= c with a nonempty bucket. The caller
-// guarantees the wheel is nonempty; buckets below c are empty by the cur
-// invariant, so any set occupancy bit at or after c names the next cycle.
+// advance reports whether no queued event lies at or before cycle at,
+// and if so moves the window start there, as popping an event at that
+// cycle would: the caller is about to take such an event without
+// queuing it.
 //
 // senss-lint:hotpath
-func (q *calQueue) scanFrom(c uint64) uint64 {
-	end := q.base + wheelBuckets
-	for c < end {
-		i := c & wheelMask
-		w := q.occ[i>>6] >> (i & 63)
-		if w != 0 {
-			return c + uint64(bits.TrailingZeros64(w))
-		}
-		c += 64 - (i & 63)
+func (q *calQueue) advance(at uint64) bool {
+	if len(q.heap) > 0 && q.heap[0].at <= at {
+		return false
 	}
-	panic("sim: calendar wheel lost an event (scan past window end)")
-}
-
-// rotate advances the window to the earliest overflow event and drains every
-// overflow event that now fits. Only called when the wheel is empty, so no
-// bucket can hold events of two different cycles.
-//
-// senss-lint:coldpath window rotation: only far-future events (beyond 1024 cycles) ever trigger it
-func (q *calQueue) rotate() {
-	q.base = q.overflow[0].at
-	q.cur = q.base
-	for len(q.overflow) > 0 && q.overflow[0].at < q.base+wheelBuckets {
-		q.bucketPush(q.overflowPop())
+	// The mask covers cycles start..at; from at-start = 63 on it is every
+	// bit, since Go shifts past the width to zero.
+	if q.window()&(2<<(at-q.start)-1) != 0 {
+		return false
 	}
+	q.start = at
+	return true
 }
 
 // reset drops every scheduled event (Abort teardown).
@@ -176,34 +175,40 @@ func (q *calQueue) reset() {
 	*q = calQueue{}
 }
 
-// overflowLess orders the overflow heap by (cycle, insertion sequence).
-func overflowLess(a, b event) bool {
+// eventLess orders the heap by (cycle, insertion sequence).
+//
+// senss-lint:hotpath
+func eventLess(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// overflowPush is a hand-rolled sift-up so events stay values (container/heap
+// heapPush is a hand-rolled sift-up so events stay values (container/heap
 // would box them through interface{}).
 //
-// senss-lint:coldpath overflow heap: only far-future events (beyond 1024 cycles) land here
-func (q *calQueue) overflowPush(ev event) {
-	h := append(q.overflow, ev)
+// senss-lint:hotpath
+func (q *calQueue) heapPush(ev event) {
+	//senss-lint:ignore hotpath amortized growth: the heap holds at most a few events per proc and reaches steady-state capacity after warmup
+	h := append(q.heap, ev)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !overflowLess(h[i], h[parent]) {
+		if !eventLess(h[i], h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	q.overflow = h
+	q.heap = h
 }
 
-func (q *calQueue) overflowPop() event {
-	h := q.overflow
+// heapPop removes and returns the heap's least event.
+//
+// senss-lint:hotpath
+func (q *calQueue) heapPop() event {
+	h := q.heap
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
@@ -213,10 +218,10 @@ func (q *calQueue) overflowPop() event {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(h) && overflowLess(h[l], h[small]) {
+		if l < len(h) && eventLess(h[l], h[small]) {
 			small = l
 		}
-		if r < len(h) && overflowLess(h[r], h[small]) {
+		if r < len(h) && eventLess(h[r], h[small]) {
 			small = r
 		}
 		if small == i {
@@ -225,6 +230,6 @@ func (q *calQueue) overflowPop() event {
 		h[i], h[small] = h[small], h[i]
 		i = small
 	}
-	q.overflow = h
+	q.heap = h
 	return top
 }

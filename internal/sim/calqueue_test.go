@@ -7,15 +7,15 @@ import (
 	"testing"
 )
 
-// refHeap is the reference scheduler: the binary min-heap ordered by
-// (cycle, insertion sequence) that the calendar queue replaced. The
-// equivalence tests below run both structures in lockstep on fuzzed
-// schedules and demand identical peek and pop behavior — the calendar
-// queue earns its place only by being indistinguishable.
+// refHeap is the reference scheduler: a plain binary min-heap ordered by
+// (cycle, insertion sequence). The equivalence tests below run it and the
+// wheel-plus-heap queue in lockstep on fuzzed schedules and demand
+// identical peek and pop behavior — the queue earns its place only by
+// being indistinguishable.
 type refHeap []event
 
 func (h refHeap) Len() int            { return len(h) }
-func (h refHeap) Less(i, j int) bool  { return overflowLess(h[i], h[j]) }
+func (h refHeap) Less(i, j int) bool  { return eventLess(h[i], h[j]) }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
 func (h *refHeap) Pop() interface{} {
@@ -57,12 +57,13 @@ func popBoth(t *testing.T, q *calQueue, ref *refHeap) event {
 }
 
 // TestCalQueueMatchesReferenceHeap is the lockstep scheduler-equivalence
-// property test: fuzzed schedules mixing same-cycle bursts, hit-latency
-// deltas, bus-scale deltas, and far-future events beyond the wheel
-// horizon, with peeks and pops interleaved the way RunUntil deadline
-// slicing interleaves them (peek, then push at earlier cycles than the
-// peeked event, then peek again). The calendar queue must agree with the
-// reference heap on every observable at every step.
+// property test: fuzzed schedules mixing same-cycle bursts (some larger
+// than a bucket holds, so they spill into the heap), hit-latency deltas,
+// bus-scale deltas, and far-future events beyond the wheel window, with
+// peeks and pops interleaved the way RunUntil deadline slicing
+// interleaves them (peek, then push at earlier cycles than the peeked
+// event, then peek again). The queue must agree with the reference heap
+// on every observable at every step.
 func TestCalQueueMatchesReferenceHeap(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -71,13 +72,15 @@ func TestCalQueueMatchesReferenceHeap(t *testing.T) {
 			var ref refHeap
 			var seq uint64
 			var now uint64 // cycle of the last popped event
-			overflowPushes := 0
+			spills, far := 0, 0
 
 			push := func(at uint64) {
 				ev := event{at: at, seq: seq}
 				seq++
-				if at >= q.base+wheelBuckets {
-					overflowPushes++
+				if at >= q.start+wheelBuckets {
+					far++
+				} else if q.buckets[at&wheelMask].n == bucketCap {
+					spills++
 				}
 				q.push(ev)
 				heap.Push(&ref, ev)
@@ -89,13 +92,19 @@ func TestCalQueueMatchesReferenceHeap(t *testing.T) {
 			for step := 0; step < 20000; step++ {
 				if q.len() == 0 || (q.len() < 4096 && r.Intn(10) < 6) {
 					var delta uint64
-					switch r.Intn(12) {
+					switch r.Intn(13) {
 					case 0: // same-cycle burst: the tie-break path
 						delta = 0
 					case 1, 2: // cache-hit latencies
 						delta = uint64(r.Intn(8))
-					case 3: // beyond the wheel horizon: the overflow heap
+					case 3: // beyond the wheel window: the heap
 						delta = wheelBuckets + uint64(r.Intn(4*wheelBuckets))
+					case 4: // a burst past a bucket's capacity: the spill
+						at := now + uint64(r.Intn(wheelBuckets))
+						for i := bucketCap + r.Intn(2*bucketCap); i > 0; i-- {
+							push(at)
+						}
+						continue
 					default: // bus and memory round-trip scale
 						delta = uint64(r.Intn(512))
 					}
@@ -106,11 +115,11 @@ func TestCalQueueMatchesReferenceHeap(t *testing.T) {
 					// Deadline-slicing interleaving: peek (as RunUntil does
 					// to compare against its deadline), then push an event
 					// at an earlier cycle than the peeked one. The peek must
-					// not have advanced the scan cursor past it.
+					// not have moved the window start past it.
 					peeked, _ := q.peekAt()
 					push(now)
 					if got, _ := q.peekAt(); got > peeked || got > now {
-						t.Fatalf("after peek(%d) then push(at=%d): peekAt=%d — peek moved the cursor", peeked, now, got)
+						t.Fatalf("after peek(%d) then push(at=%d): peekAt=%d — peek moved the window", peeked, now, got)
 					}
 				}
 				now = popBoth(t, &q, &ref).at
@@ -118,8 +127,8 @@ func TestCalQueueMatchesReferenceHeap(t *testing.T) {
 			for q.len() > 0 {
 				popBoth(t, &q, &ref)
 			}
-			if overflowPushes == 0 {
-				t.Fatal("schedule never exercised the overflow heap; fuzz mix is broken")
+			if far == 0 || spills == 0 {
+				t.Fatalf("schedule pushed %d events beyond the window and %d past a full bucket; both heap paths must run", far, spills)
 			}
 		})
 	}
@@ -134,9 +143,10 @@ func TestCalQueueMatchesReferenceHeap(t *testing.T) {
 // conformance suite hold: the engine always presents insertions in the
 // same deterministic order, and the queue never reorders within a cycle.
 func TestCalQueueMetamorphicSameCycleOrder(t *testing.T) {
-	// Clusters of same-cycle events, including one beyond the wheel
-	// horizon so a tie group lives in the overflow heap.
-	cycles := []uint64{3, 3, 3, 3, 17, 17, 40, 40, 40, 40, 40, 700, 700, 5000, 5000, 5000}
+	// Clusters of same-cycle events, including groups beyond the wheel
+	// window and one larger than a bucket, so tie groups live in the heap
+	// and straddle the wheel and the heap.
+	cycles := []uint64{3, 3, 3, 3, 17, 17, 40, 40, 40, 40, 40, 40, 40, 700, 700, 5000, 5000, 5000}
 
 	var wantCycles []uint64 // sorted retirement timeline, fixed across permutations
 
@@ -202,12 +212,11 @@ func TestCalQueueMetamorphicSameCycleOrder(t *testing.T) {
 	}
 }
 
-// TestCalQueueOverflowBoundaryFIFO pins FIFO across the overflow/wheel
-// boundary: events for one far-future cycle pushed before rotation (via
-// the overflow heap) and after rotation (directly into the wheel) must
-// still retire in global insertion order, because the drain inserts the
-// overflow events — which all carry older sequence numbers — ahead of
-// any later direct push into the same bucket.
+// TestCalQueueOverflowBoundaryFIFO pins FIFO across the heap/wheel
+// boundary: events for one far-future cycle pushed while it lay beyond
+// the window (into the heap) and after the window reached it (directly
+// into the wheel) must still retire in global insertion order, because
+// popAt compares the heap's top with the wheel's head by sequence.
 func TestCalQueueOverflowBoundaryFIFO(t *testing.T) {
 	var q calQueue
 	var seq uint64
@@ -219,29 +228,28 @@ func TestCalQueueOverflowBoundaryFIFO(t *testing.T) {
 	}
 
 	const far = 3 * wheelBuckets
-	// Three far-future events land in the overflow heap, deliberately
-	// pushed out of cycle order to make the drain do real sorting work.
+	// Three far-future events land in the heap, deliberately pushed out
+	// of cycle order to make the heap do real sorting work.
 	push(far + 1)
 	push(far)
 	push(far)
-	// A near event keeps the wheel busy so rotation happens on its pop.
+	// A near event keeps the wheel busy.
 	push(5)
 
 	if got := q.popAt(5); got.at != 5 {
 		t.Fatalf("first pop at=%d, want 5", got.at)
 	}
-	// The wheel is now empty; the next pop rotates the window to `far`
-	// and drains the overflow heap into wheel buckets.
+	// The wheel is now empty; the next pop comes from the heap and moves
+	// the window start to `far`.
 	at, ok := q.peekAt()
 	if !ok || at != far {
 		t.Fatalf("peek after wheel drained = (%d, %v), want (%d, true)", at, ok, far)
 	}
 	if got := q.popAt(at); got.seq != 1 {
-		t.Fatalf("first post-rotation pop seq=%d, want 1", got.seq)
+		t.Fatalf("first pop from the heap seq=%d, want 1", got.seq)
 	}
-	// The window now starts at `far`, so pushes for the drained cycles go
-	// directly into the wheel, appending behind the drained events: newer
-	// seq, same bucket.
+	// The window now starts at `far`, so pushes for the heap's cycles go
+	// directly into the wheel: newer seq, same cycle, other tier.
 	push(far)
 	push(far + 1)
 
@@ -253,7 +261,7 @@ func TestCalQueueOverflowBoundaryFIFO(t *testing.T) {
 		}
 		got := q.popAt(at)
 		if got.seq != want {
-			t.Fatalf("pop %d: (at=%d seq=%d), want seq %d — FIFO broke across the overflow boundary",
+			t.Fatalf("pop %d: (at=%d seq=%d), want seq %d — FIFO broke across the heap/wheel boundary",
 				i, got.at, got.seq, want)
 		}
 	}
@@ -266,9 +274,9 @@ func TestCalQueueOverflowBoundaryFIFO(t *testing.T) {
 // contract under adversarial slicing: random deadline sizes, including
 // long stretches of 1-cycle slices that peek the queue at every cycle —
 // the access pattern that punishes a scheduler whose peek disturbs
-// cursor state. Every slicing must retire the identical trace at the
+// window state. Every slicing must retire the identical trace at the
 // identical cycles as the unsliced run, including sleeps past the wheel
-// horizon that traverse the overflow heap.
+// window that go through the heap.
 func TestRunUntilRandomSlicesMatchRun(t *testing.T) {
 	build := func() (*Engine, *[]string) {
 		e := NewEngine()
@@ -283,7 +291,7 @@ func TestRunUntilRandomSlicesMatchRun(t *testing.T) {
 		}
 		rec("a", 2, 40)
 		rec("b", 7, 25)
-		rec("c", 1500, 4) // every sleep crosses the wheel horizon
+		rec("c", 1500, 4) // every sleep lies beyond the wheel window
 		rec("d", wheelBuckets, 5)
 		return e, &trace
 	}

@@ -18,9 +18,10 @@
 // channels. The proc that is running dispatches events itself: when its
 // own resumption is the next event it simply keeps running with no switch
 // at all, and only a cross-proc handoff costs a yield plus a resume. Events
-// live in a calendar queue (calqueue.go) rather than a binary heap: O(1)
-// value-typed push/pop with no comparison sorting on the hot path
-// (DESIGN.md §16).
+// live in a 64-cycle wheel of fixed inline buckets in front of a
+// (cycle, sequence) binary heap (calqueue.go): the near events the
+// simulator queues cost an occupancy-bit flip, with no allocation and no
+// comparison sorting, and the rest go to the heap (DESIGN.md §16).
 //
 // A proc may also owe a sleep instead of taking it (Owe): the wake is
 // queued as Sleep would queue it, but the proc keeps running. Its next
@@ -41,13 +42,17 @@
 // number, drawn where the proc's own Sleep would draw it. A loop of short
 // sleeps split by cheap work — a spin-wait probing a cached word — then
 // retires in the identical (cycle, sequence) order without a coroutine
-// switch per wake. cpu.Port.SpinUntil runs every lock and barrier probe
-// that hits L1 this way, and cpu.Port plays each batch of queued stores
-// and LoadN loads as one continuation; on the 4-processor golden cells,
-// coroutine resumes per retired memory op fell from
+// switch per wake. When the sleep a continuation returns is itself the
+// next event — nothing queued at or before its cycle, and the halt,
+// deadline and limit checks of the pop would pass — dispatch takes it at
+// once, with no push and no pop (run-ahead). cpu.Port.SpinUntil runs
+// every lock and barrier probe that hits L1 this way, cpu.Port plays
+// each batch of queued stores and LoadN loads as one continuation, and
+// bus.Transact takes its tenure's tail as one; on the 4-processor golden
+// cells, coroutine resumes per retired memory op fell from
 //
-//	radix 1.24 → 0.30, barnes 1.27 → 0.36, lu 1.19 → 0.32,
-//	fft 1.04 → 0.35, ocean 0.98 → 0.26
+//	radix 1.24 → 0.23, barnes 1.27 → 0.32, lu 1.19 → 0.27,
+//	fft 1.04 → 0.21, ocean 0.98 → 0.22, falseshare 2.19 → 1.07
 //
 // (DESIGN.md §16 has the tables).
 package sim
@@ -134,6 +139,7 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 	name  string
+	id    int
 	done  bool
 	// owes is set while the proc's wake from Owe sits in the queue and
 	// the proc keeps running.
@@ -155,6 +161,12 @@ type Cont func() (uint64, bool)
 
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string { return p.name }
+
+// ID returns the proc's spawn index in its engine: 0 for the first proc
+// spawned, 1 for the next. Layers key per-proc state by it.
+//
+// senss-lint:hotpath
+func (p *Proc) ID() int { return p.id }
 
 // Engine returns the owning engine.
 //
@@ -178,7 +190,7 @@ var procAborted = abortSentinel{}
 // Spawn creates a proc running fn, started at the current cycle (after
 // already-queued events at this cycle).
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name}
+	p := &Proc{e: e, name: name, id: len(e.procs)}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
@@ -213,6 +225,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 //
 // senss-lint:hotpath
 func (e *Engine) dispatch(self *Proc) bool {
+events:
 	for {
 		at, ok := e.q.peekAt()
 		switch {
@@ -239,24 +252,49 @@ func (e *Engine) dispatch(self *Proc) bool {
 			ev.fn()
 			continue
 		}
-		if p := ev.p; p.twoLeg || p.k != nil {
-			if d, again := p.wake(); again {
-				// Queue the next sleep with the sequence number the
-				// proc would draw on waking here.
-				e.seq++
-				e.q.push(event{at: e.now + d, seq: e.seq, p: p})
-				continue
+		p := ev.p
+		for p.twoLeg || p.k != nil {
+			d, again := p.wake()
+			if !again {
+				break
 			}
+			// Queue the next sleep with the sequence number the proc
+			// would draw on waking here — or, when that wake is the
+			// next event anyway, take it at once.
+			e.seq++
+			at := e.now + d
+			if !e.runAhead(at) {
+				e.q.push(event{at: at, seq: e.seq, p: p})
+				continue events
+			}
+			e.now = at
 		}
-		if ev.p == self {
+		if p == self {
 			return true
 		}
-		if ev.p.done {
-			panic(fmt.Sprintf("sim: resuming finished proc %q", ev.p.name))
+		if p.done {
+			panic(fmt.Sprintf("sim: resuming finished proc %q", p.name))
 		}
-		e.handoff = ev.p
+		e.handoff = p
 		return false
 	}
+}
+
+// runAhead reports whether a wake the engine is about to queue at cycle
+// at would be the very next event dispatch pops and retires: no queued
+// event lies at or before at, and the halt, deadline and limit checks
+// the pop would face all pass. The wake carries the newest sequence
+// number, so it would follow every queued event of its cycle; with none
+// there or earlier it is next. The caller then sets the clock and takes
+// the wake with no push and no pop, in the identical (cycle, sequence)
+// order.
+//
+// senss-lint:hotpath
+func (e *Engine) runAhead(at uint64) bool {
+	if e.halted || at > e.deadline || e.limit != 0 && at > e.limit {
+		return false
+	}
+	return e.q.advance(at)
 }
 
 // wake runs a proc's wake in engine context: the first leg of a two-leg

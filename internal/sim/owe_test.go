@@ -37,11 +37,12 @@ type oweScript struct {
 	observers []uint64 // cycles of observers scheduled before the run
 	slices    []uint64 // RunUntil slice lengths, cycled
 	haltAt    uint64   // an fn event halts the engine here; 0 = never
+	limit     uint64   // the engine's cycle limit; 0 = none
 	abortLeft int      // Abort after this many slices; 0 = never
 }
 
 // oweDelay draws a sleep length: mostly short, sometimes zero, now and
-// then past the calendar wheel's horizon.
+// then past the wheel window.
 func oweDelay(r *rand.Rand) uint64 {
 	switch r.Intn(10) {
 	case 0:
@@ -90,6 +91,9 @@ func newOweScript(r *rand.Rand) oweScript {
 		s.haltAt = 1 + uint64(r.Intn(500))
 	}
 	if r.Intn(4) == 0 {
+		s.limit = 1 + uint64(r.Intn(600))
+	}
+	if r.Intn(4) == 0 {
 		s.abortLeft = 1 + r.Intn(40)
 	}
 	return s
@@ -106,6 +110,7 @@ type oweRec struct {
 // oweOutcome is everything a run of the script exposes.
 type oweOutcome struct {
 	trace   []oweRec
+	clocks  []uint64 // the clock after each RunUntil slice
 	now     uint64
 	seq     uint64
 	live    int
@@ -208,6 +213,7 @@ func runOweScript(s oweScript, owed bool) oweOutcome {
 	if s.haltAt > 0 {
 		e.Schedule(s.haltAt, func() { e.Halt("fuzzed halt") })
 	}
+	e.SetLimit(s.limit)
 	out := oweOutcome{}
 	for n := 0; ; n++ {
 		if s.abortLeft > 0 && n == s.abortLeft {
@@ -215,6 +221,7 @@ func runOweScript(s oweScript, owed bool) oweOutcome {
 			break
 		}
 		done, err := e.RunUntil(e.Now() + s.slices[n%len(s.slices)])
+		out.clocks = append(out.clocks, e.now)
 		if err != nil {
 			out.err = err.Error()
 		}
@@ -235,8 +242,12 @@ func runOweScript(s oweScript, owed bool) oweOutcome {
 // same order, and draw the same sequence numbers as a twin engine
 // sleeping each leg plainly — across random RunUntil slices (1-cycle ones
 // included), far-future sleeps, parks, a halt at a random cycle or from
-// inside a continuation, and a mid-run Abort that can catch a proc
-// sleeping through one.
+// inside a continuation, a cycle limit, and a mid-run Abort that can
+// catch a proc sleeping through one. A continuation wake that is the
+// next event is taken at once, with no push and no pop (dispatch's
+// run-ahead); the slice deadline, the halt and the limit must stop it
+// exactly where they stop a popped wake, so the clock after every slice
+// is compared too.
 func TestOweMatchesPlainSleeps(t *testing.T) {
 	fewer := 0
 	for seed := int64(1); seed <= 400; seed++ {
@@ -249,6 +260,9 @@ func TestOweMatchesPlainSleeps(t *testing.T) {
 			if owed.trace[i] != plain.trace[i] {
 				t.Fatalf("seed %d: retirement %d is %+v owed, %+v plain", seed, i, owed.trace[i], plain.trace[i])
 			}
+		}
+		if fmt.Sprint(owed.clocks) != fmt.Sprint(plain.clocks) {
+			t.Fatalf("seed %d: clock after each slice %v owed, %v plain", seed, owed.clocks, plain.clocks)
 		}
 		if owed.now != plain.now || owed.seq != plain.seq || owed.live != plain.live ||
 			owed.done != plain.done || owed.err != plain.err || owed.halted != plain.halted {
