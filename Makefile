@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet lint race farm-race serve-race oracle fuzz-smoke figures bench-sim bench-check bench-crypto bench-serve speed-smoke serve-smoke verify clean
+.PHONY: all build fmt test vet lint race farm-race oracle fuzz-smoke figures bench-sim bench-check bench-crypto bench-serve speed-smoke serve-smoke verify clean
 
 all: verify
 
@@ -30,13 +30,6 @@ race:
 # iteration count. Cheap enough to run on every change to internal/farm.
 farm-race:
 	$(GO) test -race -count=3 ./internal/farm
-
-# serve-race hammers the serving layer under the race detector: the
-# lock-striped session table, the quota accountant, the bounded pool,
-# and the 64-session concurrency test whose served stats must stay
-# byte-identical to serial driver.Run.
-serve-race:
-	$(GO) test -race ./internal/serve
 
 # oracle runs the shape-regression suite with the lockstep differential
 # oracle attached (SENSS_ORACLE=1): every bus transaction is replayed
@@ -104,7 +97,7 @@ serve-smoke: build
 
 # verify is the full pre-merge gate: everything CI runs, in order of
 # increasing cost.
-verify: build fmt vet lint test farm-race serve-race race oracle speed-smoke serve-smoke bench-check fuzz-smoke
+verify: build fmt vet lint test farm-race race oracle speed-smoke serve-smoke bench-check fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -84,5 +84,14 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("listen %s: %w", *addr, err)
 	}
 	fmt.Printf("senss-serve: listening on http://%s\n", ln.Addr())
-	return (&http.Server{Handler: srv.Handler()}).Serve(ln)
+	return newHTTPServer(srv).Serve(ln)
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled client cannot hold a connection open.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer is the HTTP front end cmdServe runs srv behind.
+func newHTTPServer(srv *serve.Server) *http.Server {
+	return &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 }

@@ -213,7 +213,7 @@ func TestGoldenConformance(t *testing.T) {
 // TestGoldenSpinResumes pins the host cost that cpu.Port.SpinUntil
 // removes. Barrier spin probes are over 40% of the retired memory ops of
 // the radix and barnes golden cells; run in engine context, they resume
-// no coroutine, and the engine resumes a proc less than once per two ops
+// no coroutine, and the engine resumes a proc 0.19 to 0.32 times per op
 // (1.03 to 1.30 per op when every probe resumed the spinning proc).
 func TestGoldenSpinResumes(t *testing.T) {
 	checkGoldenResumes(t, []string{"radix", "barnes"}, 0.5)
@@ -222,7 +222,7 @@ func TestGoldenSpinResumes(t *testing.T) {
 // TestGoldenBatchResumes pins the host cost that cpu.Port's batches
 // remove. ocean, fft and lu read their operands through LoadN and queue
 // their stores, so a batch of L1 and L2 hits resumes its proc once: 0.22,
-// 0.21 and 0.27 resumes per op on the base cells, against 0.92, 0.83 and
+// 0.20 and 0.26 resumes per op on the base cells, against 0.92, 0.83 and
 // 0.58 when every op resumed the proc.
 func TestGoldenBatchResumes(t *testing.T) {
 	checkGoldenResumes(t, []string{"ocean", "fft", "lu"}, 0.3)

@@ -3,8 +3,13 @@
 // write-back L2 kept coherent with the other nodes by a MOESI
 // write-invalidate protocol over the shared bus.
 //
-// All methods are written in blocking style and must be called from a
-// sim.Proc; they charge the Figure-5 latencies by sleeping.  Snooping
+// The operations are written in blocking style and must be called from a
+// sim.Proc; they charge the Figure-5 latencies by sleeping. Each cache hit
+// is also a non-blocking step — FetchHit, TryLoad and TryStore — that does
+// the hit's bookkeeping, charges no latency, never sleeps and touches
+// nothing on a miss; IFetch, Load and Store take that step first, and a
+// wake continuation (sim.Proc.SettleThen) may take it in engine context
+// and owe the latency it returns. Snooping
 // happens synchronously inside the requester's bus tenure, and every
 // cache-state change commits atomically at the coherence point (an L2 hit
 // before any sleep, or the bus grant via Transaction.OnData for misses), so
@@ -277,145 +282,62 @@ func (n *Node) invalidateL1(la uint64) {
 	}
 }
 
-// fetchL1 counts an instruction fetch of addr and probes the L1I,
-// reporting a hit.
+// FetchHit performs an instruction fetch of addr that hits in L1I, with
+// IFetch's exact hit bookkeeping (the fetch count, LRU and hit
+// statistics), and reports whether it hit. An L1I hit costs no latency;
+// on a miss FetchHit touches nothing.
 //
 // senss-lint:hotpath
-func (n *Node) fetchL1(addr uint64) bool {
+func (n *Node) FetchHit(addr uint64) bool {
+	l := n.L1I.Peek(addr)
+	if l == nil {
+		return false
+	}
 	n.Stats.IFetches++
-	return n.L1I.Lookup(addr) != nil
+	n.L1I.Touch(l)
+	return true
 }
 
-// loadL1 counts a load of addr and probes the L1D; on a hit it returns
-// the word, bound at the coherence point.
+// TryLoad performs a Load of addr that hits in L1D or, missing there, in
+// L2, with Load's exact bookkeeping — counters, LRU, hit and miss
+// statistics, and on an L2 hit the L1D fill — and returns the word and
+// the latency the caller owes: L1HitLat for an L1 hit, L1HitLat+L2HitLat
+// for an L2 hit. On a miss it touches nothing and reports false.
 //
 // senss-lint:hotpath
-func (n *Node) loadL1(addr uint64) (uint64, bool) {
-	n.Stats.Loads++
-	if n.L1D.Lookup(addr) == nil {
-		return 0, false
-	}
-	return n.hitWord(addr), true
-}
-
-// hitWord reads the word at addr behind an L1D hit from the L2 copy that
-// inclusion guarantees.
-//
-// senss-lint:hotpath
-func (n *Node) hitWord(addr uint64) uint64 {
-	l2 := n.L2.Peek(addr)
+func (n *Node) TryLoad(addr uint64) (v, lat uint64, ok bool) {
+	l1, l2 := n.L1D.Peek(addr), n.L2.Peek(addr)
 	if l2 == nil {
-		panic(fmt.Sprintf("coherence: inclusion violated at %#x on node %d", addr, n.ID))
+		if l1 != nil {
+			panic(fmt.Sprintf("coherence: inclusion violated at %#x on node %d", addr, n.ID))
+		}
+		return 0, 0, false
 	}
-	return n.wordOf(l2, addr)
-}
-
-// Hit is what PeekLoad or PeekStore found for one operation, so that
-// TakeLoad or TakeStore retires it with no second probe:
-// the L1I line of the operation's instruction fetch (nil when the fetch
-// crosses no line) and the line the operation reads (the L1D line, or
-// the L2 line behind an L1D miss) or writes (the L2 line).
-type Hit struct {
-	code, data *cache.Line
-	l2         bool // data is the L2 line of a load that missed L1D
-}
-
-// peekFetch reports, touching nothing, whether an instruction fetch of
-// code (only when fetch is set) would hit in L1I, and the line it hits.
-//
-// senss-lint:hotpath
-func (n *Node) peekFetch(code uint64, fetch bool) (*cache.Line, bool) {
-	if !fetch {
-		return nil, true
-	}
-	l := n.L1I.Peek(code)
-	return l, l != nil
-}
-
-// takeFetch counts the instruction fetch peekFetch found, as IFetch's hit
-// branch does.
-//
-// senss-lint:hotpath
-func (n *Node) takeFetch(h Hit) {
-	if h.code != nil {
-		n.Stats.IFetches++
-		n.L1I.Touch(h.code)
-	}
-}
-
-// PeekLoad reports, touching nothing, whether an instruction fetch of
-// code (only when fetch is set) would hit in L1I and a Load of addr would
-// hit in L1D or, missing there, in L2, the word that Load would return,
-// and the lines they hit.
-//
-// senss-lint:hotpath
-func (n *Node) PeekLoad(code uint64, fetch bool, addr uint64) (uint64, Hit, bool) {
-	lc, ok := n.peekFetch(code, fetch)
-	if !ok {
-		return 0, Hit{}, false
-	}
-	if l := n.L1D.Peek(addr); l != nil {
-		return n.hitWord(addr), Hit{code: lc, data: l}, true
-	}
-	l2 := n.L2.Peek(addr)
-	if l2 == nil {
-		return 0, Hit{}, false
-	}
-	return n.wordOf(l2, addr), Hit{code: lc, data: l2, l2: true}, true
-}
-
-// TakeLoad performs, at the event where PeekLoad just reported them, the
-// hits of that fetch and Load of addr with the very bookkeeping IFetch
-// and Load do — counters, LRU, hit and miss statistics, and on an L2 hit
-// the L1D fill — and charges no latency: it returns the latency the
-// caller owes, L1HitLat for an L1 hit and L1HitLat+L2HitLat for an L2
-// hit. It lets a wake continuation (sim.Proc.SettleThen) retire a cached
-// load without resuming the proc.
-//
-// senss-lint:hotpath
-func (n *Node) TakeLoad(h Hit, addr uint64) uint64 {
-	n.takeFetch(h)
 	n.Stats.Loads++
-	if !h.l2 {
-		n.L1D.Touch(h.data)
-		return n.Params.L1HitLat
+	if l1 != nil {
+		n.L1D.Touch(l1)
+		return n.wordOf(l2, addr), n.Params.L1HitLat, true
 	}
 	n.L1D.Misses++
-	n.L2.Touch(h.data)
+	n.L2.Touch(l2)
 	n.L1D.InsertVictim(addr, cache.Shared, &n.l1Victim)
-	return n.Params.L1HitLat + n.Params.L2HitLat
+	return n.wordOf(l2, addr), n.Params.L1HitLat + n.Params.L2HitLat, true
 }
 
-// PeekStore reports, touching nothing, whether an instruction fetch of
-// code (only when fetch is set) would hit in L1I and a Store to addr
-// would find its L2 line owned (Modified or Exclusive), so that neither
-// needs the bus, and the lines they hit.
+// TryStore performs a Store of val to addr whose L2 line this node owns,
+// with Store's exact bookkeeping (see owned), and reports whether it did;
+// the caller owes StoreLat. A line that is missing, Shared or Owned needs
+// the bus, and TryStore touches nothing.
 //
 // senss-lint:hotpath
-func (n *Node) PeekStore(code uint64, fetch bool, addr uint64) (Hit, bool) {
-	lc, ok := n.peekFetch(code, fetch)
-	if !ok {
-		return Hit{}, false
+func (n *Node) TryStore(addr, val uint64) bool {
+	l2 := n.owned(addr)
+	if l2 == nil {
+		return false
 	}
-	l := n.L2.Peek(addr)
-	if l == nil || l.State != cache.Modified && l.State != cache.Exclusive {
-		return Hit{}, false
-	}
-	return Hit{code: lc, data: l}, true
-}
-
-// TakeStore performs, at the event where PeekStore just reported them,
-// that fetch and a Store of val to addr with the very bookkeeping IFetch
-// and Store do — counters, LRU, hit statistics and the silent E→M
-// promotion — and charges no latency: the caller owes StoreLat.
-//
-// senss-lint:hotpath
-func (n *Node) TakeStore(h Hit, addr, val uint64) {
-	n.takeFetch(h)
 	n.Stats.Stores++
-	n.L2.Touch(h.data)
-	h.data.State = cache.Modified
-	n.setWord(h.data, addr, val)
+	n.setWord(l2, addr, val)
+	return true
 }
 
 // Load performs a data load of the aligned word at addr.
@@ -423,16 +345,14 @@ func (n *Node) TakeStore(h Hit, addr, val uint64) {
 // senss-lint:hotpath
 func (n *Node) Load(p *sim.Proc, addr uint64) uint64 {
 	p.Settle()
-	if v, hit := n.loadL1(addr); hit {
-		p.Owe(n.Params.L1HitLat)
+	if v, lat, ok := n.TryLoad(addr); ok {
+		p.Owe(lat)
 		return v
 	}
-	if l2 := n.L2.Lookup(addr); l2 != nil {
-		v := n.wordOf(l2, addr)
-		n.L1D.InsertVictim(addr, cache.Shared, &n.l1Victim)
-		p.Owe(n.Params.L1HitLat + n.Params.L2HitLat)
-		return v
-	}
+	// What the L1D and L2 lookups would have counted.
+	n.Stats.Loads++
+	n.L1D.Misses++
+	n.L2.Misses++
 	fs := n.fillState()
 	fs.op, fs.addr = opLoad, addr
 	n.fill(p, addr, bus.Rd, fs)
@@ -446,10 +366,12 @@ func (n *Node) Load(p *sim.Proc, addr uint64) uint64 {
 // senss-lint:hotpath
 func (n *Node) IFetch(p *sim.Proc, addr uint64) {
 	p.Settle()
-	if n.fetchL1(addr) {
+	if n.FetchHit(addr) {
 		return
 	}
-	if l2 := n.L2.Lookup(addr); l2 != nil {
+	n.Stats.IFetches++
+	n.L1I.Misses++ // what the L1I lookup would have counted
+	if n.L2.Lookup(addr) != nil {
 		n.L1I.InsertVictim(addr, cache.Shared, &n.l1Victim)
 		p.Sleep(n.Params.L2HitLat)
 		return
@@ -465,14 +387,11 @@ func (n *Node) IFetch(p *sim.Proc, addr uint64) {
 // senss-lint:hotpath
 func (n *Node) Store(p *sim.Proc, addr uint64, val uint64) {
 	p.Settle()
-	n.Stats.Stores++
-	l2, owned := n.storeLookup(addr)
-	if owned {
-		n.setWord(l2, addr, val)
-	} else {
+	if !n.TryStore(addr, val) {
+		n.Stats.Stores++
 		fs := n.fillState()
 		fs.op, fs.addr, fs.val = opStore, addr, val
-		n.acquireModified(p, addr, l2, fs)
+		n.acquireModified(p, addr, fs)
 	}
 	p.Owe(n.Params.StoreLat)
 }
@@ -500,8 +419,7 @@ func (n *Node) CAS(p *sim.Proc, addr, old, new uint64) uint64 {
 func (n *Node) rmw(p *sim.Proc, addr uint64, op fillOp, val, cmp uint64) uint64 {
 	p.Settle()
 	n.Stats.RMWs++
-	l2, owned := n.storeLookup(addr)
-	if owned {
+	if l2 := n.owned(addr); l2 != nil {
 		old := n.wordOf(l2, addr)
 		n.setWord(l2, addr, atomicWord(op, old, val, cmp))
 		p.Owe(n.Params.StoreLat + n.Params.RMWLat)
@@ -509,7 +427,7 @@ func (n *Node) rmw(p *sim.Proc, addr uint64, op fillOp, val, cmp uint64) uint64 
 	}
 	fs := n.fillState()
 	fs.op, fs.addr, fs.val, fs.cmp = op, addr, val, cmp
-	n.acquireModified(p, addr, l2, fs)
+	n.acquireModified(p, addr, fs)
 	p.Owe(n.Params.StoreLat + n.Params.RMWLat)
 	return fs.res
 }
@@ -528,37 +446,30 @@ func atomicWord(op fillOp, old, val, cmp uint64) uint64 {
 	return old
 }
 
-// storeLookup probes the L2 for write ownership, promoting E to M in
-// place (silent upgrade). It returns (line, true) when the caller may
-// commit directly, (line, false) for a Shared/Owned copy that needs a
-// bus upgrade, and (nil, false) on a miss.
+// owned returns addr's L2 line when this node may write it with no bus
+// transaction — Modified, or Exclusive, which it promotes to Modified in
+// place (silent upgrade) — with Lookup's hit bookkeeping. For a missing,
+// Shared or Owned line it touches nothing and returns nil.
 //
 // senss-lint:hotpath
-func (n *Node) storeLookup(addr uint64) (*cache.Line, bool) {
-	l2 := n.L2.Lookup(addr)
-	if l2 == nil {
-		return nil, false
+func (n *Node) owned(addr uint64) *cache.Line {
+	l2 := n.L2.Peek(addr)
+	if l2 == nil || l2.State != cache.Modified && l2.State != cache.Exclusive {
+		return nil
 	}
-	switch l2.State {
-	case cache.Modified:
-		return l2, true
-	case cache.Exclusive:
-		l2.State = cache.Modified
-		return l2, true
-	case cache.Shared, cache.Owned:
-		return l2, false
-	default:
-		panic("coherence: invalid state in storeLookup")
-	}
+	n.L2.Touch(l2)
+	l2.State = cache.Modified
+	return l2
 }
 
-// acquireModified obtains addr's line in Modified state the slow way —
-// a full RdX fill on a miss, a BusUpgr for the Shared/Owned copy l2 —
-// and commits fs's pending operation at the coherence point.
+// acquireModified obtains addr's line, which this node does not own, in
+// Modified state the slow way — a full RdX fill on a miss, a BusUpgr for a
+// Shared/Owned copy — and commits fs's pending operation at the coherence
+// point.
 //
 // senss-lint:hotpath
-func (n *Node) acquireModified(p *sim.Proc, addr uint64, l2 *cache.Line, fs *fillState) {
-	if l2 == nil {
+func (n *Node) acquireModified(p *sim.Proc, addr uint64, fs *fillState) {
+	if n.L2.Lookup(addr) == nil {
 		n.fill(p, addr, bus.RdX, fs)
 		p.Sleep(n.Params.L1HitLat + n.Params.L2HitLat)
 		return
@@ -766,13 +677,12 @@ func (n *Node) StoreBlock(p *sim.Proc, addr uint64, data []byte) {
 		panic("coherence: StoreBlock crosses a line boundary")
 	}
 	n.Stats.Stores++
-	l2, owned := n.storeLookup(addr)
-	if owned {
+	if l2 := n.owned(addr); l2 != nil {
 		copy(l2.Data[off:], data)
 	} else {
 		fs := n.fillState()
 		fs.op, fs.addr, fs.off, fs.buf = opCopyIn, addr, off, data
-		n.acquireModified(p, addr, l2, fs)
+		n.acquireModified(p, addr, fs)
 		fs.buf = nil // drop the caller's buffer for the GC
 	}
 	p.Sleep(n.Params.StoreLat)

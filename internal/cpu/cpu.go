@@ -6,17 +6,19 @@
 // instruction-fetch model account for the non-memory work between
 // operations.
 //
-// The Port is write-behind. Store and LoadN queue their ops in a small
-// Port-owned buffer; the ops retire at the very events, in the very
-// order, that one call per op would reach them, but the proc is resumed
-// once per batch instead of once per op. A wake continuation
-// (sim.Proc.SettleThen) plays every op that hits L1 or L2 or stores to an
-// owned line in engine context, and the proc itself plays the rest. Every op
-// that returns a value or reads the clock (Load, LoadN, Add, CAS,
-// SpinUntil, Now) plays the queue first, as do Think and the program's
-// return. A Program therefore never sees a queued store unless it reads
-// simulated memory through the Port, which is its only channel to the
-// other processors.
+// The Port is write-behind. Store, LoadN and SpinUntil queue their ops in
+// a small Port-owned buffer; the ops retire at the very events, in the
+// very order, that one call per op would reach them, but the proc is
+// resumed once per batch instead of once per op. One wake continuation
+// (sim.Proc.SettleThen) plays each op's gate check, compute gap and
+// instruction fetch, and then the op itself through the node's
+// non-blocking hit steps (coherence.Node.FetchHit, TryLoad, TryStore), in
+// engine context; the proc itself plays what those steps cannot: a closed
+// gate, a cache miss, a store that needs the bus. Every op that returns a
+// value or reads the clock (Load, LoadN, Add, CAS, SpinUntil, Now) plays
+// the queue first, as do Think and the program's return. A Program
+// therefore never sees a queued store unless it reads simulated memory
+// through the Port, which is its only channel to the other processors.
 package cpu
 
 import (
@@ -58,13 +60,8 @@ type Port struct {
 
 	pc uint64 // byte position in the text region
 
-	// spin is the SpinUntil in progress; spinWake, bound once at Spawn,
-	// is its wake continuation.
-	spin     spinState
-	spinWake sim.Cont
-
-	// batch holds the ops Store and LoadN queued; batchWake, bound once
-	// at Spawn, is the continuation that plays them.
+	// batch holds the ops Store, LoadN, Load and SpinUntil queued;
+	// batchWake, bound once at Spawn, is the continuation that plays them.
 	batch     batch
 	batchWake sim.Cont
 }
@@ -72,40 +69,45 @@ type Port struct {
 // batchCap is how many ops a Port holds back before it plays them.
 const batchCap = 16
 
-// pendingOp is one queued Store, or one load of a LoadN or Load.
+// opKind says what a queued op does.
+type opKind uint8
+
+const (
+	opLoad  opKind = iota // one load of a LoadN or Load
+	opStore               // a Store
+	opSpin                // SpinUntil's probe, repeated until it reads val
+)
+
+// pendingOp is one queued op.
 type pendingOp struct {
-	addr  uint64
-	val   uint64 // the store's word, or the word the load returned
-	store bool
+	addr uint64
+	val  uint64 // the store's word, the word the load returned, or the spin's want
+	kind opKind
 }
 
 // batch is the ops queued since the last flush and how far playing them
 // has got. The loads' values stay here until the caller copies them
 // out, so no caller slice is ever held by the Port.
 type batch struct {
-	ops  [batchCap]pendingOp
-	n    int    // ops queued
-	done int    // ops played
-	next leg    // the event the continuation's next wake marks
-	owed uint64 // the latency the last op played leaves owed
+	ops     [batchCap]pendingOp
+	n       int    // ops queued
+	done    int    // ops played
+	next    leg    // the event the continuation's next wake marks
+	owed    uint64 // the latency the last op played leaves owed
+	backoff uint64 // the queued spin's wait between probes
 }
 
-// spinState is one SpinUntil: its operands and which wake comes next.
-type spinState struct {
-	addr, want, backoff uint64
-	next                leg
-}
-
-// leg names the event a continuation's next wake marks. An op is two
-// legs, its boundary (the gate check and the op gap) and its probe; a
-// spin probe that does not find want adds the L1HitLat it leaves owed,
-// then the backoff.
+// leg names the event the continuation's next wake marks. An op is its
+// boundary (the gate check and the op gap), its probe (the instruction
+// fetch) and, once the fetch is taken, the op itself; a spin probe that
+// does not read want leaves its latency owed and then waits the backoff.
 type leg uint8
 
 const (
-	legOwed     leg = iota // the last spin probe's owed latency ends
+	legBackoff  leg = iota // the last spin probe's owed latency ends
 	legBoundary            // the next op's gate and gap
-	legProbe               // the gap ends: the op itself
+	legProbe               // the gap ends: the op's fetch, then the op
+	legFetched             // the fetch is taken: the op itself
 )
 
 // Spawn starts prog on a new proc of e bound to node. exit, when non-nil,
@@ -115,7 +117,6 @@ const (
 func Spawn(e *sim.Engine, name string, node *coherence.Node, params Params, prog Program, exit func()) {
 	e.Spawn(name, func(p *sim.Proc) {
 		c := &Port{proc: p, node: node, params: params}
-		c.spinWake = c.spinStep
 		c.batchWake = c.batchStep
 		prog(c)
 		c.flush()
@@ -240,35 +241,47 @@ func (c *Port) Store(addr uint64, val uint64) {
 	if b.n == batchCap {
 		c.flush()
 	}
-	b.ops[b.n] = pendingOp{addr: addr, val: val, store: true}
+	b.ops[b.n] = pendingOp{addr: addr, val: val, kind: opStore}
 	b.n++
 }
 
 // flush plays the queued ops in order, each at the event where one call
 // per op would play it, and returns at the last op's event with that
-// op's latency owed. The continuation (batchStep) plays every op that
-// hits L1 or L2 or stores to an owned line; the proc plays the others.
+// op's latency owed. The continuation (batchStep) plays every leg it can
+// in engine context; at the leg where it hands the proc back, the proc
+// plays the rest of that op with the blocking calls and gives the
+// continuation the next leg.
 //
 // senss-lint:hotpath
 func (c *Port) flush() {
 	b := &c.batch
+	b.next = legBoundary
 	for b.done < b.n {
-		b.next = legBoundary
 		c.proc.SettleThen(c.batchWake)
 		if b.done == b.n {
 			c.proc.Owe(b.owed)
 			break
 		}
-		if b.next == legBoundary {
+		switch b.next {
+		case legBoundary:
 			c.step() // handed back at a closed gate
-		} else {
-			c.fetch() // handed back at an op that needs more than L2 or an owned line
+		case legProbe:
+			c.fetch() // handed back at an L1I miss
+		case legFetched:
+			// handed back at the op itself, its fetch taken
 		}
 		op := &b.ops[b.done]
-		if op.store {
+		b.next = legBoundary
+		switch op.kind {
+		case opStore:
 			c.node.Store(c.proc, op.addr, op.val)
-		} else {
+		case opLoad:
 			op.val = c.node.Load(c.proc, op.addr)
+		case opSpin:
+			if c.node.Load(c.proc, op.addr) != op.val {
+				b.next = legBackoff
+				continue
+			}
 		}
 		b.done++
 	}
@@ -276,42 +289,58 @@ func (c *Port) flush() {
 }
 
 // batchStep is flush's wake continuation: it plays the queued ops' legs
-// in engine context and hands the proc back, before touching anything,
-// at a closed gate, an L2 miss or a store that needs the bus — or, having
-// played the last op, at that op's event.
+// in engine context and hands the proc back at a closed gate, an L1I
+// miss, an L2 miss or a store that needs the bus — each before touching
+// anything — or, having played the last op, at that op's event.
 //
 // senss-lint:hotpath
 func (c *Port) batchStep() (uint64, bool) {
 	b := &c.batch
-	if b.next == legBoundary {
+	switch b.next {
+	case legBackoff:
+		if b.backoff > 0 {
+			b.next = legBoundary
+			return b.backoff, true
+		}
+		fallthrough
+	case legBoundary:
 		if g := c.params.Gate; g != nil && g.closed {
+			b.next = legBoundary
 			return 0, false
 		}
 		if c.params.OpGap > 0 {
 			b.next = legProbe
 			return c.params.OpGap, true
 		}
-	}
-	// The gap has ended: the op itself.
-	b.next = legProbe
-	op := &b.ops[b.done]
-	pc, line, cross := c.nextFetch()
-	if op.store {
-		h, ok := c.node.PeekStore(line, cross, op.addr)
-		if !ok {
+		fallthrough
+	case legProbe:
+		b.next = legProbe
+		pc, line, cross := c.nextFetch()
+		if cross && !c.node.FetchHit(line) {
 			return 0, false
 		}
-		c.node.TakeStore(h, op.addr, op.val)
+		c.pc = pc
+		b.next = legFetched
+	}
+	// The fetch is taken: the op itself.
+	op := &b.ops[b.done]
+	if op.kind == opStore {
+		if !c.node.TryStore(op.addr, op.val) {
+			return 0, false
+		}
 		b.owed = c.node.Params.StoreLat
 	} else {
-		v, h, ok := c.node.PeekLoad(line, cross, op.addr)
+		v, lat, ok := c.node.TryLoad(op.addr)
 		if !ok {
 			return 0, false
 		}
-		b.owed = c.node.TakeLoad(h, op.addr)
+		b.owed = lat
+		if op.kind == opSpin && v != op.val {
+			b.next = legBackoff
+			return lat, true
+		}
 		op.val = v
 	}
-	c.pc = pc
 	b.done++
 	if b.done == b.n {
 		return 0, false
@@ -327,62 +356,20 @@ func (c *Port) batchStep() (uint64, bool) {
 //	}
 //
 // — the same loads, latencies, cache and bus traffic and event order —
-// but each probe that hits L1 or L2 and reads something other than want
-// runs in engine context (sim.Proc.SettleThen), so the proc is not
-// resumed for it. The proc takes over at the exact boundary where the
-// loop does more than re-read a cached word: a closed Gate, an L2 miss,
-// or the probe that reads want.
+// but the probes join the queued ops as their last op, so every probe
+// that hits L1 or L2, the one that reads want included, runs in engine
+// context (sim.Proc.SettleThen) and the proc is not resumed for it.
 //
 // senss-lint:hotpath
 func (c *Port) SpinUntil(addr, want, backoff uint64) {
-	c.spin = spinState{addr: addr, want: want, backoff: backoff}
-	v := c.Load(addr)
-	for v != want {
-		c.spin.next = legOwed
-		c.proc.SettleThen(c.spinWake)
-		if c.spin.next == legBoundary {
-			v = c.Load(addr) // handed back at a closed gate
-		} else {
-			c.fetch() // handed back at a probe the continuation cannot take
-			v = c.node.Load(c.proc, addr)
-		}
+	b := &c.batch
+	if b.n == batchCap {
+		c.flush()
 	}
-}
-
-// spinStep is SpinUntil's wake continuation: it plays the loop's legs in
-// engine context and hands the proc back, before touching anything, at
-// the first event the loop cannot take there.
-//
-// senss-lint:hotpath
-func (c *Port) spinStep() (uint64, bool) {
-	s := &c.spin
-	switch s.next {
-	case legOwed:
-		if s.backoff > 0 {
-			s.next = legBoundary
-			return s.backoff, true
-		}
-		fallthrough
-	case legBoundary:
-		if g := c.params.Gate; g != nil && g.closed {
-			s.next = legBoundary
-			return 0, false
-		}
-		if c.params.OpGap > 0 {
-			s.next = legProbe
-			return c.params.OpGap, true
-		}
-	}
-	// The gap has ended: the probe.
-	s.next = legProbe
-	pc, line, cross := c.nextFetch()
-	v, h, hit := c.node.PeekLoad(line, cross, s.addr)
-	if !hit || v == s.want {
-		return 0, false
-	}
-	c.pc = pc
-	s.next = legOwed
-	return c.node.TakeLoad(h, s.addr), true
+	b.ops[b.n] = pendingOp{addr: addr, val: want, kind: opSpin}
+	b.n++
+	b.backoff = backoff
+	c.flush()
 }
 
 // Add atomically adds delta to the word at addr, returning the old value.

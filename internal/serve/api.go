@@ -150,8 +150,8 @@ type ServerStats struct {
 }
 
 // ErrorResponse is the uniform error envelope. Code is machine-readable:
-// bad_request, not_found, session_paused, groups_exhausted, overloaded,
-// internal.
+// bad_request, too_large, not_found, session_paused, groups_exhausted,
+// overloaded, internal.
 type ErrorResponse struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`

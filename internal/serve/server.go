@@ -202,10 +202,30 @@ func (s *Server) Sweep() int {
 
 // --- handlers ---
 
+// maxBodyBytes caps every request body the server decodes. A session
+// spec or a step request is a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body, read through a maxBodyBytes cap, into
+// v. On failure it writes the error response — 413 too_large past the
+// cap, 400 bad_request otherwise — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "too_large", fmt.Sprintf("%s exceeds %d bytes", what, tooLarge.Limit), 0)
+	} else {
+		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decoding %s: %v", what, err), 0)
+	}
+	return false
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec SessionSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decoding session spec: %v", err), 0)
+	if !decodeBody(w, r, &spec, "session spec") {
 		return
 	}
 	if spec.Tenant == "" {
@@ -322,11 +342,8 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req StepRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decoding step request: %v", err), 0)
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &req, "step request") {
+		return
 	}
 	resp, err := s.stepOnce(h, s.stepCycles(req))
 	switch {

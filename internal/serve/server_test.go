@@ -725,3 +725,55 @@ func TestRunBench(t *testing.T) {
 		t.Fatalf("p99 (%v) < p50 (%v)", rep.StepP99MS, rep.StepP50MS)
 	}
 }
+
+// oversized is a JSON object whose one string field pushes it past the
+// body cap: 2 MiB in all.
+func oversized(prefix string) string {
+	return prefix + `"pad":"` + strings.Repeat("x", 2<<20) + `"}`
+}
+
+// postRaw posts body to url and returns the status and response body.
+func postRaw(t *testing.T, client *http.Client, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := client.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw
+}
+
+func TestServeRejectsOversizedCreate(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 2, Backlog: 8})
+	code, raw := postRaw(t, ts.Client(), ts.URL+"/v1/sessions",
+		oversized(`{"tenant":"acme","workload":"fft","security":"senss",`))
+	if code != http.StatusRequestEntityTooLarge || errCode(t, raw) != "too_large" {
+		t.Fatalf("oversized create: status %d body %.200s", code, raw)
+	}
+	if st := srv.Stats(); st.Sessions != 0 || st.GroupsInUse != 0 || len(st.GroupsByTenant) != 0 {
+		t.Fatalf("an oversized create left state behind: %+v", st)
+	}
+}
+
+func TestServeRejectsOversizedStep(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2, Backlog: 8})
+	client := ts.Client()
+	var info SessionInfo
+	spec := SessionSpec{Tenant: "acme", Workload: "lockcontend", Security: "senss"}
+	if code, raw := call(t, client, http.MethodPost, ts.URL+"/v1/sessions", spec, &info); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, raw)
+	}
+	stepURL := ts.URL + "/v1/sessions/" + info.ID + "/step"
+	if code, raw := call(t, client, http.MethodPost, stepURL, StepRequest{Cycles: 1000}, nil); code != http.StatusOK {
+		t.Fatalf("step: %d %s", code, raw)
+	}
+	before := sessionStats(t, client, ts.URL, info.ID)
+	code, raw := postRaw(t, client, stepURL, oversized(`{"cycles":1000,`))
+	if code != http.StatusRequestEntityTooLarge || errCode(t, raw) != "too_large" {
+		t.Fatalf("oversized step: status %d body %.200s", code, raw)
+	}
+	if after := sessionStats(t, client, ts.URL, info.ID); after.Cycles != before.Cycles {
+		t.Fatalf("an oversized step moved the session: %d -> %d cycles", before.Cycles, after.Cycles)
+	}
+}

@@ -45,14 +45,15 @@
 // switch per wake. When the sleep a continuation returns is itself the
 // next event — nothing queued at or before its cycle, and the halt,
 // deadline and limit checks of the pop would pass — dispatch takes it at
-// once, with no push and no pop (run-ahead). cpu.Port.SpinUntil runs
-// every lock and barrier probe that hits L1 this way, cpu.Port plays
-// each batch of queued stores and LoadN loads as one continuation, and
-// bus.Transact takes its tenure's tail as one; on the 4-processor golden
-// cells, coroutine resumes per retired memory op fell from
+// once, with no push and no pop (run-ahead). cpu.Port plays each batch
+// of queued ops — stores, LoadN loads and SpinUntil's lock and barrier
+// probes — as one continuation that hands the proc back only at a closed
+// gate, a cache miss or a store that needs the bus, and bus.Transact
+// takes its tenure's tail as one; on the 4-processor golden cells,
+// coroutine resumes per retired memory op fell from
 //
-//	radix 1.24 → 0.23, barnes 1.27 → 0.32, lu 1.19 → 0.27,
-//	fft 1.04 → 0.21, ocean 0.98 → 0.22, falseshare 2.19 → 1.07
+//	radix 1.24 → 0.23, barnes 1.27 → 0.32, lu 1.19 → 0.26,
+//	fft 1.04 → 0.20, ocean 0.98 → 0.22, falseshare 2.19 → 1.07
 //
 // (DESIGN.md §16 has the tables).
 package sim
